@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import clearnet as cn
+import clearnet.io_cli
 from clearnet.io_cli import (
     SystemDocument,
     cli_main,
@@ -211,13 +213,25 @@ class TestCli:
         assert report["full_shock"]["one_step"] is True
         assert report["relaxed"]["printed_form_gap"] > 0.0
 
-    def test_verify_fails_at_zero_tolerance(self, sys_a_path, capsys):
+    def test_verify_fails_at_zero_tolerance(self, sys_a_path, capsys, monkeypatch):
+        # the two routes may agree exactly on sys_a, so the failing report is
+        # injected rather than left to rounding noise
+        real = clearnet.io_cli.verify_full_shock_equivalence
+
+        def failing(*args, **kwargs):
+            report = real(*args, **kwargs)
+            return dataclasses.replace(
+                report, max_abs_gap=report.tolerance + 1.0, passed=False
+            )
+
+        monkeypatch.setattr(clearnet.io_cli, "verify_full_shock_equivalence", failing)
         code = cli_main(
             ["verify", "--input", str(sys_a_path), "--r", "0.8", "--m", "0.5", "--tol", "0"]
         )
         assert code == 2
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False
+        assert report["full_shock"]["passed"] is False
 
     def test_verify_precondition_violation_exits_3(self, tmp_path, capsys):
         doc = SystemDocument(
