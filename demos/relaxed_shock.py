@@ -17,7 +17,10 @@ params = cn.ClearingParams(r=0.8)
 
 # 1. Stepwise search. Step k scales each bank's assets to (1 - k/max_steps)
 # of its default headroom l - Cl; the first k whose clearing solution flags
-# every node wins. A bisection fast path returns the same minimal k.
+# every node wins. Every bank with l_i > (C l)_i is already in fundamental
+# default at k = 1, so here the search accepts k = 1 after one clear; when
+# some bank can only fail through contagion, it probes k = max_steps and
+# bisects the steps in between.
 scenario = cn.relaxed_shock_search(system, params, max_steps=1000)
 print("search accepted step:", scenario.search_steps, "of", scenario.max_steps)
 print("post-shock assets:", scenario.post_shock_assets[:2])

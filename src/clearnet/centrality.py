@@ -15,13 +15,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._linalg import solve_checked
-from .errors import InvalidInterpolation, SingularSystem
+from .errors import SingularSystem
 from .net_model import (
     ClearingParams,
     FinancialSystem,
     broadcast_rate,
-    relative_claims,
-    total_liabilities,
+    validate_interpolation,
 )
 from .spectral import INVERTIBILITY_MARGIN, spectral_radius
 
@@ -52,15 +51,6 @@ class CentralityResult:
     residual: float
 
 
-def _validate_m(m, n: int) -> NDArray:
-    vec = broadcast_rate(m, n, "m")
-    if np.any(vec <= 0) or np.any(vec >= 1):
-        raise InvalidInterpolation(
-            f"interpolation coefficient must lie strictly inside (0, 1), got {m}"
-        )
-    return vec
-
-
 def beta_vector(system: FinancialSystem, r, m) -> NDArray:
     """Source term ``beta_i = (1 - m) l_i - (r - m) (C l)_i`` per bank.
 
@@ -69,9 +59,9 @@ def beta_vector(system: FinancialSystem, r, m) -> NDArray:
     """
     n = system.node_count
     r_vec = broadcast_rate(r, n, "r")
-    m_vec = _validate_m(m, n)
-    l = total_liabilities(system)
-    cl = relative_claims(system).matrix @ l
+    m_vec = validate_interpolation(m, n)
+    l = system.total_liabilities
+    cl = system.claims @ l
     beta = (1.0 - m_vec) * l - (r_vec - m_vec) * cl
     beta[system.sink] = 0.0
     return beta
@@ -135,9 +125,9 @@ def closed_form_full_shock(system: FinancialSystem, params: ClearingParams, m) -
     """
     n = system.node_count
     r_vec = params.recovery_vector(n)
-    m_vec = _validate_m(m, n)
-    l = total_liabilities(system)
-    C = relative_claims(system).matrix
+    m_vec = validate_interpolation(m, n)
+    l = system.total_liabilities
+    C = system.claims
     cl = C @ l
     rhs = (r_vec - m_vec) * cl - (1.0 - m_vec) * l
     return solve_checked(np.eye(n) - r_vec[:, None] * C, rhs, "full-shock form") + l
@@ -153,8 +143,8 @@ def printed_relaxed_closed_form(system: FinancialSystem, r, m) -> NDArray:
     """
     n = system.node_count
     r_vec = broadcast_rate(r, n, "r")
-    m_vec = _validate_m(m, n)
-    l = total_liabilities(system)
-    C = relative_claims(system).matrix
+    m_vec = validate_interpolation(m, n)
+    l = system.total_liabilities
+    C = system.claims
     A = np.eye(n) - (r_vec - m_vec)[:, None] * C
     return solve_checked(A, m_vec * (l + r_vec * (C @ l)), "relaxed closed form")

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import (
@@ -24,14 +23,12 @@ from .errors import (
     NoConvergence,
     OracleNoConvergence,
 )
-from ._linalg import lu_factor_checked
+from ._linalg import solve_checked
 from .net_model import (
     ClearingParams,
     DefaultIndicator,
     FinancialSystem,
     default_indicator,
-    relative_claims,
-    total_liabilities,
 )
 
 ORACLE_STEP_TOL = 1e-12
@@ -67,12 +64,6 @@ class ClearingSolution:
     uniqueness_ok: bool = True
 
 
-def _scaled_claims(params: ClearingParams, system: FinancialSystem, C: NDArray) -> NDArray:
-    """Row-scaled matrix diag(r) @ C (plain r * C for scalar recovery)."""
-    r = params.recovery_vector(system.node_count)
-    return r[:, None] * C
-
-
 def apply_clearing_map(
     system: FinancialSystem, params: ClearingParams, p: NDArray
 ) -> NDArray:
@@ -84,12 +75,11 @@ def apply_clearing_map(
     and at ``l`` for solvent ones -- plus recovered external assets.
     """
     p = np.asarray(p, dtype=float)
-    l = total_liabilities(system)
-    C = relative_claims(system).matrix
+    l = system.total_liabilities
+    r = params.recovery_vector(system.node_count)
     flags = default_indicator(system, p).flags
     mixed = np.where(flags, p, l)
-    rC = _scaled_claims(params, system, C)
-    paid = rC @ mixed + params.r_a * system.external_assets
+    paid = r * (system.claims @ mixed) + params.r_a * system.external_assets
     return np.where(flags, paid, l)
 
 
@@ -109,21 +99,18 @@ def solve_given_defaults(
         If the reduced matrix has a pivot below ``1e-14``; with a sink
         node present (or ``r < 1``) this signals a convention violation.
     """
-    l = total_liabilities(system)
-    C = relative_claims(system).matrix
-    rC = _scaled_claims(params, system, C)
+    l = system.total_liabilities
+    C = system.claims
+    r = params.recovery_vector(system.node_count)
     idx = np.flatnonzero(defaults.flags)
 
+    # I - diag(r) C on the defaulted block, formed in one block-sized array
+    A = C[np.ix_(idx, idx)]
+    A *= -r[idx, None]
+    A[np.diag_indices_from(A)] += 1.0
+    b = (params.r_a * system.external_assets + r * (C @ l) - l)[idx]
     p = l.copy()
-    if idx.size == 0:
-        return p
-
-    A = np.eye(idx.size) - rC[np.ix_(idx, idx)]
-    b = (params.r_a * system.external_assets + rC @ l - l)[idx]
-    lu, piv = lu_factor_checked(
-        A, f"reduced system on {idx.size} defaulted node(s)"
-    )
-    p[idx] += scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    p[idx] += solve_checked(A, b, f"reduced system on {idx.size} defaulted node(s)")
     return p
 
 
@@ -143,7 +130,7 @@ def fictitious_default_sequence(
     rounds are needed; anything past that is a bug and raises loudly.
     """
     N = system.node_count
-    l = total_liabilities(system)
+    l = system.total_liabilities
     uniqueness_ok = bool(np.all(system.external_assets > 0))
 
     current = default_indicator(system, l)
@@ -187,7 +174,7 @@ def picard_clearing_oracle(
     Deliberately knows nothing about default sets or linear solves, so it
     serves as the independent ground truth for the closed-form routes.
     """
-    l = total_liabilities(system)
+    l = system.total_liabilities
     scale = max(1.0, float(l.max(initial=0.0)))
     p = l.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
     banks = system.banks
@@ -218,10 +205,9 @@ def capitalization_adjusted_loss(
     ``s = a - o`` is the shock that was applied. Requires the system to
     carry post-shock assets; the sink entry is reported as 0.
     """
-    l = total_liabilities(system)
-    C = relative_claims(system).matrix
+    l = system.total_liabilities
     shock = system.external_assets - system.pre_shock_assets
-    denom = system.pre_shock_assets + C @ l
+    denom = system.pre_shock_assets + system.claims @ l
     zero = denom[system.banks] == 0
     if np.any(zero):
         i = int(np.argmax(zero))

@@ -17,12 +17,7 @@ from numpy.typing import NDArray
 from .centrality import beta_vector, generalized_katz, standard_katz
 from .clearing import fictitious_default_sequence, systemic_loss
 from .errors import NotSingleCreditor
-from .net_model import (
-    ClearingParams,
-    FinancialSystem,
-    relative_claims,
-    total_liabilities,
-)
+from .net_model import ClearingParams, FinancialSystem
 from .shocks import (
     ShockKind,
     full_default_shock,
@@ -62,7 +57,7 @@ class EquivalenceReport:
 
 def default_tolerance(system: FinancialSystem) -> float:
     """Gap tolerance scaled to the system's largest liability."""
-    l = total_liabilities(system)
+    l = system.total_liabilities
     return 1e-8 * max(1.0, float(l.max(initial=0.0)))
 
 
@@ -84,12 +79,9 @@ def verify_full_shock_equivalence(
     scenario = full_default_shock(system, m)
     solution = fictitious_default_sequence(shocked_system(system, scenario), params)
 
-    l = total_liabilities(system)
-    sigma_clearing = systemic_loss(solution, l)
+    sigma_clearing = systemic_loss(solution, system.total_liabilities)
     beta = beta_vector(system, params.r, m)
-    sigma_katz = generalized_katz(
-        relative_claims(system).matrix, params.r, beta, m=m
-    ).sigma
+    sigma_katz = generalized_katz(system.claims, params.r, beta, m=m).sigma
 
     details = np.abs(sigma_clearing - sigma_katz)[system.banks]
     max_gap = float(details.max(initial=0.0))
@@ -159,8 +151,8 @@ def verify_katz_reduction(
             f"bank(s) {bad.tolist()} do not have exactly one creditor"
         )
 
-    l = total_liabilities(system)
-    C = relative_claims(system).matrix
+    l = system.total_liabilities
+    C = system.claims
     adjacency = C[banks, banks]
 
     beta = beta_vector(system, r, r)

@@ -39,13 +39,7 @@ from .errors import (
     PreconditionViolated,
     ValidationError,
 )
-from .net_model import (
-    ClearingParams,
-    FinancialSystem,
-    build_system,
-    relative_claims,
-    total_liabilities,
-)
+from .net_model import ClearingParams, FinancialSystem, build_system
 from .centrality import beta_vector, generalized_katz
 from .shocks import full_default_shock, relaxed_shock_search, shocked_system
 from .spectral import check_invertibility
@@ -416,8 +410,9 @@ def _scenario_dict(scenario) -> dict:
 
 
 def _spectral_dict(system: FinancialSystem, r: float | None) -> dict:
-    C = relative_claims(system).matrix
-    ok, report = check_invertibility(C, 1.0 if r is None else r, has_sink=True)
+    ok, report = check_invertibility(
+        system.claims, 1.0 if r is None else r, has_sink=True
+    )
     return {
         "radius_estimate": report.radius_estimate,
         "collatz_wielandt_lower": report.collatz_wielandt_lower,
@@ -489,9 +484,9 @@ def _cmd_clear(args) -> int:
         "command": "clear",
         "input": _input_echo(args.input, system),
         "parameters": _params_dict(params),
-        "total_liabilities": total_liabilities(system),
+        "total_liabilities": system.total_liabilities,
         "clearing": _clearing_dict(system, params, solution),
-        "systemic_loss": systemic_loss(solution, total_liabilities(system)),
+        "systemic_loss": systemic_loss(solution, system.total_liabilities),
         "spectral": _spectral_dict(system, r_scalar),
     }
     print(_pretty_clearing(report) if args.pretty else dumps_canonical(report))
@@ -514,9 +509,9 @@ def _cmd_shock(args) -> int:
         "input": _input_echo(args.input, system),
         "parameters": _params_dict(params, m=args.m, kind=scenario.kind.value),
         "scenario": _scenario_dict(scenario),
-        "total_liabilities": total_liabilities(system),
+        "total_liabilities": system.total_liabilities,
         "clearing": _clearing_dict(shocked, params, solution),
-        "systemic_loss": systemic_loss(solution, total_liabilities(system)),
+        "systemic_loss": systemic_loss(solution, system.total_liabilities),
     }
     if args.pretty:
         report["input"]["external_assets"] = list(scenario.post_shock_assets)
@@ -529,7 +524,7 @@ def _cmd_shock(args) -> int:
 def _cmd_katz(args) -> int:
     system = load_system(args.input, args.format, args.assets)
     beta = beta_vector(system, args.r, args.m)
-    result = generalized_katz(relative_claims(system).matrix, args.r, beta, m=args.m)
+    result = generalized_katz(system.claims, args.r, beta, m=args.m)
     report = {
         "command": "katz",
         "input": _input_echo(args.input, system),

@@ -7,17 +7,20 @@ treated as defaulted by convention, which is what makes the clearing
 algebra well posed for any recovery rate.
 
 Everything in this module is immutable after construction and every
-operation is a pure function of its inputs.
+operation is a pure function of its inputs. The total liabilities ``l``
+and the claims matrix ``C`` are derived once, when the system is built,
+and every copy with new external assets shares them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
     DimensionMismatch,
+    InvalidInterpolation,
     NegativeEntry,
     NonzeroDiagonal,
     NonzeroSinkRow,
@@ -35,6 +38,7 @@ __all__ = [
     "DefaultIndicator",
     "ClearingParams",
     "broadcast_rate",
+    "validate_interpolation",
     "build_system",
     "total_liabilities",
     "relative_claims",
@@ -65,12 +69,18 @@ class FinancialSystem:
         Current external assets ``a`` (post-shock when a shock was applied).
     pre_shock_assets : (N,) ndarray
         Asset values ``o`` before any shock.
+    total_liabilities : (N,) ndarray
+        Row sums ``l`` of ``liabilities``.
+    claims : (N, N) ndarray
+        Claims matrix ``C``, see :func:`relative_claims`.
     """
 
     node_count: int
     liabilities: NDArray
     external_assets: NDArray
     pre_shock_assets: NDArray
+    total_liabilities: NDArray = field(repr=False, compare=False)
+    claims: NDArray = field(repr=False, compare=False)
 
     @property
     def sink(self) -> int:
@@ -86,7 +96,8 @@ class FinancialSystem:
         return slice(0, self.node_count - 1)
 
     def with_external_assets(self, assets: NDArray) -> "FinancialSystem":
-        """Copy of the system with a new external-asset vector ``a``."""
+        """Copy of the system with a new external-asset vector ``a``; it
+        shares ``l`` and ``C`` with this one."""
         assets = np.asarray(assets, dtype=float)
         if assets.shape != (self.node_count,):
             raise DimensionMismatch(
@@ -101,6 +112,8 @@ class FinancialSystem:
             liabilities=self.liabilities,
             external_assets=_readonly(assets),
             pre_shock_assets=self.pre_shock_assets,
+            total_liabilities=self.total_liabilities,
+            claims=self.claims,
         )
 
 
@@ -127,10 +140,6 @@ class DefaultIndicator:
             return NotImplemented
         return bool(np.array_equal(self.flags, other.flags))
 
-    def as_diagonal(self) -> NDArray:
-        """The 0/1 diagonal matrix D with D[i, i] = 1 for defaulted nodes."""
-        return np.diag(self.flags.astype(float))
-
     def issubset(self, other: "DefaultIndicator") -> bool:
         return bool(np.all(other.flags[self.flags]))
 
@@ -146,6 +155,17 @@ def broadcast_rate(value, n: int, name: str) -> NDArray:
         vec = np.full(n, float(vec))
     if vec.shape != (n,):
         raise DimensionMismatch(f"{name} must be a scalar or length-{n} vector")
+    return vec
+
+
+def validate_interpolation(m, n: int) -> NDArray:
+    """Expand an interpolation coefficient ``m`` to length n; every entry
+    must lie strictly inside (0, 1)."""
+    vec = broadcast_rate(m, n, "m")
+    if np.any(vec <= 0) or np.any(vec >= 1):
+        raise InvalidInterpolation(
+            f"interpolation coefficient must lie strictly inside (0, 1), got {m}"
+        )
     return vec
 
 
@@ -192,7 +212,8 @@ def build_system(
     Raises
     ------
     DimensionMismatch, NegativeEntry, NonzeroDiagonal, NonzeroSinkRow
-        Each names the offending index.
+        Each names the offending index. A row whose entries are finite but
+        whose sum overflows raises ``DimensionMismatch``.
     """
     L = np.asarray(liabilities, dtype=float)
     o = np.asarray(pre_shock_assets, dtype=float)
@@ -250,17 +271,29 @@ def build_system(
         i = int(np.argmax(a < 0))
         raise NegativeEntry(f"external_assets[{i}] = {a[i]} is negative")
 
+    with np.errstate(over="ignore"):
+        l = L.sum(axis=1)
+    if not np.all(np.isfinite(l)):
+        i = int(np.argmax(~np.isfinite(l)))
+        raise DimensionMismatch(f"total liabilities of node {i} are not finite")
+    l.setflags(write=False)
+    C = np.zeros_like(L)
+    np.divide(L.T, l, out=C, where=l > 0)
+    C.setflags(write=False)
+
     return FinancialSystem(
         node_count=N,
         liabilities=_readonly(L),
         external_assets=_readonly(a),
         pre_shock_assets=_readonly(o),
+        total_liabilities=l,
+        claims=C,
     )
 
 
 def total_liabilities(system: FinancialSystem) -> NDArray:
     """Row sums ``l_i`` of the liability matrix; zero for the sink."""
-    return system.liabilities.sum(axis=1)
+    return system.total_liabilities
 
 
 def relative_claims(system: FinancialSystem) -> RelativeClaims:
@@ -268,19 +301,13 @@ def relative_claims(system: FinancialSystem) -> RelativeClaims:
 
     Columns of nodes without liabilities (including the sink) are zero.
     """
-    L = system.liabilities
-    l = total_liabilities(system)
-    C = np.zeros_like(L)
-    nz = l > 0
-    C[:, nz] = L[nz].T / l[nz]
-    return RelativeClaims(matrix=_readonly(C))
+    return RelativeClaims(matrix=system.claims)
 
 
 def equity(system: FinancialSystem, payments: NDArray) -> NDArray:
     """Balance-sheet equity ``a + C p - l`` under a payment vector ``p``."""
     p = np.asarray(payments, dtype=float)
-    C = relative_claims(system).matrix
-    return system.external_assets + C @ p - total_liabilities(system)
+    return system.external_assets + system.claims @ p - system.total_liabilities
 
 
 def default_indicator(system: FinancialSystem, payments: NDArray) -> DefaultIndicator:
@@ -290,9 +317,8 @@ def default_indicator(system: FinancialSystem, payments: NDArray) -> DefaultIndi
     around zero, so exact boundary solvency counts as solvent; the sink is
     flagged by convention.
     """
-    l = total_liabilities(system)
     eq = equity(system, payments)
-    flags = eq < -DEFAULT_BAND * np.maximum(1.0, l)
+    flags = eq < -DEFAULT_BAND * np.maximum(1.0, system.total_liabilities)
     flags[system.sink] = True
     flags.setflags(write=False)
     return DefaultIndicator(flags=flags)
@@ -300,4 +326,4 @@ def default_indicator(system: FinancialSystem, payments: NDArray) -> DefaultIndi
 
 def fundamental_defaults(system: FinancialSystem) -> DefaultIndicator:
     """Banks insolvent even when every counterparty pays in full (p = l)."""
-    return default_indicator(system, total_liabilities(system))
+    return default_indicator(system, system.total_liabilities)

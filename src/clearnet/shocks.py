@@ -20,19 +20,12 @@ from ._linalg import solve_checked
 from .centrality import printed_relaxed_closed_form
 from .clearing import ClearingSolution, fictitious_default_sequence
 from .errors import (
-    InvalidInterpolation,
     NotAllDefaulted,
     PreconditionViolated,
     SearchExhausted,
     SelfConsistencyFailed,
 )
-from .net_model import (
-    ClearingParams,
-    FinancialSystem,
-    broadcast_rate,
-    relative_claims,
-    total_liabilities,
-)
+from .net_model import ClearingParams, FinancialSystem, validate_interpolation
 
 __all__ = [
     "ShockKind",
@@ -95,15 +88,6 @@ class RelaxedShockCertificate:
     printed_gap: float
 
 
-def _validate_interpolation(m, n: int) -> NDArray:
-    vec = broadcast_rate(m, n, "m")
-    if np.any(vec <= 0) or np.any(vec >= 1):
-        raise InvalidInterpolation(
-            f"interpolation coefficient must lie strictly inside (0, 1), got {m}"
-        )
-    return vec
-
-
 def _require_interbank_margin(l: NDArray, cl: NDArray, n_banks: int) -> None:
     bad = np.flatnonzero(cl[:n_banks] >= l[:n_banks])
     if bad.size:
@@ -123,9 +107,9 @@ def full_default_shock(system: FinancialSystem, m) -> ShockScenario:
     even when every counterparty pays in full.
     """
     n = system.node_count
-    m_vec = _validate_interpolation(m, n)
-    l = total_liabilities(system)
-    cl = relative_claims(system).matrix @ l
+    m_vec = validate_interpolation(m, n)
+    l = system.total_liabilities
+    cl = system.claims @ l
     _require_interbank_margin(l, cl, system.n_banks)
 
     a = system.pre_shock_assets.copy()
@@ -154,8 +138,8 @@ def _search_assets(l, cl, o, banks, k: int, max_steps: int) -> NDArray:
     a = o.copy()
     frac = 1.0 - k / max_steps
     # floor at zero: banks whose claims exceed their liabilities would get
-    # negative assets from the formula and can then only surface in the
-    # exhaustion diagnostics
+    # negative assets from the formula; they can still default through
+    # contagion, or else surface in the exhaustion diagnostics
     a[banks] = np.maximum(frac * (l[banks] - cl[banks]), 0.0)
     return a
 
@@ -164,16 +148,21 @@ def relaxed_shock_search(
     system: FinancialSystem,
     params: ClearingParams,
     max_steps: int = 1000,
-    method: str = "linear",
 ) -> ShockScenario:
     """Smallest shock on a stepwise grid that defaults every node.
 
     Step ``k`` scales every bank's assets to ``(1 - k/max_steps)`` of its
     fundamental-default headroom ``l_i - (C l)_i``, runs the full clearing
     model, and accepts the first ``k`` whose solution flags every node.
-    Later steps only shrink assets, so default sets grow monotonically in
-    ``k``; ``method='bisect'`` exploits that and returns the same minimal
-    ``k`` as the linear scan.
+
+    Already at ``k = 1`` every bank with ``l_i > (C l)_i`` is in
+    fundamental default, so on a network where every bank has positive
+    headroom (every ``generate_random_system`` network) the search accepts
+    ``k = 1`` after one clear, and the scenario is the full-default shock
+    with ``m = 1 - 1/max_steps``. Otherwise ``k = max_steps`` is probed and the
+    steps between are bisected: later steps only shrink assets, so default
+    sets grow monotonically in ``k``, and the search costs at most
+    ``2 + ceil(log2(max_steps))`` clears.
 
     Raises
     ------
@@ -183,11 +172,9 @@ def relaxed_shock_search(
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
-    if method not in ("linear", "bisect"):
-        raise ValueError(f"unknown search method {method!r}")
 
-    l = total_liabilities(system)
-    cl = relative_claims(system).matrix @ l
+    l = system.total_liabilities
+    cl = system.claims @ l
     o = system.pre_shock_assets
     banks = system.banks
 
@@ -198,44 +185,34 @@ def relaxed_shock_search(
         )
         return solution.defaults.flags, a
 
-    def scenario_at(k: int, a: NDArray) -> ShockScenario:
-        return ShockScenario(
-            shock=a - o,
-            interpolation=1.0 - k / max_steps,
-            kind=ShockKind.RELAXED,
-            post_shock_assets=a,
-            search_steps=k,
-            max_steps=max_steps,
-        )
-
-    if method == "linear":
-        for k in range(1, max_steps + 1):
-            flags, a = defaults_at(k)
-            if flags.all():
-                return scenario_at(k, a)
-        raise SearchExhausted(
-            f"banks {np.flatnonzero(~flags).tolist()} stayed solvent at "
-            f"k = max_steps = {max_steps}",
-            solvent_banks=np.flatnonzero(~flags),
-        )
-
-    flags, a = defaults_at(max_steps)
+    k = 1
+    flags, a = defaults_at(k)
+    if not flags.all() and max_steps > 1:
+        k = max_steps
+        flags, a = defaults_at(k)
     if not flags.all():
         raise SearchExhausted(
             f"banks {np.flatnonzero(~flags).tolist()} stayed solvent at "
             f"k = max_steps = {max_steps}",
             solvent_banks=np.flatnonzero(~flags),
         )
-    lo, hi, best = 1, max_steps, (max_steps, a)
+    # k defaults every node; bisect the untried steps 2 .. k-1 below it
+    lo, hi = 2, k - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        flags, a = defaults_at(mid)
-        if flags.all():
-            best = (mid, a)
-            hi = mid - 1
+        mid_flags, mid_a = defaults_at(mid)
+        if mid_flags.all():
+            k, a, hi = mid, mid_a, mid - 1
         else:
             lo = mid + 1
-    return scenario_at(best[0], best[1])
+    return ShockScenario(
+        shock=a - o,
+        interpolation=1.0 - k / max_steps,
+        kind=ShockKind.RELAXED,
+        post_shock_assets=a,
+        search_steps=k,
+        max_steps=max_steps,
+    )
 
 
 def relaxed_interpolated_shock(
@@ -257,10 +234,10 @@ def relaxed_interpolated_shock(
     reported as data, not a failure.
     """
     n = system.node_count
-    m_vec = _validate_interpolation(m, n)
+    m_vec = validate_interpolation(m, n)
     r_vec = params.recovery_vector(n)
-    l = total_liabilities(system)
-    C = relative_claims(system).matrix
+    l = system.total_liabilities
+    C = system.claims
 
     A = np.eye(n) - (r_vec - m_vec)[:, None] * C
     q = m_vec * solve_checked(A, l, "relaxed-shock candidate")

@@ -26,6 +26,35 @@ def partial_default_variant(system: cn.FinancialSystem, seed: int) -> cn.Financi
     return system.with_external_assets(a)
 
 
+def contagion_only_system() -> cn.FinancialSystem:
+    """Bank 0's claim on bank 1 (6) exceeds its own liabilities (5), so no
+    asset shock defaults it directly: with zero assets it fails once bank 1
+    pays less than 5 / 0.6."""
+    return cn.build_system([[0, 0, 5], [6, 0, 4], [0, 0, 0]], [6.0, 11.0, 1.0])
+
+
+def search_step_system(system: cn.FinancialSystem, k: int, max_steps: int):
+    """The system at step k of the relaxed search, from its definition:
+    bank assets (1 - k/max_steps)(l - C l), floored at zero."""
+    l = cn.total_liabilities(system)
+    cl = cn.relative_claims(system).matrix @ l
+    a = system.pre_shock_assets.copy()
+    b = system.banks
+    a[b] = np.maximum((1.0 - k / max_steps) * (l[b] - cl[b]), 0.0)
+    return system.with_external_assets(a)
+
+
+def linear_scan_step(system: cn.FinancialSystem, params, max_steps: int):
+    """Reference for the relaxed search: scan k = 1, 2, ... and return the
+    first step whose clearing defaults every node (None if none does)."""
+    for k in range(1, max_steps + 1):
+        shocked = search_step_system(system, k, max_steps)
+        solution = cn.fictitious_default_sequence(shocked, params)
+        if solution.defaults.count == system.node_count:
+            return k
+    return None
+
+
 @pytest.fixture
 def sys_a() -> cn.FinancialSystem:
     """Two banks owing each other and the sink; solvent at full payment."""

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import clearnet as cn
-from conftest import M_VALUES, R_VALUES, ensemble_system, partial_default_variant
+from conftest import (
+    M_VALUES,
+    R_VALUES,
+    contagion_only_system,
+    ensemble_system,
+    linear_scan_step,
+    partial_default_variant,
+)
 
 SYS_A = cn.build_system([[0, 2, 8], [3, 0, 7], [0, 0, 0]], [8.0, 9.0, 1.0])
 
@@ -255,12 +262,11 @@ def test_criterion_11_stepwise_search():
     """The search returns the linear-scan minimum and reports exhaustion on
     a bank that no asset shock can default."""
     params = cn.ClearingParams(r=0.7)
-    for i in range(6):
-        system = ensemble_system(3 * i)
-        linear = cn.relaxed_shock_search(system, params, max_steps=50, method="linear")
-        bisect = cn.relaxed_shock_search(system, params, max_steps=50, method="bisect")
-        assert linear.search_steps == bisect.search_steps
-        shocked = cn.shocked_system(system, linear)
+    systems = [ensemble_system(3 * i) for i in range(6)] + [contagion_only_system()]
+    for system in systems:
+        scenario = cn.relaxed_shock_search(system, params, max_steps=50)
+        assert scenario.search_steps == linear_scan_step(system, params, 50)
+        shocked = cn.shocked_system(system, scenario)
         solution = cn.fictitious_default_sequence(shocked, params)
         assert solution.defaults.count == system.node_count
 

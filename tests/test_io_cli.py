@@ -279,6 +279,15 @@ class TestCli:
         path.write_text("{nope")
         assert cli_main(["clear", "--input", str(path)]) == 1
 
+    def test_overflowing_liabilities_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        path.write_text(
+            '{"liabilities": [[0, 1e308, 1e308], [0, 0, 1], [0, 0, 0]], '
+            '"pre_shock_assets": [1, 1, 1]}'
+        )
+        assert cli_main(["clear", "--input", str(path), "--r", "0.8"]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_invalid_m_exits_3(self, sys_a_path, capsys):
         code = cli_main(
             ["shock", "--input", str(sys_a_path), "--kind", "full", "--m", "1.5"]

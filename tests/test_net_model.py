@@ -42,6 +42,11 @@ class TestBuildSystem:
         with pytest.raises(cn.DimensionMismatch, match="finite"):
             cn.build_system([[0, np.inf], [0, 0]], [1, 1])
 
+    def test_overflowing_row_sum_rejected(self):
+        # every entry is finite, but bank 0's total liability overflows
+        with pytest.raises(cn.DimensionMismatch, match="finite"):
+            cn.build_system([[0, 1e308, 1e308], [0, 0, 1], [0, 0, 0]], [1, 1, 1])
+
     def test_negative_assets_rejected(self):
         with pytest.raises(cn.NegativeEntry, match=r"pre_shock_assets\[0\]"):
             cn.build_system([[0, 1], [0, 0]], [-1, 1])
@@ -61,6 +66,16 @@ class TestBuildSystem:
         full = cn.build_system([[0, 2, 8], [3, 0, 7], [0, 0, 0]], [8, 9, 1])
         np.testing.assert_array_equal(appended.liabilities, full.liabilities)
         np.testing.assert_array_equal(appended.pre_shock_assets, full.pre_shock_assets)
+
+    def test_shocked_copies_share_liabilities_and_claims(self, sys_a):
+        scenario = cn.full_default_shock(sys_a, 0.5)
+        shocked = cn.shocked_system(sys_a, scenario)
+        assert cn.relative_claims(shocked).matrix is cn.relative_claims(sys_a).matrix
+        assert cn.total_liabilities(shocked) is cn.total_liabilities(sys_a)
+        with pytest.raises(ValueError):
+            cn.relative_claims(sys_a).matrix[0, 1] = 5.0
+        with pytest.raises(ValueError):
+            cn.total_liabilities(sys_a)[0] = 5.0
 
     def test_arrays_are_immutable(self, sys_a):
         with pytest.raises(ValueError):
@@ -160,9 +175,7 @@ class TestDefaultIndicator:
         d1 = cn.default_indicator(sys_a, l)
         d2 = cn.default_indicator(sys_a, l)
         assert d1 == d2
-        np.testing.assert_array_equal(
-            d1.as_diagonal(), np.diag([0.0, 0.0, 1.0])
-        )
+        np.testing.assert_array_equal(d1.flags, [False, False, True])
         assert d1.count == 1
 
 

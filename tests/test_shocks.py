@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import clearnet as cn
+import clearnet.shocks
+from conftest import contagion_only_system, linear_scan_step, search_step_system
 
 
 def never_defaultable_system():
@@ -85,13 +89,42 @@ class TestRelaxedShockSearch:
 
     def test_bisect_equals_linear_scan(self, ensemble):
         params = cn.ClearingParams(r=0.6)
-        for system in ensemble[:6]:
-            linear = cn.relaxed_shock_search(system, params, max_steps=64, method="linear")
-            bisect = cn.relaxed_shock_search(system, params, max_steps=64, method="bisect")
-            assert linear.search_steps == bisect.search_steps
+        for system in ensemble[:6] + [contagion_only_system()]:
+            scenario = cn.relaxed_shock_search(system, params, max_steps=64)
+            k = linear_scan_step(system, params, 64)
+            assert scenario.search_steps == k
             np.testing.assert_array_equal(
-                linear.post_shock_assets, bisect.post_shock_assets
+                scenario.post_shock_assets,
+                search_step_system(system, k, 64).external_assets,
             )
+
+    @pytest.mark.parametrize("max_steps, expected", [(60, 11), (1000, 167)])
+    def test_contagion_only_minimal_step(self, max_steps, expected):
+        # bank 0 defaults once bank 1's assets (1 - k/max_steps) * 10 pay
+        # it less than 5 / 0.6, i.e. for k / max_steps > 1/6
+        system = contagion_only_system()
+        params = cn.ClearingParams(r=0.8)
+        assert linear_scan_step(system, params, max_steps) == expected
+        scenario = cn.relaxed_shock_search(system, params, max_steps=max_steps)
+        assert scenario.search_steps == expected
+
+    def test_clear_count(self, monkeypatch):
+        clears = []
+        real = clearnet.shocks.fictitious_default_sequence
+
+        def counting(*args, **kwargs):
+            clears.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(clearnet.shocks, "fictitious_default_sequence", counting)
+        params = cn.ClearingParams(r=0.8)
+        cn.relaxed_shock_search(cn.generate_random_system(3, 30, 0.2), params)
+        assert len(clears) == 1
+        system = contagion_only_system()
+        for max_steps in (60, 1000):
+            clears.clear()
+            cn.relaxed_shock_search(system, params, max_steps=max_steps)
+            assert len(clears) <= 2 + math.ceil(math.log2(max_steps))
 
     def test_default_sets_monotone_in_severity(self, sys_a):
         params = cn.ClearingParams(r=0.8)
@@ -115,12 +148,6 @@ class TestRelaxedShockSearch:
             cn.relaxed_shock_search(system, params, max_steps=25)
         assert info.value.solvent_banks == (0,)
 
-    def test_bisect_exhaustion_matches_linear(self):
-        system = never_defaultable_system()
-        params = cn.ClearingParams(r=0.5)
-        with pytest.raises(cn.SearchExhausted):
-            cn.relaxed_shock_search(system, params, max_steps=25, method="bisect")
-
     def test_max_steps_validated(self, sys_a):
         with pytest.raises(ValueError):
             cn.relaxed_shock_search(sys_a, cn.ClearingParams(), max_steps=0)
@@ -136,17 +163,8 @@ class TestRelaxedShockSearch:
         )
 
 
-def _search_scenario(system, k, max_steps):
-    l = cn.total_liabilities(system)
-    cl = cn.relative_claims(system).matrix @ l
-    a = system.pre_shock_assets.copy()
-    b = system.banks
-    a[b] = np.maximum((1.0 - k / max_steps) * (l[b] - cl[b]), 0.0)
-    return system.with_external_assets(a)
-
-
 def _default_count_at(system, params, k, max_steps):
-    shocked = _search_scenario(system, k, max_steps)
+    shocked = search_step_system(system, k, max_steps)
     return cn.fictitious_default_sequence(shocked, params).defaults.count
 
 
