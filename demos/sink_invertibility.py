@@ -14,7 +14,7 @@ import clearnet as cn
 # No sink: two banks owing only each other -> column-stochastic block.
 loop = np.array([[0.0, 1.0], [1.0, 0.0]])
 print("radius without sink:", cn.spectral_radius(loop))
-ok, report = cn.check_invertibility(loop, r=1.0, has_sink=False)
+ok, report = cn.check_invertibility(loop, r=1.0)
 print("invertible at r = 1?", ok, "-- admissible interval:", report.invertible_for_r)
 
 # With a sink: same two banks, but each also owes the outside world.
@@ -23,7 +23,7 @@ C = cn.relative_claims(system).matrix
 print("\nclaims matrix with sink column:")
 print(C)
 print("radius with sink:", cn.spectral_radius(C))
-ok, report = cn.check_invertibility(C, r=1.0, has_sink=True)
+ok, report = cn.check_invertibility(C, r=1.0)
 print("invertible at r = 1?", ok, "-- admissible interval:", report.invertible_for_r)
 
 # The Collatz-Wielandt quotient certifies lower bounds on the radius: for

@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,12 +64,24 @@ SINK_LABEL = "SINK"
 # --------------------------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x}")
-    return format(float(x), ".17g")
+    return "%.17g" % x
+
+
+def _fmt_floats(row) -> str:
+    """A row of floats in one pass. A non-finite item makes the sum
+    non-finite, so only then (or on an overflowing sum) are items checked
+    one by one, and the first non-finite one raises."""
+    if not math.isfinite(sum(row)):
+        for x in row:
+            _fmt_float(x)
+    return ", ".join(["%.17g" % x for x in row])
 
 
 def _emit(value, out: list) -> None:
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, dict):
         out.append("{")
         for i, (k, v) in enumerate(value.items()):
@@ -78,12 +91,15 @@ def _emit(value, out: list) -> None:
             out.append(": ")
             _emit(v, out)
         out.append("}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
+    elif isinstance(value, (list, tuple)):
         out.append("[")
-        for i, v in enumerate(np.asarray(value).tolist() if isinstance(value, np.ndarray) else value):
-            if i:
-                out.append(", ")
-            _emit(v, out)
+        if value and set(map(type, value)) == {float}:
+            out.append(_fmt_floats(value))
+        else:
+            for i, v in enumerate(value):
+                if i:
+                    out.append(", ")
+                _emit(v, out)
         out.append("]")
     elif isinstance(value, (bool, np.bool_)):
         out.append("true" if value else "false")
@@ -133,9 +149,9 @@ class SystemDocument:
         else:
             names = tuple(str(n) for n in names)
         doc = cls(
-            liabilities=tuple(tuple(float(x) for x in row) for row in system.liabilities),
-            pre_shock_assets=tuple(float(x) for x in system.pre_shock_assets),
-            external_assets=tuple(float(x) for x in system.external_assets),
+            liabilities=tuple(map(tuple, system.liabilities.tolist())),
+            pre_shock_assets=tuple(system.pre_shock_assets.tolist()),
+            external_assets=tuple(system.external_assets.tolist()),
             names=names,
         )
         doc.validate()
@@ -181,13 +197,11 @@ class SystemDocument:
         if "pre_shock_assets" not in data:
             raise ValidationError("pre_shock_assets required")
         try:
-            liabilities = tuple(
-                tuple(float(x) for x in row) for row in data["liabilities"]
-            )
-            assets = tuple(float(x) for x in data["pre_shock_assets"])
+            liabilities = tuple(tuple(map(float, row)) for row in data["liabilities"])
+            assets = tuple(map(float, data["pre_shock_assets"]))
             external = data.get("external_assets")
             if external is not None:
-                external = tuple(float(x) for x in external)
+                external = tuple(map(float, external))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"non-numeric entry in document: {exc}") from exc
         names = data.get("names")
@@ -410,9 +424,7 @@ def _scenario_dict(scenario) -> dict:
 
 
 def _spectral_dict(system: FinancialSystem, r: float | None) -> dict:
-    ok, report = check_invertibility(
-        system.claims, 1.0 if r is None else r, has_sink=True
-    )
+    ok, report = check_invertibility(system.claims, 1.0 if r is None else r)
     return {
         "radius_estimate": report.radius_estimate,
         "collatz_wielandt_lower": report.collatz_wielandt_lower,

@@ -35,7 +35,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SpectralReport:
     """Radius estimate, best certified lower bound, and the admissible
-    recovery-rate interval ("[0, 1]" with a sink node, "[0, 1)" without)."""
+    recovery-rate interval ("[0, 1]" when the radius is safely below one,
+    "[0, 1)" otherwise)."""
 
     radius_estimate: float
     collatz_wielandt_lower: float
@@ -165,15 +166,15 @@ def _best_lower_bound(C: NDArray) -> float:
     return max(collatz_wielandt_value(C, x) for x in candidates)
 
 
-def check_invertibility(
-    C: NDArray, r: float, has_sink: bool
-) -> tuple[bool, SpectralReport]:
+def check_invertibility(C: NDArray, r: float) -> tuple[bool, SpectralReport]:
     """Is ``I - r C`` safely invertible at recovery rate ``r``?
 
     Returns True iff ``r * rho(C) < 1 - 1e-12``, taking ``rho`` as the
     larger of the power-iteration estimate and the best certified lower
     bound (the bound is what keeps a column-stochastic matrix from being
-    declared invertible at ``r = 1`` through estimator noise).
+    declared invertible at ``r = 1`` through estimator noise). The report's
+    interval is read off the same ``rho``, so it never contradicts the
+    verdict at ``r = 1``.
     """
     C = _check_nonnegative(C)
     estimate = spectral_radius(C)
@@ -182,7 +183,7 @@ def check_invertibility(
     report = SpectralReport(
         radius_estimate=estimate,
         collatz_wielandt_lower=lower,
-        invertible_for_r="[0, 1]" if has_sink else "[0, 1)",
+        invertible_for_r="[0, 1]" if radius < 1.0 - INVERTIBILITY_MARGIN else "[0, 1)",
     )
     return bool(float(r) * radius < 1.0 - INVERTIBILITY_MARGIN), report
 

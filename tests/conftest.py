@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,48 @@ def linear_scan_step(system: cn.FinancialSystem, params, max_steps: int):
         if solution.defaults.count == system.node_count:
             return k
     return None
+
+
+def _reference_emit(value, out: list) -> None:
+    if isinstance(value, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(value.items()):
+            if i:
+                out.append(", ")
+            out.append(json.dumps(str(k)))
+            out.append(": ")
+            _reference_emit(v, out)
+        out.append("}")
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        out.append("[")
+        for i, v in enumerate(np.asarray(value).tolist() if isinstance(value, np.ndarray) else value):
+            if i:
+                out.append(", ")
+            _reference_emit(v, out)
+        out.append("]")
+    elif isinstance(value, (bool, np.bool_)):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        x = float(value)
+        if not np.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite value {x}")
+        out.append(format(x, ".17g"))
+    elif isinstance(value, str):
+        out.append(json.dumps(value))
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_dumps_canonical(value) -> str:
+    """Reference for ``io_cli.dumps_canonical``: the element-wise writer,
+    which formats and checks one value at a time."""
+    out: list = []
+    _reference_emit(value, out)
+    return "".join(out)
 
 
 @pytest.fixture

@@ -115,11 +115,11 @@ def test_criterion_05_invertibility_theorem(ensemble, radii):
         1.0, abs=1e-8
     )
     ok, _ = cn.check_invertibility(
-        cn.relative_claims(SYS_A).matrix, r=1.0, has_sink=True
+        cn.relative_claims(SYS_A).matrix, r=1.0
     )
     assert ok
     M = rng.uniform(0.05, 1.0, size=(5, 5))
-    ok, _ = cn.check_invertibility(M / M.sum(axis=0), r=1.0, has_sink=False)
+    ok, _ = cn.check_invertibility(M / M.sum(axis=0), r=1.0)
     assert not ok
     _announce(
         5,

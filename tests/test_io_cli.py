@@ -143,6 +143,9 @@ class TestDumpsCanonical:
         with pytest.raises(ValueError):
             dumps_canonical({"x": float("nan")})
 
+    def test_zero_dimensional_array(self):
+        assert dumps_canonical({"x": np.array(0.5)}) == '{"x": 0.5}'
+
 
 class TestCli:
     def test_clear_reports_payments(self, sys_a_path, capsys):

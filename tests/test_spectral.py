@@ -91,7 +91,7 @@ class TestSpectralRadius:
 class TestCheckInvertibility:
     def test_full_recovery_with_sink(self, sys_a):
         ok, report = cn.check_invertibility(
-            cn.relative_claims(sys_a).matrix, r=1.0, has_sink=True
+            cn.relative_claims(sys_a).matrix, r=1.0
         )
         assert ok
         assert report.invertible_for_r == "[0, 1]"
@@ -99,21 +99,30 @@ class TestCheckInvertibility:
 
     def test_full_recovery_without_sink(self):
         ok, report = cn.check_invertibility(
-            np.array([[0.0, 1], [1, 0]]), r=1.0, has_sink=False
+            np.array([[0.0, 1], [1, 0]]), r=1.0
         )
         assert not ok
         assert report.invertible_for_r == "[0, 1)"
 
     def test_column_stochastic_lower_bound_is_exact(self):
         ok, report = cn.check_invertibility(
-            column_stochastic(0, 5), r=1.0, has_sink=False
+            column_stochastic(0, 5), r=1.0
         )
         assert not ok
         assert report.collatz_wielandt_lower >= 1.0 - 1e-12
 
+    def test_interval_agrees_with_verdict_on_closed_cycle(self):
+        # banks 0 and 1 owe only each other and never reach the sink
+        system = cn.build_system(
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [1, 1, 1, 1]
+        )
+        ok, report = cn.check_invertibility(system.claims, r=1.0)
+        assert not ok
+        assert report.invertible_for_r == "[0, 1)"
+
     def test_zero_recovery_always_invertible(self, sys_a):
         ok, _ = cn.check_invertibility(
-            cn.relative_claims(sys_a).matrix, r=0.0, has_sink=True
+            cn.relative_claims(sys_a).matrix, r=0.0
         )
         assert ok
 
