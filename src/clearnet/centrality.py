@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import solve_checked
+from ._linalg import as_csr, solve_attenuated
 from .errors import SingularSystem
 from .net_model import (
     ClearingParams,
@@ -61,23 +61,25 @@ def beta_vector(system: FinancialSystem, r, m) -> NDArray:
     r_vec = broadcast_rate(r, n, "r")
     m_vec = validate_interpolation(m, n)
     l = system.total_liabilities
-    cl = system.claims @ l
+    cl = system.claims_csr @ l
     beta = (1.0 - m_vec) * l - (r_vec - m_vec) * cl
     beta[system.sink] = 0.0
     return beta
 
 
 def generalized_katz(
-    C: NDArray, r, beta: NDArray, m=None, radius: float | None = None
+    C, r, beta: NDArray, m=None, radius: float | None = None
 ) -> CentralityResult:
-    """Solve ``(I - r C) sigma = beta`` by a direct linear solve.
+    """Solve ``(I - r C) sigma = beta``.
 
-    ``C`` is a full claims matrix with the sink stored last; the sink entry
-    of the result is zeroed by convention. The radius precondition
-    ``r * rho(C) < 1`` is checked up front (pass ``radius`` to reuse a
-    previously computed estimate).
+    ``C`` is a full claims matrix with the sink stored last, dense or
+    sparse; a dense one is converted to CSR once per call, and the radius
+    check and the solve (:func:`clearnet._linalg.solve_attenuated`) run on
+    that. The sink entry of the result is zeroed by convention. The radius
+    precondition ``r * rho(C) < 1`` is checked up front (pass ``radius`` to
+    reuse a previously computed estimate).
     """
-    C = np.asarray(C, dtype=float)
+    C = as_csr(C)
     n = C.shape[0]
     r_vec = broadcast_rate(r, n, "r")
     beta = np.asarray(beta, dtype=float)
@@ -87,7 +89,7 @@ def generalized_katz(
         raise SingularSystem(
             f"r * rho(C) = {float(np.max(r_vec)) * rho:.6f} is not safely below 1"
         )
-    sigma = solve_checked(np.eye(n) - r_vec[:, None] * C, beta, "centrality solve")
+    sigma = solve_attenuated(C, r_vec, beta, "centrality solve")
     sigma[-1] = 0.0
     defect = np.abs(sigma - r_vec * (C @ sigma) - beta)[:-1]
     return CentralityResult(
@@ -105,13 +107,13 @@ def standard_katz(adjacency: NDArray, alpha: float) -> NDArray:
     ``A[i, j] = 1`` means node ``j`` feeds node ``i`` (the same orientation
     as the claims matrix: debtor in the column, creditor in the row).
     """
-    A = np.asarray(adjacency, dtype=float)
+    A = as_csr(adjacency)
     n = A.shape[0]
     if float(alpha) * spectral_radius(A) >= 1.0 - INVERTIBILITY_MARGIN:
         raise SingularSystem(
             f"alpha = {alpha} is not safely below 1 / rho(adjacency)"
         )
-    return solve_checked(np.eye(n) - float(alpha) * A, np.ones(n), "Katz solve")
+    return solve_attenuated(A, float(alpha), np.ones(n), "Katz solve")
 
 
 def closed_form_full_shock(system: FinancialSystem, params: ClearingParams, m) -> NDArray:
@@ -127,10 +129,9 @@ def closed_form_full_shock(system: FinancialSystem, params: ClearingParams, m) -
     r_vec = params.recovery_vector(n)
     m_vec = validate_interpolation(m, n)
     l = system.total_liabilities
-    C = system.claims
-    cl = C @ l
-    rhs = (r_vec - m_vec) * cl - (1.0 - m_vec) * l
-    return solve_checked(np.eye(n) - r_vec[:, None] * C, rhs, "full-shock form") + l
+    C = system.claims_csr
+    rhs = (r_vec - m_vec) * (C @ l) - (1.0 - m_vec) * l
+    return solve_attenuated(C, r_vec, rhs, "full-shock form") + l
 
 
 def printed_relaxed_closed_form(system: FinancialSystem, r, m) -> NDArray:
@@ -145,6 +146,6 @@ def printed_relaxed_closed_form(system: FinancialSystem, r, m) -> NDArray:
     r_vec = broadcast_rate(r, n, "r")
     m_vec = validate_interpolation(m, n)
     l = system.total_liabilities
-    C = system.claims
-    A = np.eye(n) - (r_vec - m_vec)[:, None] * C
-    return solve_checked(A, m_vec * (l + r_vec * (C @ l)), "relaxed closed form")
+    C = system.claims_csr
+    rhs = m_vec * (l + r_vec * (C @ l))
+    return solve_attenuated(C, r_vec - m_vec, rhs, "relaxed closed form")

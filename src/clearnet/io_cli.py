@@ -424,7 +424,7 @@ def _scenario_dict(scenario) -> dict:
 
 
 def _spectral_dict(system: FinancialSystem, r: float | None) -> dict:
-    ok, report = check_invertibility(system.claims, 1.0 if r is None else r)
+    ok, report = check_invertibility(system.claims_csr, 1.0 if r is None else r)
     return {
         "radius_estimate": report.radius_estimate,
         "collatz_wielandt_lower": report.collatz_wielandt_lower,
@@ -536,7 +536,7 @@ def _cmd_shock(args) -> int:
 def _cmd_katz(args) -> int:
     system = load_system(args.input, args.format, args.assets)
     beta = beta_vector(system, args.r, args.m)
-    result = generalized_katz(system.claims, args.r, beta, m=args.m)
+    result = generalized_katz(system.claims_csr, args.r, beta, m=args.m)
     report = {
         "command": "katz",
         "input": _input_echo(args.input, system),

@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 from numpy.typing import NDArray
 
+from ._linalg import as_csr
 from .errors import (
     DimensionMismatch,
     InvalidInterpolation,
@@ -73,6 +75,9 @@ class FinancialSystem:
         Row sums ``l`` of ``liabilities``.
     claims : (N, N) ndarray
         Claims matrix ``C``, see :func:`relative_claims`.
+    claims_csr : (N, N) scipy.sparse.csr_array
+        The same ``C`` in compressed sparse rows; every matrix-vector
+        product and linear solve inside the package runs on it.
     """
 
     node_count: int
@@ -81,6 +86,7 @@ class FinancialSystem:
     pre_shock_assets: NDArray
     total_liabilities: NDArray = field(repr=False, compare=False)
     claims: NDArray = field(repr=False, compare=False)
+    claims_csr: scipy.sparse.csr_array = field(repr=False, compare=False)
 
     @property
     def sink(self) -> int:
@@ -97,7 +103,7 @@ class FinancialSystem:
 
     def with_external_assets(self, assets: NDArray) -> "FinancialSystem":
         """Copy of the system with a new external-asset vector ``a``; it
-        shares ``l`` and ``C`` with this one."""
+        shares ``l`` and ``C`` (dense and sparse) with this one."""
         assets = np.asarray(assets, dtype=float)
         if assets.shape != (self.node_count,):
             raise DimensionMismatch(
@@ -114,6 +120,7 @@ class FinancialSystem:
             pre_shock_assets=self.pre_shock_assets,
             total_liabilities=self.total_liabilities,
             claims=self.claims,
+            claims_csr=self.claims_csr,
         )
 
 
@@ -280,6 +287,9 @@ def build_system(
     C = np.zeros_like(L)
     np.divide(L.T, l, out=C, where=l > 0)
     C.setflags(write=False)
+    C_csr = as_csr(C)
+    for part in (C_csr.data, C_csr.indices, C_csr.indptr):
+        part.setflags(write=False)
 
     return FinancialSystem(
         node_count=N,
@@ -288,6 +298,7 @@ def build_system(
         pre_shock_assets=_readonly(o),
         total_liabilities=l,
         claims=C,
+        claims_csr=C_csr,
     )
 
 
@@ -307,7 +318,7 @@ def relative_claims(system: FinancialSystem) -> RelativeClaims:
 def equity(system: FinancialSystem, payments: NDArray) -> NDArray:
     """Balance-sheet equity ``a + C p - l`` under a payment vector ``p``."""
     p = np.asarray(payments, dtype=float)
-    return system.external_assets + system.claims @ p - system.total_liabilities
+    return system.external_assets + system.claims_csr @ p - system.total_liabilities
 
 
 def default_indicator(system: FinancialSystem, payments: NDArray) -> DefaultIndicator:

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import solve_checked
+from ._linalg import solve_attenuated
 from .centrality import printed_relaxed_closed_form
 from .clearing import ClearingSolution, fictitious_default_sequence
 from .errors import (
@@ -109,7 +109,7 @@ def full_default_shock(system: FinancialSystem, m) -> ShockScenario:
     n = system.node_count
     m_vec = validate_interpolation(m, n)
     l = system.total_liabilities
-    cl = system.claims @ l
+    cl = system.claims_csr @ l
     _require_interbank_margin(l, cl, system.n_banks)
 
     a = system.pre_shock_assets.copy()
@@ -174,7 +174,7 @@ def relaxed_shock_search(
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
 
     l = system.total_liabilities
-    cl = system.claims @ l
+    cl = system.claims_csr @ l
     o = system.pre_shock_assets
     banks = system.banks
 
@@ -237,10 +237,9 @@ def relaxed_interpolated_shock(
     m_vec = validate_interpolation(m, n)
     r_vec = params.recovery_vector(n)
     l = system.total_liabilities
-    C = system.claims
+    C = system.claims_csr
 
-    A = np.eye(n) - (r_vec - m_vec)[:, None] * C
-    q = m_vec * solve_checked(A, l, "relaxed-shock candidate")
+    q = m_vec * solve_attenuated(C, r_vec - m_vec, l, "relaxed-shock candidate")
 
     a = system.pre_shock_assets.copy()
     b = system.banks

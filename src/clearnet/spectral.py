@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 from numpy.typing import NDArray
 
+from ._linalg import as_csr
 from .errors import PowerIterationStall, ZeroVector
 from .net_model import DefaultIndicator
 
@@ -43,11 +45,17 @@ class SpectralReport:
     invertible_for_r: str
 
 
-def _check_nonnegative(C: NDArray) -> NDArray:
-    C = np.asarray(C, dtype=float)
+def _check_nonnegative(C):
+    """``C`` as a float array, dense or (for sparse input) CSR, after
+    checking that it is square and elementwise nonnegative."""
+    if scipy.sparse.issparse(C):
+        C = as_csr(C)
+        entries = C.data
+    else:
+        C = entries = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {C.shape}")
-    if np.any(C < 0):
+    if np.any(entries < 0):
         raise ValueError("matrix must be elementwise nonnegative")
     return C
 
@@ -110,7 +118,8 @@ def spectral_radius(
     itself oscillates. The start vector is all-ones with a tiny seeded
     perturbation; convergence requires both a small Rayleigh-quotient step
     and a small eigen-residual. Exactly nilpotent matrices are detected up
-    front and return 0.
+    front and return 0. ``C`` may be dense or sparse; the iteration only
+    multiplies by it, so on a sparse ``C`` each step costs ``O(nnz)``.
 
     ``method='power'`` raises :class:`PowerIterationStall` when the budget
     runs out; the default ``'auto'`` falls back to a dense eigenvalue
@@ -143,6 +152,8 @@ def spectral_radius(
         raise PowerIterationStall(
             f"no convergence within {max_iter} iterations (tol={tol})"
         )
+    if scipy.sparse.issparse(C):
+        C = C.toarray()
     return float(np.max(np.abs(np.linalg.eigvals(C))))
 
 
@@ -169,7 +180,8 @@ def _best_lower_bound(C: NDArray) -> float:
 def check_invertibility(C: NDArray, r: float) -> tuple[bool, SpectralReport]:
     """Is ``I - r C`` safely invertible at recovery rate ``r``?
 
-    Returns True iff ``r * rho(C) < 1 - 1e-12``, taking ``rho`` as the
+    ``C`` may be dense or sparse. Returns True iff
+    ``r * rho(C) < 1 - 1e-12``, taking ``rho`` as the
     larger of the power-iteration estimate and the best certified lower
     bound (the bound is what keeps a column-stochastic matrix from being
     declared invertible at ``r = 1`` through estimator noise). The report's

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,9 +38,11 @@ def contagion_only_system() -> cn.FinancialSystem:
 
 def search_step_system(system: cn.FinancialSystem, k: int, max_steps: int):
     """The system at step k of the relaxed search, from its definition:
-    bank assets (1 - k/max_steps)(l - C l), floored at zero."""
+    bank assets (1 - k/max_steps)(l - C l), floored at zero. ``C l`` is
+    taken with the sparse ``C`` the search uses, so the assets agree bit
+    for bit."""
     l = cn.total_liabilities(system)
-    cl = cn.relative_claims(system).matrix @ l
+    cl = system.claims_csr @ l
     a = system.pre_shock_assets.copy()
     b = system.banks
     a[b] = np.maximum((1.0 - k / max_steps) * (l[b] - cl[b]), 0.0)
@@ -55,6 +58,42 @@ def linear_scan_step(system: cn.FinancialSystem, params, max_steps: int):
         if solution.defaults.count == system.node_count:
             return k
     return None
+
+
+def fraction_solve(A: list, b: list) -> list:
+    """Solve ``A x = b`` exactly by Gaussian elimination on Fractions."""
+    n = len(b)
+    M = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if M[i][col] != 0)
+        M[col], M[pivot] = M[pivot], M[col]
+        for i in range(n):
+            if i != col and M[i][col] != 0:
+                f = M[i][col] / M[col][col]
+                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
+    return [M[i][n] / M[i][i] for i in range(n)]
+
+
+def exact_frozen_payments(system: cn.FinancialSystem, r, r_a, flags) -> list:
+    """Fixed point of the clearing map with the default set ``flags``
+    frozen, in exact rational arithmetic on the system's float inputs:
+    solvent nodes pay ``l``, defaulted ones solve
+    ``(I - r C_DD) p_D = r C_DS l_S + r_a a_D``."""
+    L = [[Fraction(x) for x in row] for row in system.liabilities.tolist()]
+    n = len(L)
+    l = [sum(row, Fraction(0)) for row in L]
+    C = [[L[j][i] / l[j] if l[j] else Fraction(0) for j in range(n)] for i in range(n)]
+    a = [Fraction(x) for x in system.external_assets.tolist()]
+    r = [Fraction(x) for x in np.broadcast_to(np.asarray(r, dtype=float), (n,)).tolist()]
+    D = [i for i in range(n) if flags[i]]
+    S = [i for i in range(n) if not flags[i]]
+    A = [[int(i == j) - r[i] * C[i][j] for j in D] for i in D]
+    b = [r[i] * sum((C[i][j] * l[j] for j in S), Fraction(0)) + Fraction(r_a) * a[i]
+         for i in D]
+    p = list(l)
+    for i, x in zip(D, fraction_solve(A, b)):
+        p[i] = x
+    return p
 
 
 def _reference_emit(value, out: list) -> None:

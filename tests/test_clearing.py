@@ -1,11 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import clearnet as cn
-from conftest import partial_default_variant
+from conftest import exact_frozen_payments, partial_default_variant
 
 # independently frozen via the fixed-point oracle (see picard tests below)
 SYS_A_FULL_DEFAULT_P = (4.63810316, 4.74209651)
+
+# Two banks owing each other and the sink 1e14 each, with assets of 1: at
+# r = 0.5 both default and pay exactly 4/3, fourteen orders of magnitude
+# below their liabilities.
+TINY_PAYMENTS_L = [[0, 1e14, 1e14], [1e14, 0, 1e14], [0, 0, 0]]
 
 
 def frozen_map(system, params, defaults, f):
@@ -84,6 +91,21 @@ class TestSolveGivenDefaults:
         defaults = cn.DefaultIndicator(flags=np.array([True, True, True]))
         with pytest.raises(cn.SingularSystem):
             cn.solve_given_defaults(system, cn.ClearingParams(r=1.0), defaults)
+
+
+class TestPaymentsFarBelowLiabilities:
+    def test_default_sequence_matches_exact_payments(self):
+        system = cn.build_system(TINY_PAYMENTS_L, [1.0, 1.0, 1.0])
+        solution = cn.fictitious_default_sequence(system, cn.ClearingParams(r=0.5))
+        exact = exact_frozen_payments(system, 0.5, 1.0, solution.defaults.flags)
+        assert exact[:2] == [Fraction(4, 3)] * 2
+        for got, want in zip(solution.payments[system.banks], exact):
+            assert abs(got - float(want)) <= 4 * np.spacing(float(want))
+
+    def test_oracle_matches_exact_payments(self):
+        system = cn.build_system(TINY_PAYMENTS_L, [1.0, 1.0, 1.0])
+        oracle = cn.picard_clearing_oracle(system, cn.ClearingParams(r=0.5))
+        assert np.abs(oracle[system.banks] - 4 / 3).max() <= 1e-11 * 4 / 3
 
 
 class TestFictitiousDefaultSequence:

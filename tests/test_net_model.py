@@ -77,6 +77,14 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             cn.total_liabilities(sys_a)[0] = 5.0
 
+    def test_shocked_copies_share_the_sparse_claims(self, sys_a):
+        shocked = cn.shocked_system(sys_a, cn.full_default_shock(sys_a, 0.5))
+        assert shocked.claims_csr is sys_a.claims_csr
+        C = sys_a.claims_csr
+        for part in (C.data, C.indices, C.indptr):
+            with pytest.raises(ValueError):
+                part[0] = 0
+
     def test_arrays_are_immutable(self, sys_a):
         with pytest.raises(ValueError):
             sys_a.liabilities[0, 1] = 5.0

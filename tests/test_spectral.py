@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 import clearnet as cn
 
@@ -86,6 +87,31 @@ class TestSpectralRadius:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             cn.spectral_radius(np.array([[0.0, -1.0], [0.0, 0.0]]))
+
+
+class TestSparseInput:
+    def test_matches_dense_on_ensemble(self, ensemble):
+        for system in ensemble[:20]:
+            dense = cn.relative_claims(system).matrix
+            sparse = system.claims_csr
+            assert cn.spectral_radius(sparse) == pytest.approx(
+                cn.spectral_radius(dense), abs=1e-12
+            )
+            ok, report = cn.check_invertibility(sparse, 1.0)
+            ok_dense, report_dense = cn.check_invertibility(dense, 1.0)
+            assert ok == ok_dense
+            assert report.invertible_for_r == report_dense.invertible_for_r
+            assert report.collatz_wielandt_lower == pytest.approx(
+                report_dense.collatz_wielandt_lower, abs=1e-12
+            )
+
+    def test_fallback_densifies(self):
+        C = scipy.sparse.csr_array(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        assert cn.spectral_radius(C, max_iter=100) == pytest.approx(0.5, abs=1e-10)
+
+    def test_negative_entries_rejected(self):
+        with pytest.raises(ValueError):
+            cn.spectral_radius(scipy.sparse.csr_array(np.array([[0.0, -1.0], [0.0, 0.0]])))
 
 
 class TestCheckInvertibility:
