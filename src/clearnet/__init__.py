@@ -44,7 +44,6 @@ from .errors import (
     NotSingleCreditor,
     OracleNoConvergence,
     ParseError,
-    PowerIterationStall,
     PreconditionViolated,
     SearchExhausted,
     SelfConsistencyFailed,

@@ -22,7 +22,7 @@ from .net_model import (
     broadcast_rate,
     validate_interpolation,
 )
-from .spectral import INVERTIBILITY_MARGIN, spectral_radius
+from .spectral import safely_invertible
 
 __all__ = [
     "CentralityResult",
@@ -67,25 +67,22 @@ def beta_vector(system: FinancialSystem, r, m) -> NDArray:
     return beta
 
 
-def generalized_katz(
-    C, r, beta: NDArray, m=None, radius: float | None = None
-) -> CentralityResult:
+def generalized_katz(C, r, beta: NDArray, m=None) -> CentralityResult:
     """Solve ``(I - r C) sigma = beta``.
 
     ``C`` is a full claims matrix with the sink stored last, dense or
-    sparse; a dense one is converted to CSR once per call, and the radius
-    check and the solve (:func:`clearnet._linalg.solve_attenuated`) run on
-    that. The sink entry of the result is zeroed by convention. The radius
-    precondition ``r * rho(C) < 1`` is checked up front (pass ``radius`` to
-    reuse a previously computed estimate).
+    sparse; a dense one is converted to CSR once per call, and the
+    :func:`clearnet.spectral.safely_invertible` gate and the solve
+    (:func:`clearnet._linalg.solve_attenuated`) run on that. The sink entry
+    of the result is zeroed by convention.
     """
     C = as_csr(C)
     n = C.shape[0]
     r_vec = broadcast_rate(r, n, "r")
     beta = np.asarray(beta, dtype=float)
 
-    rho = spectral_radius(C) if radius is None else float(radius)
-    if float(np.max(r_vec)) * rho >= 1.0 - INVERTIBILITY_MARGIN:
+    ok, rho = safely_invertible(C, r_vec)
+    if not ok:
         raise SingularSystem(
             f"r * rho(C) = {float(np.max(r_vec)) * rho:.6f} is not safely below 1"
         )
@@ -108,12 +105,9 @@ def standard_katz(adjacency: NDArray, alpha: float) -> NDArray:
     as the claims matrix: debtor in the column, creditor in the row).
     """
     A = as_csr(adjacency)
-    n = A.shape[0]
-    if float(alpha) * spectral_radius(A) >= 1.0 - INVERTIBILITY_MARGIN:
-        raise SingularSystem(
-            f"alpha = {alpha} is not safely below 1 / rho(adjacency)"
-        )
-    return solve_attenuated(A, float(alpha), np.ones(n), "Katz solve")
+    if not safely_invertible(A, float(alpha))[0]:
+        raise SingularSystem(f"alpha = {alpha} is not safely below 1 / rho(adjacency)")
+    return solve_attenuated(A, float(alpha), np.ones(A.shape[0]), "Katz solve")
 
 
 def closed_form_full_shock(system: FinancialSystem, params: ClearingParams, m) -> NDArray:

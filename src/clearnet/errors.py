@@ -47,10 +47,6 @@ class ZeroVector(ClearnetError):
     """A test vector that must be nonzero is identically zero."""
 
 
-class PowerIterationStall(ClearnetError):
-    """Power iteration kept oscillating past its iteration budget."""
-
-
 # --- shock construction --------------------------------------------------
 
 class PreconditionViolated(ClearnetError):

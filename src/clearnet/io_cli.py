@@ -265,15 +265,12 @@ def _parse_cell(cell: str, lineno: int, column: int, path) -> float:
         ) from None
 
 
-def _load_csv_matrix(path):
+def _load_csv_matrix(path) -> NDArray:
     rows = _csv_rows(path)
-    names = None
-    first = rows[0][1]
     try:
-        [float(c) for c in first]
+        [float(c) for c in rows[0][1]]
     except ValueError:
-        names = tuple(first)
-        rows = rows[1:]
+        rows = rows[1:]   # header row
         if not rows:
             raise ParseError(f"{path}: header but no data rows")
     width = len(rows[0][1])
@@ -287,7 +284,7 @@ def _load_csv_matrix(path):
         matrix.append(
             [_parse_cell(c, lineno, j + 1, path) for j, c in enumerate(cells)]
         )
-    return np.asarray(matrix, dtype=float), names
+    return np.asarray(matrix, dtype=float)
 
 
 def _load_csv_assets(path) -> NDArray:
@@ -319,18 +316,24 @@ def load_system(path, format: str | None = None, assets_path=None) -> FinancialS
     location; semantic failures raise :class:`ValidationError` or the
     model-validation errors from :func:`build_system`.
     """
+    return _load_input(path, format, assets_path)[0]
+
+
+def _load_input(path, format, assets_path) -> tuple[FinancialSystem, tuple | None]:
+    """:func:`load_system` plus the document's node names (None for CSV)."""
     fmt = format or ("csv" if str(path).lower().endswith(".csv") else "json")
     if fmt == "json":
-        return load_document(path).to_system()
+        doc = load_document(path)
+        return doc.to_system(), doc.names
     if fmt == "csv":
-        matrix, _names = _load_csv_matrix(path)
+        matrix = _load_csv_matrix(path)
         if assets_path is None:
             raise ValidationError(
                 "pre_shock_assets required: CSV input needs an asset sidecar "
                 "(--assets FILE)"
             )
         assets = _load_csv_assets(assets_path)
-        return build_system(matrix, assets)
+        return build_system(matrix, assets), None
     raise ValidationError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
 
 
@@ -363,6 +366,7 @@ def generate_random_system(
     np.fill_diagonal(edges, False)
     weights = weight_scale * rng.lognormal(mean=0.0, sigma=1.0, size=(n, n))
     L[:n, :n] = np.where(edges, weights, 0.0)
+    del edges, weights   # two n x n temporaries, not kept through build_system
 
     claims = L[:n, :n].sum(axis=0)
     interbank = L[:n, :n].sum(axis=1)
@@ -380,7 +384,7 @@ def generate_random_system(
 # reports
 # --------------------------------------------------------------------------
 
-def _input_echo(path, system: FinancialSystem, names=None) -> dict:
+def _input_echo(path, system: FinancialSystem, names) -> dict:
     doc = SystemDocument.from_system(system, names=names)
     echo = {"path": None if path is None else str(path)}
     echo.update(doc.to_dict())
@@ -455,7 +459,7 @@ def _num(x: float) -> str:
 
 
 def _pretty_clearing(report: dict) -> str:
-    names = report["input"].get("names") or []
+    names = report["input"]["names"]
     clearing = report["clearing"]
     l = np.asarray(report["total_liabilities"], dtype=float)
     rows = []
@@ -488,13 +492,13 @@ def _pretty_kv(pairs: list[tuple[str, str]]) -> str:
 # --------------------------------------------------------------------------
 
 def _cmd_clear(args) -> int:
-    system = load_system(args.input, args.format, args.assets)
+    system, names = _load_input(args.input, args.format, args.assets)
     params = ClearingParams(r=args.r, r_a=args.ra)
     solution = fictitious_default_sequence(system, params)
     r_scalar = float(np.max(params.recovery_vector(system.node_count)))
     report = {
         "command": "clear",
-        "input": _input_echo(args.input, system),
+        "input": _input_echo(args.input, system, names),
         "parameters": _params_dict(params),
         "total_liabilities": system.total_liabilities,
         "clearing": _clearing_dict(system, params, solution),
@@ -506,7 +510,7 @@ def _cmd_clear(args) -> int:
 
 
 def _cmd_shock(args) -> int:
-    system = load_system(args.input, args.format, args.assets)
+    system, names = _load_input(args.input, args.format, args.assets)
     params = ClearingParams(r=args.r, r_a=args.ra)
     if args.kind == "full":
         if args.m is None:
@@ -518,7 +522,7 @@ def _cmd_shock(args) -> int:
     solution = fictitious_default_sequence(shocked, params)
     report = {
         "command": "shock",
-        "input": _input_echo(args.input, system),
+        "input": _input_echo(args.input, system, names),
         "parameters": _params_dict(params, m=args.m, kind=scenario.kind.value),
         "scenario": _scenario_dict(scenario),
         "total_liabilities": system.total_liabilities,
@@ -534,22 +538,21 @@ def _cmd_shock(args) -> int:
 
 
 def _cmd_katz(args) -> int:
-    system = load_system(args.input, args.format, args.assets)
+    system, names = _load_input(args.input, args.format, args.assets)
     beta = beta_vector(system, args.r, args.m)
     result = generalized_katz(system.claims_csr, args.r, beta, m=args.m)
     report = {
         "command": "katz",
-        "input": _input_echo(args.input, system),
+        "input": _input_echo(args.input, system, names),
         "parameters": {"r": args.r, "m": args.m},
         "beta": beta,
         "sigma": result.sigma,
         "residual": result.residual,
     }
     if args.pretty:
-        names = report["input"].get("names") or []
         rows = [
-            [names[i], _num(float(beta[i])), _num(float(result.sigma[i]))]
-            for i in range(len(names))
+            [name, _num(float(b)), _num(float(s))]
+            for name, b, s in zip(report["input"]["names"], beta, result.sigma)
         ]
         print(_table(["node", "beta", "sigma"], rows))
     else:
@@ -558,7 +561,7 @@ def _cmd_katz(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    system = load_system(args.input, args.format, args.assets)
+    system, names = _load_input(args.input, args.format, args.assets)
     params = ClearingParams(r=args.r)
     tol = args.tol if args.tol is not None else default_tolerance(system)
     full = verify_full_shock_equivalence(system, params, args.m, tol=tol)
@@ -584,7 +587,7 @@ def _cmd_verify(args) -> int:
 
     report = {
         "command": "verify",
-        "input": _input_echo(args.input, system),
+        "input": _input_echo(args.input, system, names),
         "parameters": {"r": args.r, "m": args.m, "tol": tol},
         "full_shock": {
             "max_abs_gap": full.max_abs_gap,
@@ -637,10 +640,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    system = load_system(args.input, args.format, args.assets)
+    system, names = _load_input(args.input, args.format, args.assets)
     report = {
         "command": "spectral",
-        "input": _input_echo(args.input, system),
+        "input": _input_echo(args.input, system, names),
         "spectral": _spectral_dict(system, args.r),
     }
     if args.pretty:

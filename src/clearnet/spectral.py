@@ -5,7 +5,7 @@ node the claims matrix has a zero column and its radius drops strictly
 below one, so the solve is safe even at full recovery; without a sink a
 column-stochastic ``C`` sits exactly at radius one. This module estimates
 ``rho``, produces certified lower bounds through the Collatz-Wielandt
-quotient, and packages the admissible recovery-rate interval.
+quotient, and holds the one invertibility rule, :func:`safely_invertible`.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import scipy.sparse
 from numpy.typing import NDArray
 
 from ._linalg import as_csr
-from .errors import PowerIterationStall, ZeroVector
+from .errors import ZeroVector
 from .net_model import DefaultIndicator
 
 RADIUS_TOL = 1e-10
@@ -105,10 +105,7 @@ def _is_nilpotent(C: NDArray) -> bool:
 
 
 def spectral_radius(
-    C: NDArray,
-    tol: float = RADIUS_TOL,
-    max_iter: int = RADIUS_MAX_ITER,
-    method: str = "auto",
+    C: NDArray, tol: float = RADIUS_TOL, max_iter: int = RADIUS_MAX_ITER
 ) -> float:
     """Spectral radius of a nonnegative matrix.
 
@@ -120,16 +117,12 @@ def spectral_radius(
     and a small eigen-residual. Exactly nilpotent matrices are detected up
     front and return 0. ``C`` may be dense or sparse; the iteration only
     multiplies by it, so on a sparse ``C`` each step costs ``O(nnz)``.
-
-    ``method='power'`` raises :class:`PowerIterationStall` when the budget
-    runs out; the default ``'auto'`` falls back to a dense eigenvalue
-    computation instead, which is exact at these problem sizes.
+    When ``max_iter`` steps do not converge, a dense eigenvalue computation
+    gives the radius instead.
     """
     C = _check_nonnegative(C)
     n = C.shape[0]
-    if n == 0:
-        return 0.0
-    if _is_nilpotent(C):
+    if _is_nilpotent(C):   # also the empty matrix
         return 0.0
 
     rng = np.random.default_rng(0)
@@ -148,10 +141,6 @@ def spectral_radius(
         lam_prev = lam
         x = y / np.linalg.norm(y)
 
-    if method == "power":
-        raise PowerIterationStall(
-            f"no convergence within {max_iter} iterations (tol={tol})"
-        )
     if scipy.sparse.issparse(C):
         C = C.toarray()
     return float(np.max(np.abs(np.linalg.eigvals(C))))
@@ -177,16 +166,31 @@ def _best_lower_bound(C: NDArray) -> float:
     return max(collatz_wielandt_value(C, x) for x in candidates)
 
 
+def safely_invertible(C, r, radius: float | None = None) -> tuple[bool, float | None]:
+    """The one rule: is ``I - diag(r) C`` safely invertible?
+
+    Yes if ``max(r) * ||C||_1 < 1 - 1e-12`` (the largest column sum bounds
+    the radius; it is at most 1 for a :func:`build_system` claims matrix);
+    else iff ``max(r) * radius < 1 - 1e-12``, ``radius`` being the larger of
+    the power-iteration estimate and the certified Collatz-Wielandt bound,
+    computed unless given. Returns the verdict and that radius (None when
+    the norm decided).
+    """
+    C = _check_nonnegative(C)
+    r_max = float(np.max(r))
+    if r_max * float(C.sum(axis=0).max(initial=0.0)) < 1.0 - INVERTIBILITY_MARGIN:
+        return True, radius
+    if radius is None:
+        radius = max(spectral_radius(C), _best_lower_bound(C))
+    return r_max * radius < 1.0 - INVERTIBILITY_MARGIN, radius
+
+
 def check_invertibility(C: NDArray, r: float) -> tuple[bool, SpectralReport]:
     """Is ``I - r C`` safely invertible at recovery rate ``r``?
 
-    ``C`` may be dense or sparse. Returns True iff
-    ``r * rho(C) < 1 - 1e-12``, taking ``rho`` as the
-    larger of the power-iteration estimate and the best certified lower
-    bound (the bound is what keeps a column-stochastic matrix from being
-    declared invertible at ``r = 1`` through estimator noise). The report's
-    interval is read off the same ``rho``, so it never contradicts the
-    verdict at ``r = 1``.
+    ``C`` may be dense or sparse. Both the verdict and the report's
+    interval (the verdict at ``r = 1``) come from :func:`safely_invertible`
+    on the radius estimate and certified lower bound the report carries.
     """
     C = _check_nonnegative(C)
     estimate = spectral_radius(C)
@@ -195,9 +199,9 @@ def check_invertibility(C: NDArray, r: float) -> tuple[bool, SpectralReport]:
     report = SpectralReport(
         radius_estimate=estimate,
         collatz_wielandt_lower=lower,
-        invertible_for_r="[0, 1]" if radius < 1.0 - INVERTIBILITY_MARGIN else "[0, 1)",
+        invertible_for_r="[0, 1]" if safely_invertible(C, 1.0, radius)[0] else "[0, 1)",
     )
-    return bool(float(r) * radius < 1.0 - INVERTIBILITY_MARGIN), report
+    return safely_invertible(C, float(r), radius)[0], report
 
 
 def corollary_radius_bound(C: NDArray, defaults: DefaultIndicator) -> bool:
@@ -205,9 +209,10 @@ def corollary_radius_bound(C: NDArray, defaults: DefaultIndicator) -> bool:
 
     Masking rows and columns of a nonnegative matrix can only shrink the
     radius; this computes both sides and returns the comparison (with a
-    1e-10 slack for estimator noise).
+    1e-10 slack for estimator noise), masking a CSR copy's stored entries.
     """
-    C = _check_nonnegative(C)
+    C = as_csr(_check_nonnegative(C))
     mask = defaults.flags.astype(float)
-    masked = C * np.outer(mask, mask)
+    masked = C.copy()
+    masked.data *= np.repeat(mask, np.diff(C.indptr)) * mask[C.indices]
     return spectral_radius(masked) <= spectral_radius(C) + 1e-10

@@ -323,6 +323,33 @@ class TestCli:
             with pytest.raises(json.JSONDecodeError):
                 json.loads(out)
 
+    def test_reports_echo_the_document_names(self, tmp_path, sys_a, capsys, monkeypatch):
+        names = ["Alpha", "Beta", "SINK"]
+        path = tmp_path / "named.json"
+        cn.save_document(SystemDocument.from_system(sys_a, names=names), path)
+        parses = []
+        real_parse = clearnet.io_cli.parse_document
+
+        def counting_parse(text):
+            parses.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr(clearnet.io_cli, "parse_document", counting_parse)
+        for argv in (
+            ["clear", "--r", "0.8"],
+            ["shock", "--kind", "full", "--m", "0.5", "--r", "0.8"],
+            ["shock", "--kind", "relaxed", "--r", "0.8", "--max-steps", "100"],
+            ["katz", "--r", "0.8", "--m", "0.5"],
+            ["verify", "--r", "0.8", "--m", "0.5"],
+            ["spectral"],
+        ):
+            parses.clear()
+            assert cli_main(argv + ["--input", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)["input"]["names"] == names
+            assert len(parses) == 1
+        assert cli_main(["clear", "--input", str(path), "--pretty"]) == 0
+        assert "Alpha" in capsys.readouterr().out
+
     def test_usage_error_exit_code(self, capsys):
         assert cli_main(["clear"]) == 1  # missing --input
         assert cli_main(["--help"]) == 0

@@ -1,8 +1,12 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
 
 import clearnet as cn
+import clearnet.spectral
 
 
 def column_stochastic(seed: int, n: int) -> np.ndarray:
@@ -78,11 +82,6 @@ class TestSpectralRadius:
     def test_defective_matrix_falls_back(self):
         C = np.array([[0.5, 1.0], [0.0, 0.5]])
         assert cn.spectral_radius(C) == pytest.approx(0.5, abs=1e-10)
-
-    def test_power_method_stall_raises(self):
-        C = np.array([[0.5, 1.0], [0.0, 0.5]])
-        with pytest.raises(cn.PowerIterationStall):
-            cn.spectral_radius(C, max_iter=100, method="power")
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -172,6 +171,27 @@ class TestCorollaryBound:
             flags[system.sink] = True
             assert cn.corollary_radius_bound(C, cn.DefaultIndicator(flags=flags))
 
+    def test_sparse_input_stays_sparse(self):
+        # a nonnegative CSR matrix the size of a 3000-bank claims matrix
+        n = 3001
+        C = scipy.sparse.csr_array(
+            scipy.sparse.random(n, n, density=0.003, format="csr", random_state=4)
+        )
+        rng = np.random.default_rng(5)
+        flags = rng.random(n) < 0.5
+        small = C[:300, :300]
+        for mask in (flags[:300], ~flags[:300], np.ones(300, dtype=bool)):
+            defaults = cn.DefaultIndicator(flags=mask)
+            assert cn.corollary_radius_bound(small, defaults)
+            assert cn.corollary_radius_bound(small.toarray(), defaults)
+        tracemalloc.start()
+        try:
+            assert cn.corollary_radius_bound(C, cn.DefaultIndicator(flags=flags))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 20
+
 
 class TestNeumannSeries:
     def test_truncated_series_matches_direct_solve(self, ensemble):
@@ -188,3 +208,95 @@ class TestNeumannSeries:
                 term = r * (C @ term)
                 acc += term
             assert np.abs(acc - direct).max() <= 1e-8
+
+
+def _katz_rejects(C, r) -> bool:
+    n = C.shape[0]
+    try:
+        cn.generalized_katz(C, r, np.ones(n))
+    except cn.SingularSystem:
+        return True
+    return False
+
+
+def _standard_katz_rejects(A, alpha: float) -> bool:
+    try:
+        cn.standard_katz(A, alpha)
+    except cn.SingularSystem:
+        return True
+    return False
+
+
+class TestOneInvertibilityRule:
+    """The Katz gates and ``check_invertibility`` share one verdict."""
+
+    def assert_agree(self, C, r):
+        ok, _ = cn.check_invertibility(C, float(np.max(r)))
+        assert _katz_rejects(C, r) == (not ok)
+        if np.ndim(r) == 0:
+            assert _standard_katz_rejects(C, r) == (not ok)
+
+    def test_acceptance_ensemble(self, ensemble):
+        for system in ensemble[:40]:
+            for r in (0.5, 0.9, 1.0 - 2e-12, 1.0):
+                self.assert_agree(system.claims_csr, r)
+
+    def test_per_node_rates(self, ensemble):
+        rng = np.random.default_rng(12)
+        for system in ensemble[:40]:
+            r = rng.uniform(0.0, 1.0, system.node_count)
+            r[rng.integers(system.node_count)] = rng.choice([0.9, 1.0])
+            self.assert_agree(system.claims_csr, r)
+
+    def test_closed_cycle_behind_sink(self):
+        system = cn.build_system(
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [1, 1, 1, 1]
+        )
+        for r in (0.5, 1.0 - 2e-12, 1.0):
+            self.assert_agree(system.claims_csr, r)
+        assert _katz_rejects(system.claims_csr, 1.0)
+
+    def test_stochastic_matrices(self):
+        for seed in range(10):
+            C = column_stochastic(seed, 6)
+            for r in (0.5, 1.0 - 2e-12, 1.0):
+                self.assert_agree(C, r)
+            assert _katz_rejects(C, 1.0)
+
+    def test_stochastic_matrices_a_hair_below_radius_one(self):
+        # the power-iteration estimate alone lets some of these through at
+        # r = 1, while the certified lower bound 1 - 1e-13 does not
+        for seed in range(200):
+            C = column_stochastic(seed, 6) * (1.0 - 1e-13)
+            self.assert_agree(C, 1.0)
+            assert _katz_rejects(C, 1.0)
+
+    def test_norm_certifies_claims_matrices_without_a_radius(
+        self, ensemble, monkeypatch
+    ):
+        calls = []
+        real = clearnet.spectral.spectral_radius
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # bind the spy wherever a clearnet module holds the radius function
+        for name, module in list(sys.modules.items()):
+            if name.startswith("clearnet") and getattr(module, "spectral_radius", None) is real:
+                monkeypatch.setattr(module, "spectral_radius", counting)
+        rng = np.random.default_rng(3)
+        for system in ensemble[:60]:
+            n = system.node_count
+            beta = cn.beta_vector(system, 0.5, 0.5)
+            for r in (0.0, 0.5, 0.99, 1.0 - 2e-12, rng.uniform(0, 1.0 - 2e-12, n)):
+                cn.generalized_katz(system.claims_csr, r, beta)
+                cn.generalized_katz(system.claims, r, beta)
+        assert calls == []
+
+    def test_negative_entry_rejected_on_the_norm_path(self):
+        C = np.array([[0.0, -0.1], [0.1, 0.0]])
+        with pytest.raises(ValueError):
+            cn.generalized_katz(C, 0.5, np.ones(2))
+        with pytest.raises(ValueError):
+            cn.standard_katz(C, 0.5)
