@@ -18,7 +18,7 @@ l = cn.total_liabilities(system)
 C = cn.relative_claims(system).matrix
 print("total liabilities:", l)
 print("claims matrix C (who holds what share of each debtor):")
-print(C)
+print(C.toarray())
 print("interbank claims (C l):", C @ l)
 
 # Solvent world: everyone pays in full, only the sink is flagged (by

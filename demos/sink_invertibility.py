@@ -21,7 +21,7 @@ print("invertible at r = 1?", ok, "-- admissible interval:", report.invertible_f
 system = cn.build_system([[0, 2, 8], [3, 0, 7], [0, 0, 0]], [8.0, 9.0, 1.0])
 C = cn.relative_claims(system).matrix
 print("\nclaims matrix with sink column:")
-print(C)
+print(C.toarray())
 print("radius with sink:", cn.spectral_radius(C))
 ok, report = cn.check_invertibility(C, r=1.0)
 print("invertible at r = 1?", ok, "-- admissible interval:", report.invertible_for_r)

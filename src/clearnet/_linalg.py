@@ -22,9 +22,9 @@ def as_csr(C) -> scipy.sparse.csr_array:
     A dense 2-D input is converted with one scan for its nonzeros in row-
     major order, which gives the CSR column indices and, by a search for
     each row's start, the row pointers. This skips the COO detour of
-    ``scipy.sparse.csr_array(C)``, which matters because
-    :func:`clearnet.centrality.generalized_katz` converts its dense
-    argument on every call.
+    ``scipy.sparse.csr_array(C)`` for the N x N liability matrix that
+    :func:`clearnet.net_model.build_system` converts and for dense
+    matrices passed to the public functions.
     """
     if scipy.sparse.issparse(C):
         return scipy.sparse.csr_array(C, dtype=float)

@@ -61,7 +61,7 @@ def beta_vector(system: FinancialSystem, r, m) -> NDArray:
     r_vec = broadcast_rate(r, n, "r")
     m_vec = validate_interpolation(m, n)
     l = system.total_liabilities
-    cl = system.claims_csr @ l
+    cl = system.claims @ l
     beta = (1.0 - m_vec) * l - (r_vec - m_vec) * cl
     beta[system.sink] = 0.0
     return beta
@@ -113,19 +113,17 @@ def standard_katz(adjacency: NDArray, alpha: float) -> NDArray:
 def closed_form_full_shock(system: FinancialSystem, params: ClearingParams, m) -> NDArray:
     """One-round clearing vector under the full-default shock.
 
-    Evaluates ``p = (I - r C)^{-1} ((r - m) C l - (1 - m) l) + l``, which is
-    algebraically ``(I - r C)^{-1} a`` with ``a = m (l - C l)`` -- the
-    all-defaulted solve. Bank entries match the clearing solver under the
-    corresponding shock; the sink entry follows this formula and carries no
-    meaning.
+    Solves the all-defaulted system ``(I - r C) p = m (l - C l)`` for ``p``
+    itself, not for ``p - l``, so ``p`` tiny next to ``l`` stays accurate.
+    Bank entries match the clearing solver under the corresponding shock;
+    the sink entry follows this formula and carries no meaning.
     """
     n = system.node_count
     r_vec = params.recovery_vector(n)
     m_vec = validate_interpolation(m, n)
     l = system.total_liabilities
-    C = system.claims_csr
-    rhs = (r_vec - m_vec) * (C @ l) - (1.0 - m_vec) * l
-    return solve_attenuated(C, r_vec, rhs, "full-shock form") + l
+    C = system.claims
+    return solve_attenuated(C, r_vec, m_vec * (l - C @ l), "full-shock form")
 
 
 def printed_relaxed_closed_form(system: FinancialSystem, r, m) -> NDArray:
@@ -140,6 +138,6 @@ def printed_relaxed_closed_form(system: FinancialSystem, r, m) -> NDArray:
     r_vec = broadcast_rate(r, n, "r")
     m_vec = validate_interpolation(m, n)
     l = system.total_liabilities
-    C = system.claims_csr
+    C = system.claims
     rhs = m_vec * (l + r_vec * (C @ l))
     return solve_attenuated(C, r_vec - m_vec, rhs, "relaxed closed form")

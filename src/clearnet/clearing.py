@@ -79,7 +79,7 @@ def apply_clearing_map(
     r = params.recovery_vector(system.node_count)
     flags = default_indicator(system, p).flags
     mixed = np.where(flags, p, l)
-    paid = r * (system.claims_csr @ mixed) + params.r_a * system.external_assets
+    paid = r * (system.claims @ mixed) + params.r_a * system.external_assets
     return np.where(flags, paid, l)
 
 
@@ -105,7 +105,7 @@ def solve_given_defaults(
         violation.
     """
     l = system.total_liabilities
-    C = system.claims_csr
+    C = system.claims
     r = params.recovery_vector(system.node_count)
     idx = np.flatnonzero(defaults.flags)
 
@@ -212,7 +212,7 @@ def capitalization_adjusted_loss(
     """
     l = system.total_liabilities
     shock = system.external_assets - system.pre_shock_assets
-    denom = system.pre_shock_assets + system.claims_csr @ l
+    denom = system.pre_shock_assets + system.claims @ l
     zero = denom[system.banks] == 0
     if np.any(zero):
         i = int(np.argmax(zero))

@@ -81,7 +81,7 @@ def verify_full_shock_equivalence(
 
     sigma_clearing = systemic_loss(solution, system.total_liabilities)
     beta = beta_vector(system, params.r, m)
-    sigma_katz = generalized_katz(system.claims_csr, params.r, beta, m=m).sigma
+    sigma_katz = generalized_katz(system.claims, params.r, beta, m=m).sigma
 
     details = np.abs(sigma_clearing - sigma_katz)[system.banks]
     max_gap = float(details.max(initial=0.0))
@@ -157,7 +157,7 @@ def verify_katz_reduction(
     beta = beta_vector(system, r, r)
     normalized = np.zeros_like(beta)
     normalized[banks] = beta[banks] / ((1.0 - r) * l[banks])
-    sigma = generalized_katz(system.claims_csr, r, normalized, m=r).sigma
+    sigma = generalized_katz(system.claims, r, normalized, m=r).sigma
 
     katz = standard_katz(adjacency, r)
     return bool(np.abs(sigma[banks] - katz).max(initial=0.0) <= tol)

@@ -73,11 +73,11 @@ class FinancialSystem:
         Asset values ``o`` before any shock.
     total_liabilities : (N,) ndarray
         Row sums ``l`` of ``liabilities``.
-    claims : (N, N) ndarray
-        Claims matrix ``C``, see :func:`relative_claims`.
-    claims_csr : (N, N) scipy.sparse.csr_array
-        The same ``C`` in compressed sparse rows; every matrix-vector
-        product and linear solve inside the package runs on it.
+    claims : (N, N) scipy.sparse.csr_array
+        Claims matrix ``C`` (see :func:`relative_claims`) in compressed
+        sparse rows, read-only; every matrix-vector product and linear
+        solve inside the package runs on it. ``claims.toarray()`` gives a
+        dense copy.
     """
 
     node_count: int
@@ -85,8 +85,7 @@ class FinancialSystem:
     external_assets: NDArray
     pre_shock_assets: NDArray
     total_liabilities: NDArray = field(repr=False, compare=False)
-    claims: NDArray = field(repr=False, compare=False)
-    claims_csr: scipy.sparse.csr_array = field(repr=False, compare=False)
+    claims: scipy.sparse.csr_array = field(repr=False, compare=False)
 
     @property
     def sink(self) -> int:
@@ -103,7 +102,7 @@ class FinancialSystem:
 
     def with_external_assets(self, assets: NDArray) -> "FinancialSystem":
         """Copy of the system with a new external-asset vector ``a``; it
-        shares ``l`` and ``C`` (dense and sparse) with this one."""
+        shares ``l`` and ``C`` with this one."""
         assets = np.asarray(assets, dtype=float)
         if assets.shape != (self.node_count,):
             raise DimensionMismatch(
@@ -120,7 +119,6 @@ class FinancialSystem:
             pre_shock_assets=self.pre_shock_assets,
             total_liabilities=self.total_liabilities,
             claims=self.claims,
-            claims_csr=self.claims_csr,
         )
 
 
@@ -130,10 +128,11 @@ class RelativeClaims:
 
     ``matrix[i, j]`` is the share of node ``j``'s total liabilities owed to
     node ``i``; columns of nodes with no liabilities are zero, so ``C @ x``
-    values a payment vector ``x`` for the creditors.
+    values a payment vector ``x`` for the creditors. ``matrix`` is the
+    system's read-only CSR array; ``matrix.toarray()`` gives a dense copy.
     """
 
-    matrix: NDArray
+    matrix: scipy.sparse.csr_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,11 +283,11 @@ def build_system(
         i = int(np.argmax(~np.isfinite(l)))
         raise DimensionMismatch(f"total liabilities of node {i} are not finite")
     l.setflags(write=False)
-    C = np.zeros_like(L)
-    np.divide(L.T, l, out=C, where=l > 0)
-    C.setflags(write=False)
-    C_csr = as_csr(C)
-    for part in (C_csr.data, C_csr.indices, C_csr.indptr):
+    # C = L^T / l, one division per stored entry of L: no N x N temporary
+    C = as_csr(L)
+    C.data /= np.repeat(l, np.diff(C.indptr))
+    C = C.T.tocsr()
+    for part in (C.data, C.indices, C.indptr):
         part.setflags(write=False)
 
     return FinancialSystem(
@@ -298,7 +297,6 @@ def build_system(
         pre_shock_assets=_readonly(o),
         total_liabilities=l,
         claims=C,
-        claims_csr=C_csr,
     )
 
 
@@ -318,7 +316,7 @@ def relative_claims(system: FinancialSystem) -> RelativeClaims:
 def equity(system: FinancialSystem, payments: NDArray) -> NDArray:
     """Balance-sheet equity ``a + C p - l`` under a payment vector ``p``."""
     p = np.asarray(payments, dtype=float)
-    return system.external_assets + system.claims_csr @ p - system.total_liabilities
+    return system.external_assets + system.claims @ p - system.total_liabilities
 
 
 def default_indicator(system: FinancialSystem, payments: NDArray) -> DefaultIndicator:

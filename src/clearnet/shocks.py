@@ -109,7 +109,7 @@ def full_default_shock(system: FinancialSystem, m) -> ShockScenario:
     n = system.node_count
     m_vec = validate_interpolation(m, n)
     l = system.total_liabilities
-    cl = system.claims_csr @ l
+    cl = system.claims @ l
     _require_interbank_margin(l, cl, system.n_banks)
 
     a = system.pre_shock_assets.copy()
@@ -174,7 +174,7 @@ def relaxed_shock_search(
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
 
     l = system.total_liabilities
-    cl = system.claims_csr @ l
+    cl = system.claims @ l
     o = system.pre_shock_assets
     banks = system.banks
 
@@ -237,7 +237,7 @@ def relaxed_interpolated_shock(
     m_vec = validate_interpolation(m, n)
     r_vec = params.recovery_vector(n)
     l = system.total_liabilities
-    C = system.claims_csr
+    C = system.claims
 
     q = m_vec * solve_attenuated(C, r_vec - m_vec, l, "relaxed-shock candidate")
 

@@ -42,7 +42,7 @@ def search_step_system(system: cn.FinancialSystem, k: int, max_steps: int):
     taken with the sparse ``C`` the search uses, so the assets agree bit
     for bit."""
     l = cn.total_liabilities(system)
-    cl = system.claims_csr @ l
+    cl = system.claims @ l
     a = system.pre_shock_assets.copy()
     b = system.banks
     a[b] = np.maximum((1.0 - k / max_steps) * (l[b] - cl[b]), 0.0)

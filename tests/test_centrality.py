@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import clearnet as cn
+from conftest import fraction_solve
 
 
 def single_creditor_chain(weights=(4.0, 6.0, 5.0)):
@@ -128,6 +131,24 @@ class TestClosedFormFullShock:
         l = cn.total_liabilities(sys_0)
         np.testing.assert_allclose(p[:2], 0.5 * l[:2], atol=1e-12)
 
+    def test_no_cancellation_on_large_liabilities(self):
+        # A ring of 1e14 liabilities with headroom l - C l of about 1: the
+        # payments are about 1, so forming them as the difference of two
+        # 1e14-sized terms would lose every significant digit.
+        system = cn.build_system([[0, 1e14, 1], [1e14, 0, 1], [0, 0, 0]], [1, 1, 1])
+        r, m = 0.7, 0.3
+        p = cn.closed_form_full_shock(system, cn.ClearingParams(r=r), m)
+
+        L = [[Fraction(x) for x in row] for row in system.liabilities.tolist()]
+        n = len(L)
+        l = [sum(row, Fraction(0)) for row in L]
+        C = [[L[j][i] / l[j] if l[j] else Fraction(0) for j in range(n)] for i in range(n)]
+        a = [Fraction(m) * (l[i] - sum(C[i][j] * l[j] for j in range(n))) for i in range(n)]
+        A = [[int(i == j) - Fraction(r) * C[i][j] for j in range(n)] for i in range(n)]
+        exact = fraction_solve(A, a)
+        for got, want in zip(p[system.banks], exact[system.banks]):
+            assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want)
+
 
 class TestPrintedRelaxedClosedForm:
     def test_equal_rates_reduce_to_quadratic(self, sys_a):
@@ -165,7 +186,7 @@ class TestKatzReduction:
     def test_chain_matches_standard_katz(self):
         system = single_creditor_chain()
         r = 0.5
-        C = cn.relative_claims(system).matrix
+        C = cn.relative_claims(system).matrix.toarray()
         adjacency = C[system.banks, system.banks]
         assert set(np.unique(adjacency)) <= {0.0, 1.0}
         beta = cn.beta_vector(system, r, r)

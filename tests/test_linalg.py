@@ -58,8 +58,8 @@ def test_solver_matches_dense_lu(
     if not b.any():
         b[0] = scale
 
-    x = solve_attenuated(system.claims_csr[idx][:, idx], r_vec[idx], b, "block")
-    block = cn.relative_claims(system).matrix[np.ix_(idx, idx)]
+    x = solve_attenuated(system.claims[idx][:, idx], r_vec[idx], b, "block")
+    block = cn.relative_claims(system).matrix.toarray()[np.ix_(idx, idx)]
     A = np.eye(idx.size) - r_vec[idx, None] * block
     want = solve_checked(A, b, "dense block")
     assert np.abs(x - want).sum() <= 1e-13 * np.abs(want).sum()
@@ -125,9 +125,9 @@ class TestSelection:
         # dense path runs even at 300 banks; the sink keeps it invertible
         system = cn.generate_random_system(seed=3, n_banks=300, density=0.03)
         n = system.node_count
-        x = solve_attenuated(system.claims_csr, np.ones(n), np.ones(n), "r = 1")
+        x = solve_attenuated(system.claims, np.ones(n), np.ones(n), "r = 1")
         assert lu_sizes == [n]
-        np.testing.assert_allclose(x - system.claims_csr @ x, 1.0, rtol=1e-10)
+        np.testing.assert_allclose(x - system.claims @ x, 1.0, rtol=1e-10)
 
     def test_closed_cycle_at_full_recovery_raises_through_lu(self, lu_sizes):
         system = cn.build_system([[0, 5, 0], [5, 0, 0], [0, 0, 0]], [1.0, 1.0, 1.0])
@@ -138,9 +138,9 @@ class TestSelection:
 
     def test_small_system_takes_dense_lu(self, sys_a, lu_sizes):
         # q = 0.8 < 1, but 54 sweeps over 4 nonzeros cost more than a 3x3 LU
-        x = solve_attenuated(sys_a.claims_csr, 0.8, np.ones(3), "sys_a")
+        x = solve_attenuated(sys_a.claims, 0.8, np.ones(3), "sys_a")
         assert lu_sizes == [3]
-        np.testing.assert_allclose(x - 0.8 * (sys_a.claims_csr @ x), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(x - 0.8 * (sys_a.claims @ x), 1.0, rtol=1e-14)
 
     @pytest.mark.parametrize("n, lu_expected", [(12, True), (13, False)])
     def test_flop_rule_boundary(self, n, lu_expected, lu_sizes):
@@ -154,7 +154,7 @@ class TestSelection:
     def test_zero_attenuation_returns_the_right_hand_side(self, sys_a, monkeypatch):
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
         b = np.array([1.0, -2.0, 3.0])
-        x = solve_attenuated(sys_a.claims_csr, 0.0, b, "r = 0")
+        x = solve_attenuated(sys_a.claims, 0.0, b, "r = 0")
         np.testing.assert_array_equal(x, b)
         assert x is not b
 
@@ -162,9 +162,9 @@ class TestSelection:
 class TestAsCsr:
     def test_dense_round_trip(self, ensemble):
         for system in ensemble[:20]:
-            C = cn.relative_claims(system).matrix
+            C = cn.relative_claims(system).matrix.toarray()
             np.testing.assert_array_equal(as_csr(C).toarray(), C)
-            np.testing.assert_array_equal(system.claims_csr.toarray(), C)
+            np.testing.assert_array_equal(system.claims.toarray(), C)
 
     def test_empty_and_zero_matrices(self):
         assert as_csr(np.zeros((0, 0))).shape == (0, 0)

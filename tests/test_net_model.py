@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import clearnet as cn
+from clearnet._linalg import as_csr
 
 
 class TestBuildSystem:
@@ -79,8 +82,9 @@ class TestBuildSystem:
 
     def test_shocked_copies_share_the_sparse_claims(self, sys_a):
         shocked = cn.shocked_system(sys_a, cn.full_default_shock(sys_a, 0.5))
-        assert shocked.claims_csr is sys_a.claims_csr
-        C = sys_a.claims_csr
+        assert shocked.claims is sys_a.claims
+        assert cn.relative_claims(sys_a).matrix is sys_a.claims
+        C = sys_a.claims
         for part in (C.data, C.indices, C.indptr):
             with pytest.raises(ValueError):
                 part[0] = 0
@@ -107,19 +111,21 @@ class TestTotalLiabilities:
 class TestRelativeClaims:
     def test_sys_a(self, sys_a):
         expected = [[0, 0.3, 0], [0.2, 0, 0], [0.8, 0.7, 0]]
-        np.testing.assert_allclose(cn.relative_claims(sys_a).matrix, expected)
+        np.testing.assert_allclose(cn.relative_claims(sys_a).matrix.toarray(), expected)
 
     def test_sys_0_only_sink_has_claims(self, sys_0):
         expected = [[0, 0, 0], [0, 0, 0], [1, 1, 0]]
-        np.testing.assert_array_equal(cn.relative_claims(sys_0).matrix, expected)
+        np.testing.assert_array_equal(cn.relative_claims(sys_0).matrix.toarray(), expected)
 
     def test_zero_matrix(self):
         system = cn.build_system(np.zeros((3, 3)), [1, 1, 1])
-        np.testing.assert_array_equal(cn.relative_claims(system).matrix, np.zeros((3, 3)))
+        np.testing.assert_array_equal(
+            cn.relative_claims(system).matrix.toarray(), np.zeros((3, 3))
+        )
 
     def test_column_stochastic_where_liable(self, ensemble):
         for system in ensemble[:25]:
-            C = cn.relative_claims(system).matrix
+            C = cn.relative_claims(system).matrix.toarray()
             l = cn.total_liabilities(system)
             assert C.min() >= 0 and C.max() <= 1
             sums = C.sum(axis=0)
@@ -134,6 +140,41 @@ class TestRelativeClaims:
             l = cn.total_liabilities(system)
             x = rng.uniform(0, 1, size=system.node_count) * l
             assert np.all(C @ x <= C @ l + 1e-12)
+
+
+class TestClaimsBuild:
+    """``build_system`` forms ``C`` from the stored entries of ``L``."""
+
+    @staticmethod
+    def assert_matches_dense_formula(system):
+        L = system.liabilities
+        l = system.total_liabilities
+        want = as_csr(np.divide(L.T, l, out=np.zeros_like(L), where=l > 0))
+        got = system.claims
+        for part, ref in ((got.data, want.data), (got.indices, want.indices),
+                          (got.indptr, want.indptr)):
+            assert part.dtype == ref.dtype
+            np.testing.assert_array_equal(part, ref)
+
+    def test_bit_identical_to_dense_formula(self, ensemble, sys_0):
+        zero_liability_bank = cn.build_system([[0, 0, 0], [3, 0, 7], [0, 0, 0]], [8, 9, 1])
+        for system in ensemble + [sys_0, zero_liability_bank]:
+            self.assert_matches_dense_formula(system)
+        for density in (8 / 1500, 0.03):
+            self.assert_matches_dense_formula(cn.generate_random_system(5, 1500, density))
+
+    def test_no_dense_claims_temporary(self):
+        generated = cn.generate_random_system(6, 2000, 8 / 2000)
+        L, o = generated.liabilities, generated.pre_shock_assets
+        N = L.shape[0]
+        tracemalloc.start()
+        try:
+            cn.build_system(L, o)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the read-only copy of L is the only N x N float array
+        assert peak < 1.25 * 8 * N * N
 
 
 class TestEquity:

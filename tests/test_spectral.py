@@ -91,8 +91,8 @@ class TestSpectralRadius:
 class TestSparseInput:
     def test_matches_dense_on_ensemble(self, ensemble):
         for system in ensemble[:20]:
-            dense = cn.relative_claims(system).matrix
-            sparse = system.claims_csr
+            dense = cn.relative_claims(system).matrix.toarray()
+            sparse = system.claims
             assert cn.spectral_radius(sparse) == pytest.approx(
                 cn.spectral_radius(dense), abs=1e-12
             )
@@ -141,7 +141,7 @@ class TestCheckInvertibility:
         system = cn.build_system(
             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [1, 1, 1, 1]
         )
-        ok, report = cn.check_invertibility(system.claims, r=1.0)
+        ok, report = cn.check_invertibility(system.claims.toarray(), r=1.0)
         assert not ok
         assert report.invertible_for_r == "[0, 1)"
 
@@ -239,22 +239,22 @@ class TestOneInvertibilityRule:
     def test_acceptance_ensemble(self, ensemble):
         for system in ensemble[:40]:
             for r in (0.5, 0.9, 1.0 - 2e-12, 1.0):
-                self.assert_agree(system.claims_csr, r)
+                self.assert_agree(system.claims, r)
 
     def test_per_node_rates(self, ensemble):
         rng = np.random.default_rng(12)
         for system in ensemble[:40]:
             r = rng.uniform(0.0, 1.0, system.node_count)
             r[rng.integers(system.node_count)] = rng.choice([0.9, 1.0])
-            self.assert_agree(system.claims_csr, r)
+            self.assert_agree(system.claims, r)
 
     def test_closed_cycle_behind_sink(self):
         system = cn.build_system(
             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [1, 1, 1, 1]
         )
         for r in (0.5, 1.0 - 2e-12, 1.0):
-            self.assert_agree(system.claims_csr, r)
-        assert _katz_rejects(system.claims_csr, 1.0)
+            self.assert_agree(system.claims, r)
+        assert _katz_rejects(system.claims, 1.0)
 
     def test_stochastic_matrices(self):
         for seed in range(10):
@@ -290,8 +290,8 @@ class TestOneInvertibilityRule:
             n = system.node_count
             beta = cn.beta_vector(system, 0.5, 0.5)
             for r in (0.0, 0.5, 0.99, 1.0 - 2e-12, rng.uniform(0, 1.0 - 2e-12, n)):
-                cn.generalized_katz(system.claims_csr, r, beta)
                 cn.generalized_katz(system.claims, r, beta)
+                cn.generalized_katz(system.claims.toarray(), r, beta)
         assert calls == []
 
     def test_negative_entry_rejected_on_the_norm_path(self):
