@@ -1,7 +1,9 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import clearnet as cn
 from clearnet._linalg import as_csr
@@ -77,6 +79,12 @@ class TestBuildSystem:
         assert cn.total_liabilities(shocked) is cn.total_liabilities(sys_a)
         with pytest.raises(ValueError):
             cn.relative_claims(sys_a).matrix[0, 1] = 5.0
+        # an insertion is refused too, once scipy's efficiency warning passes
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.sparse.SparseEfficiencyWarning)
+            with pytest.raises(ValueError):
+                cn.relative_claims(sys_a).matrix[0, 0] = 5.0
+        assert sys_a.claims.nnz == 4
         with pytest.raises(ValueError):
             cn.total_liabilities(sys_a)[0] = 5.0
 
