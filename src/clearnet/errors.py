@@ -5,21 +5,30 @@ class ClearnetError(Exception):
     """Base class for all errors raised by clearnet."""
 
 
-# --- model construction -------------------------------------------------
+# --- input and model validation ----------------------------------------
 
-class NegativeEntry(ClearnetError):
+class ValidationError(ClearnetError, ValueError):
+    """Input the model does not accept: a document or file whose contents
+    fail validation, or a parameter out of range (a recovery rate outside
+    [0, 1], a bank count or step budget below 1, a density outside (0, 1]).
+    The CLI exits 1 on it. Also a ``ValueError``, for callers that catch bad
+    arguments that way.
+    """
+
+
+class NegativeEntry(ValidationError):
     """A liability or asset entry is negative (names the offending index)."""
 
 
-class DimensionMismatch(ClearnetError):
+class DimensionMismatch(ValidationError):
     """Matrix/vector shapes are inconsistent."""
 
 
-class NonzeroSinkRow(ClearnetError):
+class NonzeroSinkRow(ValidationError):
     """The sink node owes something inside the system."""
 
 
-class NonzeroDiagonal(ClearnetError):
+class NonzeroDiagonal(ValidationError):
     """A node has a liability to itself."""
 
 
@@ -90,7 +99,3 @@ class ParseError(ClearnetError):
         super().__init__(message)
         self.line = line
         self.column = column
-
-
-class ValidationError(ClearnetError):
-    """Structurally valid file whose contents fail model validation."""

@@ -6,6 +6,10 @@ convenience importer for a bare liability matrix plus a one-column asset
 sidecar. All reports are emitted as JSON with a fixed key order and floats
 rendered to 17 significant digits, so identical invocations produce
 byte-identical output.
+
+Each report command loads its input once, echoes it, adds its own sections
+and prints the report as JSON or as its ``--pretty`` view, a function of the
+report alone. Exit codes go by error family (see :func:`cli_main`).
 """
 from __future__ import annotations
 
@@ -19,7 +23,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .clearing import (
-    ClearingSolution,
     fictitious_default_sequence,
     picard_clearing_oracle,
     systemic_loss,
@@ -31,11 +34,7 @@ from .equivalence import (
 )
 from .errors import (
     ClearnetError,
-    DimensionMismatch,
     InvalidInterpolation,
-    NegativeEntry,
-    NonzeroDiagonal,
-    NonzeroSinkRow,
     ParseError,
     PreconditionViolated,
     ValidationError,
@@ -168,6 +167,12 @@ class SystemDocument:
                 raise ValidationError(
                     f'last label must be "{SINK_LABEL}", got "{self.names[-1]}"'
                 )
+        for i, row in enumerate(self.liabilities):
+            if len(row) != len(self.liabilities[0]):
+                raise ValidationError(
+                    f"liabilities row {i} has {len(row)} entries, "
+                    f"row 0 has {len(self.liabilities[0])}"
+                )
 
     def to_system(self) -> FinancialSystem:
         return build_system(
@@ -243,68 +248,45 @@ def save_document(doc: SystemDocument, path) -> None:
 # CSV import
 # --------------------------------------------------------------------------
 
-def _csv_rows(path) -> list[tuple[int, list[str]]]:
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if line.strip() == "":
-            continue
-        rows.append((lineno, [cell.strip() for cell in line.split(",")]))
+def _read_csv(path, sidecar: bool = False) -> NDArray:
+    """A CSV file of numbers as a float matrix, or as a vector for an asset
+    ``sidecar`` (one value per line). A matrix's first row is a header when
+    any of its cells is not a number; a sidecar's when its first cell is not."""
+    rows = [
+        (lineno, [cell.strip() for cell in line.split(",")])
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1)
+        if line.strip()
+    ]
     if not rows:
         raise ParseError(f"{path}: file is empty")
-    return rows
-
-
-def _parse_cell(cell: str, lineno: int, column: int, path) -> float:
     try:
-        return float(cell)
+        [float(c) for c in rows[0][1][: 1 if sidecar else None]]
     except ValueError:
-        raise ParseError(
-            f"{path}: line {lineno}, column {column}: {cell!r} is not a number",
-            line=lineno,
-            column=column,
-        ) from None
-
-
-def _load_csv_matrix(path) -> NDArray:
-    rows = _csv_rows(path)
-    try:
-        [float(c) for c in rows[0][1]]
-    except ValueError:
-        rows = rows[1:]   # header row
+        rows = rows[1:]   # header
         if not rows:
             raise ParseError(f"{path}: header but no data rows")
-    width = len(rows[0][1])
+    width = 1 if sidecar else len(rows[0][1])
     matrix = []
     for lineno, cells in rows:
         if len(cells) != width:
             raise ParseError(
-                f"{path}: line {lineno} has {len(cells)} fields, expected {width}",
+                f"{path}: line {lineno} has {len(cells)} fields, expected {width}"
+                + (" (one asset value per line)" if sidecar else ""),
                 line=lineno,
             )
-        matrix.append(
-            [_parse_cell(c, lineno, j + 1, path) for j, c in enumerate(cells)]
-        )
-    return np.asarray(matrix, dtype=float)
-
-
-def _load_csv_assets(path) -> NDArray:
-    rows = _csv_rows(path)
-    try:
-        float(rows[0][1][0])
-    except ValueError:
-        rows = rows[1:]   # header cell
-        if not rows:
-            raise ParseError(f"{path}: header but no data rows")
-    values = []
-    for lineno, cells in rows:
-        if len(cells) != 1:
-            raise ParseError(
-                f"{path}: line {lineno} has {len(cells)} fields, expected 1 "
-                "(one asset value per line)",
-                line=lineno,
-            )
-        values.append(_parse_cell(cells[0], lineno, 1, path))
-    return np.asarray(values, dtype=float)
+        values = []
+        for column, cell in enumerate(cells, start=1):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {lineno}, column {column}: {cell!r} is not a number",
+                    line=lineno,
+                    column=column,
+                ) from None
+        matrix.append(values)
+    matrix = np.asarray(matrix, dtype=float)
+    return matrix.ravel() if sidecar else matrix
 
 
 def load_system(path, format: str | None = None, assets_path=None) -> FinancialSystem:
@@ -313,8 +295,8 @@ def load_system(path, format: str | None = None, assets_path=None) -> FinancialS
     CSV requires the asset sidecar (one value per line); JSON documents are
     self-contained. ``format`` is inferred from the file suffix when not
     given. Parse failures raise :class:`ParseError` with the offending
-    location; semantic failures raise :class:`ValidationError` or the
-    model-validation errors from :func:`build_system`.
+    location; semantic failures raise :class:`ValidationError`, of which the
+    model-validation errors from :func:`build_system` are subclasses.
     """
     return _load_input(path, format, assets_path)[0]
 
@@ -326,13 +308,13 @@ def _load_input(path, format, assets_path) -> tuple[FinancialSystem, tuple | Non
         doc = load_document(path)
         return doc.to_system(), doc.names
     if fmt == "csv":
-        matrix = _load_csv_matrix(path)
+        matrix = _read_csv(path)
         if assets_path is None:
             raise ValidationError(
                 "pre_shock_assets required: CSV input needs an asset sidecar "
                 "(--assets FILE)"
             )
-        assets = _load_csv_assets(assets_path)
+        assets = _read_csv(assets_path, sidecar=True)
         return build_system(matrix, assets), None
     raise ValidationError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
 
@@ -354,9 +336,9 @@ def generate_random_system(
     every bank starts solvent; the sink holds one unit.
     """
     if n_banks < 1:
-        raise ValueError(f"n_banks must be at least 1, got {n_banks}")
+        raise ValidationError(f"n_banks must be at least 1, got {n_banks}")
     if not 0.0 < density <= 1.0:
-        raise ValueError(f"density must lie in (0, 1], got {density}")
+        raise ValidationError(f"density must lie in (0, 1], got {density}")
     rng = np.random.default_rng(seed)
     n = n_banks
     N = n + 1
@@ -381,7 +363,8 @@ def generate_random_system(
 
 
 # --------------------------------------------------------------------------
-# reports
+# report sections: one builder per command, each a function of the parsed
+# arguments and the loaded system
 # --------------------------------------------------------------------------
 
 def _input_echo(path, system: FinancialSystem, names) -> dict:
@@ -391,39 +374,21 @@ def _input_echo(path, system: FinancialSystem, names) -> dict:
     return echo
 
 
-def _params_dict(params: ClearingParams, **extra) -> dict:
-    d = {
-        "r": params.r if np.isscalar(params.r) else np.asarray(params.r),
-        "r_a": params.r_a,
-    }
-    d.update(extra)
-    return d
-
-
-def _clearing_dict(
-    system: FinancialSystem, params: ClearingParams, solution: ClearingSolution
-) -> dict:
+def _clearing_sections(system: FinancialSystem, params: ClearingParams) -> dict:
+    solution = fictitious_default_sequence(system, params)
     oracle = picard_clearing_oracle(system, params)
-    banks = system.banks
-    oracle_gap = float(np.abs(oracle - solution.payments)[banks].max(initial=0.0))
+    oracle_gap = float(np.abs(oracle - solution.payments)[system.banks].max(initial=0.0))
     return {
-        "payments": solution.payments,
-        "defaults": [bool(f) for f in solution.defaults.flags],
-        "iterations": solution.iterations,
-        "residual": solution.residual,
-        "oracle_gap": oracle_gap,
-        "uniqueness_ok": solution.uniqueness_ok,
-    }
-
-
-def _scenario_dict(scenario) -> dict:
-    return {
-        "kind": scenario.kind.value,
-        "interpolation": scenario.interpolation,
-        "shock": scenario.shock,
-        "post_shock_assets": scenario.post_shock_assets,
-        "search_steps": scenario.search_steps,
-        "max_steps": scenario.max_steps,
+        "total_liabilities": system.total_liabilities,
+        "clearing": {
+            "payments": solution.payments,
+            "defaults": [bool(f) for f in solution.defaults.flags],
+            "iterations": solution.iterations,
+            "residual": solution.residual,
+            "oracle_gap": oracle_gap,
+            "uniqueness_ok": solution.uniqueness_ok,
+        },
+        "systemic_loss": systemic_loss(solution, system.total_liabilities),
     }
 
 
@@ -438,8 +403,93 @@ def _spectral_dict(system: FinancialSystem, r: float | None) -> dict:
     }
 
 
+def _clear_sections(args, system: FinancialSystem) -> dict:
+    params = ClearingParams(r=args.r, r_a=args.ra)
+    return {
+        "parameters": {"r": args.r, "r_a": args.ra},
+        **_clearing_sections(system, params),
+        "spectral": _spectral_dict(system, args.r),
+    }
+
+
+def _shock_sections(args, system: FinancialSystem) -> dict:
+    params = ClearingParams(r=args.r, r_a=args.ra)
+    if args.kind == "full":
+        if args.m is None:
+            raise ValidationError("--m is required for --kind full")
+        scenario = full_default_shock(system, args.m)
+    else:
+        scenario = relaxed_shock_search(system, params, max_steps=args.max_steps)
+    kind = scenario.kind.value
+    return {
+        "parameters": {"r": args.r, "r_a": args.ra, "m": args.m, "kind": kind},
+        "scenario": {
+            "kind": kind,
+            "interpolation": scenario.interpolation,
+            "shock": scenario.shock,
+            "post_shock_assets": scenario.post_shock_assets,
+            "search_steps": scenario.search_steps,
+            "max_steps": scenario.max_steps,
+        },
+        **_clearing_sections(shocked_system(system, scenario), params),
+    }
+
+
+def _katz_sections(args, system: FinancialSystem) -> dict:
+    params = ClearingParams(r=args.r)
+    beta = beta_vector(system, params.r, args.m)
+    result = generalized_katz(system.claims, params.r, beta, m=args.m)
+    return {
+        "parameters": {"r": args.r, "m": args.m},
+        "beta": beta,
+        "sigma": result.sigma,
+        "residual": result.residual,
+    }
+
+
+def _verify_sections(args, system: FinancialSystem) -> dict:
+    params = ClearingParams(r=args.r)
+    tol = args.tol if args.tol is not None else default_tolerance(system)
+    full = verify_full_shock_equivalence(system, params, args.m, tol=tol)
+    try:
+        relaxed = verify_relaxed_equivalence(system, params, args.m)
+    except ClearnetError as exc:
+        relaxed_dict = {"error": f"{type(exc).__name__}: {exc}"}
+    else:
+        relaxed_dict = {
+            "max_abs_gap": relaxed.max_abs_gap,
+            "printed_form_gap": relaxed.printed_form_gap,
+            "all_defaulted": relaxed.all_defaulted,
+            "passed": relaxed.passed,
+        }
+        if relaxed.printed_form_gap is not None and relaxed.printed_form_gap > tol:
+            print(
+                "warning: alternative relaxed closed form differs from the "
+                f"certified solution by {relaxed.printed_form_gap:.6g} "
+                "(informational)",
+                file=sys.stderr,
+            )
+    return {
+        "parameters": {"r": args.r, "m": args.m, "tol": tol},
+        "full_shock": {
+            "max_abs_gap": full.max_abs_gap,
+            "one_step": full.one_step,
+            "all_defaulted": full.all_defaulted,
+            "details": full.details,
+            "passed": full.passed,
+        },
+        "relaxed": relaxed_dict,
+        "passed": full.passed,
+    }
+
+
+def _spectral_sections(args, system: FinancialSystem) -> dict:
+    return {"spectral": _spectral_dict(system, args.r)}
+
+
 # --------------------------------------------------------------------------
-# pretty tables
+# pretty views: each a function of the report dict alone, so the same
+# rendering follows from the JSON a command prints
 # --------------------------------------------------------------------------
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -454,26 +504,28 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _num(x: float) -> str:
-    return f"{x:.6g}"
+def _num(x) -> str:
+    return f"{float(x):.6g}"
 
 
-def _pretty_clearing(report: dict) -> str:
-    names = report["input"]["names"]
+def _pretty_kv(pairs: list[tuple[str, str]]) -> str:
+    width = max(len(k) for k, _ in pairs)
+    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs)
+
+
+def _pretty_clearing(report: dict, assets) -> str:
     clearing = report["clearing"]
-    l = np.asarray(report["total_liabilities"], dtype=float)
-    rows = []
-    for i, name in enumerate(names):
-        rows.append(
-            [
-                name,
-                _num(l[i]),
-                _num(float(report["input"]["external_assets"][i])),
-                _num(float(clearing["payments"][i])),
-                "yes" if clearing["defaults"][i] else "no",
-                _num(float(report["systemic_loss"][i])),
-            ]
+    rows = [
+        [name, _num(owes), _num(a), _num(pays), "yes" if default else "no", _num(loss)]
+        for name, owes, a, pays, default, loss in zip(
+            report["input"]["names"],
+            report["total_liabilities"],
+            assets,
+            clearing["payments"],
+            clearing["defaults"],
+            report["systemic_loss"],
         )
+    ]
     head = _table(["node", "owes", "assets", "pays", "default", "loss"], rows)
     tail = (
         f"iterations={clearing['iterations']}  residual={clearing['residual']:.3e}  "
@@ -482,142 +534,77 @@ def _pretty_clearing(report: dict) -> str:
     return head + "\n" + tail
 
 
-def _pretty_kv(pairs: list[tuple[str, str]]) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs)
+def _pretty_katz(report: dict) -> str:
+    rows = [
+        [name, _num(b), _num(s)]
+        for name, b, s in zip(report["input"]["names"], report["beta"], report["sigma"])
+    ]
+    return _table(["node", "beta", "sigma"], rows)
+
+
+def _pretty_verify(report: dict) -> str:
+    full, relaxed = report["full_shock"], report["relaxed"]
+    pairs = [
+        ("full-shock max gap", _num(full["max_abs_gap"])),
+        ("one-step convergence", str(full["one_step"])),
+        ("all nodes defaulted", str(full["all_defaulted"])),
+        ("tolerance", _num(report["parameters"]["tol"])),
+        ("passed", str(full["passed"])),
+    ]
+    if "error" in relaxed:
+        pairs.append(("relaxed", relaxed["error"]))
+    else:
+        pairs.append(("relaxed candidate gap", _num(relaxed["max_abs_gap"])))
+        pairs.append(("relaxed printed-form gap", _num(relaxed["printed_form_gap"])))
+    return _pretty_kv(pairs)
+
+
+def _pretty_spectral(report: dict) -> str:
+    section = report["spectral"]
+    pairs = [
+        ("radius estimate", _num(section["radius_estimate"])),
+        ("certified lower bound", _num(section["collatz_wielandt_lower"])),
+        ("invertible for r in", section["invertible_for_r"]),
+    ]
+    if section["checked_r"] is not None:
+        # float(): JSON prints 1.0 as 1, and the label shows the rate as parsed
+        pairs.append(
+            (f"invertible at r={float(section['checked_r'])}",
+             str(section["invertible_at_checked_r"]))
+        )
+    return _pretty_kv(pairs)
 
 
 # --------------------------------------------------------------------------
 # CLI commands
 # --------------------------------------------------------------------------
 
-def _cmd_clear(args) -> int:
+# the section builder and the --pretty view of each report command
+_REPORTS = {
+    "clear": (
+        _clear_sections,
+        lambda report: _pretty_clearing(report, report["input"]["external_assets"]),
+    ),
+    "shock": (
+        _shock_sections,
+        lambda report: _pretty_clearing(report, report["scenario"]["post_shock_assets"]),
+    ),
+    "katz": (_katz_sections, _pretty_katz),
+    "verify": (_verify_sections, _pretty_verify),
+    "spectral": (_spectral_sections, _pretty_spectral),
+}
+
+
+def _cmd_report(args) -> int:
+    """Load the input once, echo it, add the command's sections and print
+    the report as canonical JSON or its --pretty view. A report that
+    carries ``passed`` exits 2 when it is false."""
+    build, pretty = _REPORTS[args.command]
     system, names = _load_input(args.input, args.format, args.assets)
-    params = ClearingParams(r=args.r, r_a=args.ra)
-    solution = fictitious_default_sequence(system, params)
-    r_scalar = float(np.max(params.recovery_vector(system.node_count)))
-    report = {
-        "command": "clear",
-        "input": _input_echo(args.input, system, names),
-        "parameters": _params_dict(params),
-        "total_liabilities": system.total_liabilities,
-        "clearing": _clearing_dict(system, params, solution),
-        "systemic_loss": systemic_loss(solution, system.total_liabilities),
-        "spectral": _spectral_dict(system, r_scalar),
-    }
-    print(_pretty_clearing(report) if args.pretty else dumps_canonical(report))
-    return 0
-
-
-def _cmd_shock(args) -> int:
-    system, names = _load_input(args.input, args.format, args.assets)
-    params = ClearingParams(r=args.r, r_a=args.ra)
-    if args.kind == "full":
-        if args.m is None:
-            raise ValidationError("--m is required for --kind full")
-        scenario = full_default_shock(system, args.m)
-    else:
-        scenario = relaxed_shock_search(system, params, max_steps=args.max_steps)
-    shocked = shocked_system(system, scenario)
-    solution = fictitious_default_sequence(shocked, params)
-    report = {
-        "command": "shock",
-        "input": _input_echo(args.input, system, names),
-        "parameters": _params_dict(params, m=args.m, kind=scenario.kind.value),
-        "scenario": _scenario_dict(scenario),
-        "total_liabilities": system.total_liabilities,
-        "clearing": _clearing_dict(shocked, params, solution),
-        "systemic_loss": systemic_loss(solution, system.total_liabilities),
-    }
-    if args.pretty:
-        report["input"]["external_assets"] = list(scenario.post_shock_assets)
-        print(_pretty_clearing(report))
-    else:
-        print(dumps_canonical(report))
-    return 0
-
-
-def _cmd_katz(args) -> int:
-    system, names = _load_input(args.input, args.format, args.assets)
-    beta = beta_vector(system, args.r, args.m)
-    result = generalized_katz(system.claims, args.r, beta, m=args.m)
-    report = {
-        "command": "katz",
-        "input": _input_echo(args.input, system, names),
-        "parameters": {"r": args.r, "m": args.m},
-        "beta": beta,
-        "sigma": result.sigma,
-        "residual": result.residual,
-    }
-    if args.pretty:
-        rows = [
-            [name, _num(float(b)), _num(float(s))]
-            for name, b, s in zip(report["input"]["names"], beta, result.sigma)
-        ]
-        print(_table(["node", "beta", "sigma"], rows))
-    else:
-        print(dumps_canonical(report))
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    system, names = _load_input(args.input, args.format, args.assets)
-    params = ClearingParams(r=args.r)
-    tol = args.tol if args.tol is not None else default_tolerance(system)
-    full = verify_full_shock_equivalence(system, params, args.m, tol=tol)
-
-    relaxed_dict: dict
-    try:
-        relaxed = verify_relaxed_equivalence(system, params, args.m)
-        relaxed_dict = {
-            "max_abs_gap": relaxed.max_abs_gap,
-            "printed_form_gap": relaxed.printed_form_gap,
-            "all_defaulted": relaxed.all_defaulted,
-            "passed": relaxed.passed,
-        }
-        if relaxed.printed_form_gap is not None and relaxed.printed_form_gap > tol:
-            print(
-                "warning: alternative relaxed closed form differs from the "
-                f"certified solution by {relaxed.printed_form_gap:.6g} "
-                "(informational)",
-                file=sys.stderr,
-            )
-    except ClearnetError as exc:
-        relaxed_dict = {"error": f"{type(exc).__name__}: {exc}"}
-
-    report = {
-        "command": "verify",
-        "input": _input_echo(args.input, system, names),
-        "parameters": {"r": args.r, "m": args.m, "tol": tol},
-        "full_shock": {
-            "max_abs_gap": full.max_abs_gap,
-            "one_step": full.one_step,
-            "all_defaulted": full.all_defaulted,
-            "details": full.details,
-            "passed": full.passed,
-        },
-        "relaxed": relaxed_dict,
-        "passed": full.passed,
-    }
-    if args.pretty:
-        pairs = [
-            ("full-shock max gap", _num(full.max_abs_gap)),
-            ("one-step convergence", str(full.one_step)),
-            ("all nodes defaulted", str(full.all_defaulted)),
-            ("tolerance", _num(tol)),
-            ("passed", str(full.passed)),
-        ]
-        if "max_abs_gap" in relaxed_dict:
-            pairs.append(("relaxed candidate gap", _num(relaxed_dict["max_abs_gap"])))
-            pairs.append(
-                ("relaxed printed-form gap", _num(relaxed_dict["printed_form_gap"]))
-            )
-        else:
-            pairs.append(("relaxed", relaxed_dict["error"]))
-        print(_pretty_kv(pairs))
-    else:
-        print(dumps_canonical(report))
-    return 0 if full.passed else 2
+    report = {"command": args.command, "input": _input_echo(args.input, system, names)}
+    report.update(build(args, system))
+    print(pretty(report) if args.pretty else dumps_canonical(report))
+    return 0 if report.get("passed", True) else 2
 
 
 def _cmd_gen(args) -> int:
@@ -639,35 +626,12 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_spectral(args) -> int:
-    system, names = _load_input(args.input, args.format, args.assets)
-    report = {
-        "command": "spectral",
-        "input": _input_echo(args.input, system, names),
-        "spectral": _spectral_dict(system, args.r),
-    }
-    if args.pretty:
-        section = report["spectral"]
-        pairs = [
-            ("radius estimate", _num(section["radius_estimate"])),
-            ("certified lower bound", _num(section["collatz_wielandt_lower"])),
-            ("invertible for r in", section["invertible_for_r"]),
-        ]
-        if args.r is not None:
-            pairs.append(
-                (f"invertible at r={args.r}", str(section["invertible_at_checked_r"]))
-            )
-        print(_pretty_kv(pairs))
-    else:
-        print(dumps_canonical(report))
-    return 0
-
-
 def _add_io_args(sub) -> None:
     sub.add_argument("--input", required=True, help="system file (JSON or CSV)")
     sub.add_argument("--format", choices=["csv", "json"], default=None)
     sub.add_argument("--assets", default=None, help="asset sidecar CSV (one value per line)")
     sub.add_argument("--pretty", action="store_true", help="human-readable table output")
+    sub.set_defaults(func=_cmd_report)
 
 
 def _build_parser():
@@ -684,7 +648,6 @@ def _build_parser():
     _add_io_args(p)
     p.add_argument("--r", type=float, default=1.0, help="interbank recovery rate")
     p.add_argument("--ra", type=float, default=1.0, help="external-asset recovery rate")
-    p.set_defaults(func=_cmd_clear)
 
     p = sub.add_parser("shock", help="build a shock scenario and clear under it")
     _add_io_args(p)
@@ -693,20 +656,17 @@ def _build_parser():
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--ra", type=float, default=1.0)
     p.add_argument("--max-steps", type=int, default=1000, dest="max_steps")
-    p.set_defaults(func=_cmd_shock)
 
     p = sub.add_parser("katz", help="generalized Katz centrality")
     _add_io_args(p)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--m", type=float, required=True)
-    p.set_defaults(func=_cmd_katz)
 
     p = sub.add_parser("verify", help="clearing-vs-centrality equivalence check")
     _add_io_args(p)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="generate a seeded random system")
     p.add_argument("--seed", type=int, required=True)
@@ -719,7 +679,6 @@ def _build_parser():
     p = sub.add_parser("spectral", help="radius and invertibility report")
     _add_io_args(p)
     p.add_argument("--r", type=float, default=None)
-    p.set_defaults(func=_cmd_spectral)
 
     return parser
 
@@ -727,9 +686,10 @@ def _build_parser():
 def cli_main(argv=None) -> int:
     """Run the CLI; returns the process exit code.
 
-    0 success / equivalence passed; 1 I/O, parse, or validation problems;
-    2 equivalence failure or a numerical failure (singular system, search
-    exhausted); 3 violated shock preconditions.
+    0 success / equivalence passed; 1 I/O, parse, or validation problems,
+    out-of-range parameters included; 2 equivalence failure or a numerical
+    failure (singular system, search exhausted); 3 violated shock
+    preconditions.
     """
     parser = _build_parser()
     try:
@@ -738,20 +698,12 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
+    except (ParseError, ValidationError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (PreconditionViolated, InvalidInterpolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        ParseError,
-        ValidationError,
-        OSError,
-        NegativeEntry,
-        DimensionMismatch,
-        NonzeroSinkRow,
-        NonzeroDiagonal,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ClearnetError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ from .errors import (
     NegativeEntry,
     NonzeroDiagonal,
     NonzeroSinkRow,
+    ValidationError,
 )
 
 # Relative half-width of the solvency boundary band: a bank whose equity is
@@ -189,10 +190,10 @@ class ClearingParams:
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
-        if np.any(r < 0) or np.any(r > 1):
-            raise ValueError(f"recovery rate r must lie in [0, 1], got {self.r}")
+        if not np.all((r >= 0) & (r <= 1)):   # NaN fails too
+            raise ValidationError(f"recovery rate r must lie in [0, 1], got {self.r}")
         if not 0.0 <= self.r_a <= 1.0:
-            raise ValueError(f"recovery rate r_a must lie in [0, 1], got {self.r_a}")
+            raise ValidationError(f"recovery rate r_a must lie in [0, 1], got {self.r_a}")
 
     def recovery_vector(self, node_count: int) -> NDArray:
         return broadcast_rate(self.r, node_count, "r")

@@ -24,6 +24,7 @@ from .errors import (
     PreconditionViolated,
     SearchExhausted,
     SelfConsistencyFailed,
+    ValidationError,
 )
 from .net_model import ClearingParams, FinancialSystem, validate_interpolation
 
@@ -171,7 +172,7 @@ def relaxed_shock_search(
         exception carries those bank indices.
     """
     if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+        raise ValidationError(f"max_steps must be at least 1, got {max_steps}")
 
     l = system.total_liabilities
     cl = system.claims @ l

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,3 +357,70 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert cli_main(["clear"]) == 1  # missing --input
         assert cli_main(["--help"]) == 0
+
+
+class TestReportPipeline:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["clear", "--input", "SYS_A", "--r", "1.5"],
+            ["clear", "--input", "SYS_A", "--r", "nan"],
+            ["clear", "--input", "SYS_A", "--ra", "2"],
+            ["shock", "--input", "SYS_A", "--kind", "relaxed", "--max-steps", "0"],
+            ["katz", "--input", "SYS_A", "--r", "1.5", "--m", "0.5"],
+            ["gen", "--seed", "1", "--n", "0", "--density", "0.5", "--out", "OUT"],
+            ["gen", "--seed", "1", "--n", "3", "--density", "0", "--out", "OUT"],
+            ["clear", "--input", "RAGGED"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_parameters_exit_1(self, argv, sys_a_path, tmp_path, capsys):
+        ragged = tmp_path / "ragged.json"
+        ragged.write_text('{"liabilities": [[0, 1], [0]], "pre_shock_assets": [1, 1]}')
+        paths = {"SYS_A": sys_a_path, "RAGGED": ragged, "OUT": tmp_path / "gen.json"}
+        assert cli_main([str(paths.get(a, a)) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["clear", "--r", "0.8"],
+            ["shock", "--kind", "full", "--m", "0.5", "--r", "0.8"],
+            ["shock", "--kind", "relaxed", "--r", "0.8", "--max-steps", "100"],
+            ["katz", "--r", "0.8", "--m", "0.5"],
+            ["verify", "--r", "0.8", "--m", "0.5"],
+            ["spectral"],
+            ["spectral", "--r", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_pretty_is_a_view_of_the_json_report(self, argv, sys_a_path, capsys):
+        argv = argv + ["--input", str(sys_a_path)]
+        assert cli_main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert cli_main(argv + ["--pretty"]) == 0
+        pretty = capsys.readouterr().out
+        render = clearnet.io_cli._REPORTS[argv[0]][1]
+        assert render(report) + "\n" == pretty
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["spectral"], 0), (["clear", "--r", "1.5"], 1)],
+        ids=["spectral", "clear --r 1.5"],
+    )
+    def test_module_entry_point(self, argv, code, sys_a_path):
+        src = str(Path(clearnet.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "clearnet", *argv, "--input", str(sys_a_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code == 0:
+            assert json.loads(proc.stdout)["command"] == argv[0]
+        else:
+            assert proc.stderr.startswith("error: ")

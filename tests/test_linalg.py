@@ -164,7 +164,6 @@ class TestAsCsr:
         for system in ensemble[:20]:
             C = cn.relative_claims(system).matrix.toarray()
             np.testing.assert_array_equal(as_csr(C).toarray(), C)
-            np.testing.assert_array_equal(system.claims.toarray(), C)
 
     def test_empty_and_zero_matrices(self):
         assert as_csr(np.zeros((0, 0))).shape == (0, 0)
