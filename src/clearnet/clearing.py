@@ -164,33 +164,26 @@ def fictitious_default_sequence(
     )
 
 
-def picard_clearing_oracle(
-    system: FinancialSystem,
-    params: ClearingParams,
-    p0: NDArray | None = None,
-    step_tol: float = ORACLE_STEP_TOL,
-    max_iter: int = ORACLE_MAX_ITER,
-) -> NDArray:
+def picard_clearing_oracle(system: FinancialSystem, params: ClearingParams) -> NDArray:
     """Brute-force clearing vector: iterate the map until it stops moving.
 
-    Starts from full payment (or ``p0``) and applies the clearing map until
-    every bank's step is small next to its own payment,
-    ``|f_i - p_i| <= step_tol * |f_i|``, so that a bank paying far less
-    than the largest liability is still resolved to ``step_tol`` relative
-    accuracy; ``max_iter`` bounds the number of steps. Deliberately knows
-    nothing about default sets or linear solves, so it serves as the
+    Starts from full payment and applies the clearing map until every
+    bank's step is small next to its own payment,
+    ``|f_i - p_i| <= ORACLE_STEP_TOL * |f_i|``, so that a bank paying far
+    less than the largest liability is still resolved to that relative
+    accuracy; ``ORACLE_MAX_ITER`` bounds the number of steps. Deliberately
+    knows nothing about default sets or linear solves, so it serves as the
     independent ground truth for the closed-form routes.
     """
-    l = system.total_liabilities
-    p = l.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
+    p = system.total_liabilities
     banks = system.banks
-    for _ in range(max_iter):
+    for _ in range(ORACLE_MAX_ITER):
         f = apply_clearing_map(system, params, p)
-        if np.all(np.abs(f - p)[banks] <= step_tol * np.abs(f[banks])):
+        if np.all(np.abs(f - p)[banks] <= ORACLE_STEP_TOL * np.abs(f[banks])):
             return f
         p = f
     raise OracleNoConvergence(
-        f"fixed-point iteration still moving after {max_iter} steps"
+        f"fixed-point iteration still moving after {ORACLE_MAX_ITER} steps"
     )
 
 

@@ -19,11 +19,15 @@ from .clearing import fictitious_default_sequence, systemic_loss
 from .errors import NotSingleCreditor
 from .net_model import ClearingParams, FinancialSystem
 from .shocks import (
+    RELAXED_GAP_TOL,
     ShockKind,
     full_default_shock,
     relaxed_interpolated_shock,
     shocked_system,
 )
+
+# Largest gap on banks between the normalized centrality and textbook Katz.
+KATZ_REDUCTION_TOL = 1e-10
 
 __all__ = [
     "EquivalenceReport",
@@ -102,15 +106,15 @@ def verify_relaxed_equivalence(
     system: FinancialSystem,
     params: ClearingParams,
     m,
-    tol: float = 1e-8,
 ) -> EquivalenceReport:
     """Certify the self-referential relaxed shock and surface both gaps.
 
     The construction's own certification (candidate vs. full clearing
-    solution) gates the result; the distance of the alternative closed form
-    is carried alongside as data. Construction errors propagate.
+    solution, within ``RELAXED_GAP_TOL``) gates the result; the distance of
+    the alternative closed form is carried alongside as data. Construction
+    errors propagate.
     """
-    cert = relaxed_interpolated_shock(system, params, m, tol=tol)
+    cert = relaxed_interpolated_shock(system, params, m)
     details = np.abs(cert.clearing.payments - cert.candidate)[system.banks]
     all_defaulted = bool(cert.clearing.defaults.flags.all())
     return EquivalenceReport(
@@ -119,15 +123,13 @@ def verify_relaxed_equivalence(
         one_step=cert.clearing.iterations == 1,
         all_defaulted=all_defaulted,
         details=details,
-        tolerance=tol,
-        passed=cert.candidate_gap <= tol and all_defaulted,
+        tolerance=RELAXED_GAP_TOL,
+        passed=cert.candidate_gap <= RELAXED_GAP_TOL and all_defaulted,
         printed_form_gap=cert.printed_gap,
     )
 
 
-def verify_katz_reduction(
-    system: FinancialSystem, r: float, tol: float = 1e-10
-) -> bool:
+def verify_katz_reduction(system: FinancialSystem, r: float) -> bool:
     """Check the collapse to textbook Katz centrality on single-creditor
     systems.
 
@@ -135,7 +137,7 @@ def verify_katz_reduction(
     it has no in-system creditor), making the bank block of the claims
     matrix a 0/1 adjacency matrix. With equal recovery and interpolation
     rates, beta is proportional to liabilities; dividing it out must
-    reproduce ``(I - r A)^{-1} 1`` on banks.
+    reproduce ``(I - r A)^{-1} 1`` on banks within ``KATZ_REDUCTION_TOL``.
 
     Raises
     ------
@@ -160,4 +162,4 @@ def verify_katz_reduction(
     sigma = generalized_katz(system.claims, r, normalized, m=r).sigma
 
     katz = standard_katz(adjacency, r)
-    return bool(np.abs(sigma[banks] - katz).max(initial=0.0) <= tol)
+    return bool(np.abs(sigma[banks] - katz).max(initial=0.0) <= KATZ_REDUCTION_TOL)

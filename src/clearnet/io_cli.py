@@ -393,7 +393,8 @@ def _clearing_sections(system: FinancialSystem, params: ClearingParams) -> dict:
 
 
 def _spectral_dict(system: FinancialSystem, r: float | None) -> dict:
-    ok, report = check_invertibility(system.claims, 1.0 if r is None else r)
+    params = ClearingParams(r=1.0 if r is None else r)
+    ok, report = check_invertibility(system.claims, params.r)
     return {
         "radius_estimate": report.radius_estimate,
         "collatz_wielandt_lower": report.collatz_wielandt_lower,
@@ -449,6 +450,8 @@ def _katz_sections(args, system: FinancialSystem) -> dict:
 
 def _verify_sections(args, system: FinancialSystem) -> dict:
     params = ClearingParams(r=args.r)
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValidationError(f"--tol must be finite and nonnegative, got {args.tol}")
     tol = args.tol if args.tol is not None else default_tolerance(system)
     full = verify_full_shock_equivalence(system, params, args.m, tol=tol)
     try:

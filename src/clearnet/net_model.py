@@ -57,6 +57,20 @@ def _readonly(a: NDArray) -> NDArray:
     return out
 
 
+def _validated_assets(values, name: str, n: int) -> NDArray:
+    """A read-only copy of an asset vector, after checking that it has
+    length ``n`` and that every entry is finite and nonnegative."""
+    a = np.asarray(values, dtype=float)
+    if a.shape != (n,):
+        raise DimensionMismatch(f"{name} has shape {a.shape}, expected ({n},)")
+    if not np.all(np.isfinite(a)):
+        raise DimensionMismatch(f"{name} must be finite")
+    if np.any(a < 0):
+        i = int(np.argmax(a < 0))
+        raise NegativeEntry(f"{name}[{i}] = {a[i]} is negative")
+    return _readonly(a)
+
+
 @dataclass(frozen=True)
 class FinancialSystem:
     """Liability network plus asset endowments.
@@ -104,19 +118,10 @@ class FinancialSystem:
     def with_external_assets(self, assets: NDArray) -> "FinancialSystem":
         """Copy of the system with a new external-asset vector ``a``; it
         shares ``l`` and ``C`` with this one."""
-        assets = np.asarray(assets, dtype=float)
-        if assets.shape != (self.node_count,):
-            raise DimensionMismatch(
-                f"external assets have shape {assets.shape}, "
-                f"expected ({self.node_count},)"
-            )
-        if np.any(assets < 0):
-            i = int(np.argmax(assets < 0))
-            raise NegativeEntry(f"external_assets[{i}] = {assets[i]} is negative")
         return FinancialSystem(
             node_count=self.node_count,
             liabilities=self.liabilities,
-            external_assets=_readonly(assets),
+            external_assets=_validated_assets(assets, "external_assets", self.node_count),
             pre_shock_assets=self.pre_shock_assets,
             total_liabilities=self.total_liabilities,
             claims=self.claims,
@@ -199,66 +204,30 @@ class ClearingParams:
         return broadcast_rate(self.r, node_count, "r")
 
 
-def build_system(
-    liabilities,
-    pre_shock_assets,
-    external_assets=None,
-    *,
-    sink_liabilities=None,
-    sink_assets: float = 1.0,
-) -> FinancialSystem:
+def build_system(liabilities, pre_shock_assets, external_assets=None) -> FinancialSystem:
     """Validate raw inputs and assemble a :class:`FinancialSystem`.
 
-    ``liabilities`` either already contains the sink (last row/column) or,
-    when ``sink_liabilities`` is given, holds only the bank block; in that
-    case a sink column is appended from ``sink_liabilities`` together with
-    a zero sink row, and the asset vectors are extended by ``sink_assets``.
-
+    ``liabilities`` contains the sink as its last row and column.
     ``external_assets`` defaults to ``pre_shock_assets`` (no shock yet).
 
     Raises
     ------
     DimensionMismatch, NegativeEntry, NonzeroDiagonal, NonzeroSinkRow
-        Each names the offending index. A row whose entries are finite but
-        whose sum overflows raises ``DimensionMismatch``.
+        Each names the offending index. A non-finite entry, or a row whose
+        entries are finite but whose sum overflows, raises
+        ``DimensionMismatch``.
     """
     L = np.asarray(liabilities, dtype=float)
-    o = np.asarray(pre_shock_assets, dtype=float)
-
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise DimensionMismatch(f"liability matrix must be square, got shape {L.shape}")
-
-    if sink_liabilities is not None:
-        ext = np.asarray(sink_liabilities, dtype=float)
-        n = L.shape[0]
-        if ext.shape != (n,):
-            raise DimensionMismatch(
-                f"sink_liabilities has shape {ext.shape}, expected ({n},)"
-            )
-        full = np.zeros((n + 1, n + 1))
-        full[:n, :n] = L
-        full[:n, n] = ext
-        L = full
-        o = np.concatenate([o, [float(sink_assets)]])
-        if external_assets is not None:
-            external_assets = np.concatenate(
-                [np.asarray(external_assets, dtype=float), [float(sink_assets)]]
-            )
-
     N = L.shape[0]
-    if o.shape != (N,):
-        raise DimensionMismatch(
-            f"pre_shock_assets has shape {o.shape}, expected ({N},)"
-        )
-    a = o if external_assets is None else np.asarray(external_assets, dtype=float)
-    if a.shape != (N,):
-        raise DimensionMismatch(
-            f"external_assets has shape {a.shape}, expected ({N},)"
-        )
+    o = _validated_assets(pre_shock_assets, "pre_shock_assets", N)
+    a = o
+    if external_assets is not None:
+        a = _validated_assets(external_assets, "external_assets", N)
 
-    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(o)) and np.all(np.isfinite(a))):
-        raise DimensionMismatch("liabilities and assets must be finite")
-
+    if not np.all(np.isfinite(L)):
+        raise DimensionMismatch("liabilities must be finite")
     if np.any(L < 0):
         i, j = np.unravel_index(int(np.argmin(L)), L.shape)
         raise NegativeEntry(f"liabilities[{i}][{j}] = {L[i, j]} is negative")
@@ -269,14 +238,8 @@ def build_system(
     if np.any(L[N - 1] != 0):
         j = int(np.argmax(L[N - 1] != 0))
         raise NonzeroSinkRow(f"sink owes {L[N - 1, j]} to node {j}")
-    if np.any(o < 0):
-        i = int(np.argmax(o < 0))
-        raise NegativeEntry(f"pre_shock_assets[{i}] = {o[i]} is negative")
     if o[N - 1] <= 0:
         raise NegativeEntry(f"sink pre_shock_assets must be positive, got {o[N - 1]}")
-    if np.any(a < 0):
-        i = int(np.argmax(a < 0))
-        raise NegativeEntry(f"external_assets[{i}] = {a[i]} is negative")
 
     with np.errstate(over="ignore"):
         l = L.sum(axis=1)
@@ -294,8 +257,8 @@ def build_system(
     return FinancialSystem(
         node_count=N,
         liabilities=_readonly(L),
-        external_assets=_readonly(a),
-        pre_shock_assets=_readonly(o),
+        external_assets=a,
+        pre_shock_assets=o,
         total_liabilities=l,
         claims=C,
     )

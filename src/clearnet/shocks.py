@@ -28,6 +28,10 @@ from .errors import (
 )
 from .net_model import ClearingParams, FinancialSystem, validate_interpolation
 
+# Largest gap on banks between the relaxed-shock candidate and the clearing
+# vector that certifies it.
+RELAXED_GAP_TOL = 1e-8
+
 __all__ = [
     "ShockKind",
     "ShockScenario",
@@ -220,7 +224,6 @@ def relaxed_interpolated_shock(
     system: FinancialSystem,
     params: ClearingParams,
     m,
-    tol: float = 1e-8,
 ) -> RelaxedShockCertificate:
     """Self-referential shock ``s_i = m l_i - m (C p)_i - o_i`` resolved in
     closed form and certified by the clearing solver.
@@ -229,8 +232,8 @@ def relaxed_interpolated_shock(
     solution ``p = (I - r C)^{-1} a`` and collecting terms gives the
     candidate ``q = m (I - (r - m) C)^{-1} l``. The scenario installs
     ``a = m (l - C q)``, runs the full model, and certifies that (i) the
-    clearing vector reproduces ``q`` on banks within ``tol`` and (ii) every
-    node is in default. The alternative closed form
+    clearing vector reproduces ``q`` on banks within ``RELAXED_GAP_TOL``
+    and (ii) every node is in default. The alternative closed form
     ``(I - (r-m)C)^{-1} m (l + r C l)`` is evaluated alongside and its gap
     reported as data, not a failure.
     """
@@ -264,9 +267,10 @@ def relaxed_interpolated_shock(
             % np.flatnonzero(~solution.defaults.flags).tolist()
         )
     gap = float(np.abs(solution.payments - q)[b].max(initial=0.0))
-    if gap > tol:
+    if gap > RELAXED_GAP_TOL:
         raise SelfConsistencyFailed(
-            f"clearing vector differs from the candidate by {gap:.3e} (tol {tol:.1e})"
+            f"clearing vector differs from the candidate by {gap:.3e} "
+            f"(tol {RELAXED_GAP_TOL:.1e})"
         )
 
     printed = printed_relaxed_closed_form(system, params.r, m)

@@ -45,17 +45,14 @@ class SpectralReport:
     invertible_for_r: str
 
 
-def _check_nonnegative(C):
-    """``C`` as a float array, dense or (for sparse input) CSR, after
-    checking that it is square and elementwise nonnegative."""
-    if scipy.sparse.issparse(C):
-        C = as_csr(C)
-        entries = C.data
-    else:
-        C = entries = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+def _check_nonnegative(C) -> scipy.sparse.csr_array:
+    """``C`` as a float CSR array, after checking that it is square and
+    elementwise nonnegative. Dense and sparse input take this one
+    conversion, so both give bit-identical results downstream."""
+    C = as_csr(C)
+    if C.shape[0] != C.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {C.shape}")
-    if np.any(entries < 0):
+    if np.any(C.data < 0):
         raise ValueError("matrix must be elementwise nonnegative")
     return C
 
@@ -104,9 +101,7 @@ def _is_nilpotent(C: NDArray) -> bool:
     return not (y > 0).any()
 
 
-def spectral_radius(
-    C: NDArray, tol: float = RADIUS_TOL, max_iter: int = RADIUS_MAX_ITER
-) -> float:
+def spectral_radius(C: NDArray) -> float:
     """Spectral radius of a nonnegative matrix.
 
     Power iteration on the shifted matrix ``C + I`` (same eigenvectors,
@@ -115,10 +110,10 @@ def spectral_radius(
     itself oscillates. The start vector is all-ones with a tiny seeded
     perturbation; convergence requires both a small Rayleigh-quotient step
     and a small eigen-residual. Exactly nilpotent matrices are detected up
-    front and return 0. ``C`` may be dense or sparse; the iteration only
-    multiplies by it, so on a sparse ``C`` each step costs ``O(nnz)``.
-    When ``max_iter`` steps do not converge, a dense eigenvalue computation
-    gives the radius instead.
+    front and return 0. ``C`` may be dense or sparse; the iteration runs
+    on its CSR form, so each step costs ``O(nnz)``. The tolerance is
+    ``RADIUS_TOL``; when ``RADIUS_MAX_ITER`` steps do not converge, a dense
+    eigenvalue computation gives the radius instead.
     """
     C = _check_nonnegative(C)
     n = C.shape[0]
@@ -129,21 +124,19 @@ def spectral_radius(
     x = np.ones(n) + _START_PERTURBATION * rng.uniform(size=n)
     x /= np.linalg.norm(x)
     lam_prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(RADIUS_MAX_ITER):
         y = C @ x + x
         lam = float(x @ y)
         scale = max(1.0, lam)
         if (
-            np.abs(y - lam * x).max() <= tol * scale
-            and abs(lam - lam_prev) <= tol * scale
+            np.abs(y - lam * x).max() <= RADIUS_TOL * scale
+            and abs(lam - lam_prev) <= RADIUS_TOL * scale
         ):
             return max(lam - 1.0, 0.0)
         lam_prev = lam
         x = y / np.linalg.norm(y)
 
-    if scipy.sparse.issparse(C):
-        C = C.toarray()
-    return float(np.max(np.abs(np.linalg.eigvals(C))))
+    return float(np.max(np.abs(np.linalg.eigvals(C.toarray()))))
 
 
 def _best_lower_bound(C: NDArray) -> float:
@@ -161,47 +154,54 @@ def _best_lower_bound(C: NDArray) -> float:
         y = C.T @ y + y
         y /= y.max()
     candidates.append(y)
-    rng = np.random.default_rng(7)
-    candidates.extend(rng.uniform(0.1, 1.0, size=(3, n)))
     return max(collatz_wielandt_value(C, x) for x in candidates)
 
 
-def safely_invertible(C, r, radius: float | None = None) -> tuple[bool, float | None]:
+def _below_one(r_max: float, bound: float) -> bool:
+    """The one comparison: ``r_max * bound < 1 - 1e-12``."""
+    return r_max * bound < 1.0 - INVERTIBILITY_MARGIN
+
+
+def _column_norm(C: scipy.sparse.csr_array) -> float:
+    """``||C||_1``, the largest column sum."""
+    return float(C.sum(axis=0).max(initial=0.0))
+
+
+def safely_invertible(C, r) -> tuple[bool, float | None]:
     """The one rule: is ``I - diag(r) C`` safely invertible?
 
     Yes if ``max(r) * ||C||_1 < 1 - 1e-12`` (the largest column sum bounds
     the radius; it is at most 1 for a :func:`build_system` claims matrix);
     else iff ``max(r) * radius < 1 - 1e-12``, ``radius`` being the larger of
-    the power-iteration estimate and the certified Collatz-Wielandt bound,
-    computed unless given. Returns the verdict and that radius (None when
-    the norm decided).
+    the power-iteration estimate and the certified Collatz-Wielandt bound.
+    Returns the verdict and that radius (None when the norm decided).
     """
     C = _check_nonnegative(C)
     r_max = float(np.max(r))
-    if r_max * float(C.sum(axis=0).max(initial=0.0)) < 1.0 - INVERTIBILITY_MARGIN:
-        return True, radius
-    if radius is None:
-        radius = max(spectral_radius(C), _best_lower_bound(C))
-    return r_max * radius < 1.0 - INVERTIBILITY_MARGIN, radius
+    if _below_one(r_max, _column_norm(C)):
+        return True, None
+    radius = max(spectral_radius(C), _best_lower_bound(C))
+    return _below_one(r_max, radius), radius
 
 
 def check_invertibility(C: NDArray, r: float) -> tuple[bool, SpectralReport]:
     """Is ``I - r C`` safely invertible at recovery rate ``r``?
 
     ``C`` may be dense or sparse. Both the verdict and the report's
-    interval (the verdict at ``r = 1``) come from :func:`safely_invertible`
-    on the radius estimate and certified lower bound the report carries.
+    interval (the verdict at ``r = 1``) apply the rule of
+    :func:`safely_invertible` to the radius estimate and certified lower
+    bound the report carries: the norm accepts, or else the radius does.
     """
     C = _check_nonnegative(C)
     estimate = spectral_radius(C)
     lower = _best_lower_bound(C)
-    radius = max(estimate, lower)
+    bound = min(_column_norm(C), max(estimate, lower))
     report = SpectralReport(
         radius_estimate=estimate,
         collatz_wielandt_lower=lower,
-        invertible_for_r="[0, 1]" if safely_invertible(C, 1.0, radius)[0] else "[0, 1)",
+        invertible_for_r="[0, 1]" if _below_one(1.0, bound) else "[0, 1)",
     )
-    return safely_invertible(C, float(r), radius)[0], report
+    return _below_one(float(r), bound), report
 
 
 def corollary_radius_bound(C: NDArray, defaults: DefaultIndicator) -> bool:
@@ -211,7 +211,7 @@ def corollary_radius_bound(C: NDArray, defaults: DefaultIndicator) -> bool:
     radius; this computes both sides and returns the comparison (with a
     1e-10 slack for estimator noise), masking a CSR copy's stored entries.
     """
-    C = as_csr(_check_nonnegative(C))
+    C = _check_nonnegative(C)
     mask = defaults.flags.astype(float)
     masked = C.copy()
     masked.data *= np.repeat(mask, np.diff(C.indptr)) * mask[C.indices]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import clearnet as cn
+import clearnet.clearing
 from conftest import exact_frozen_payments, partial_default_variant
 
 # independently frozen via the fixed-point oracle (see picard tests below)
@@ -181,10 +182,11 @@ class TestPicardOracle:
         oracle = cn.picard_clearing_oracle(system, cn.ClearingParams(r=0.5))
         np.testing.assert_array_equal(oracle[system.banks], [0.0])
 
-    def test_iteration_cap_raises(self, sys_a):
+    def test_iteration_cap_raises(self, sys_a, monkeypatch):
+        monkeypatch.setattr(clearnet.clearing, "ORACLE_MAX_ITER", 1)
         shocked = sys_a.with_external_assets([3.5, 4.0, 1.0])
         with pytest.raises(cn.OracleNoConvergence):
-            cn.picard_clearing_oracle(shocked, cn.ClearingParams(r=0.8), max_iter=1)
+            cn.picard_clearing_oracle(shocked, cn.ClearingParams(r=0.8))
 
 
 class TestLossMeasures:

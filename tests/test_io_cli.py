@@ -371,6 +371,10 @@ class TestReportPipeline:
             ["gen", "--seed", "1", "--n", "0", "--density", "0.5", "--out", "OUT"],
             ["gen", "--seed", "1", "--n", "3", "--density", "0", "--out", "OUT"],
             ["clear", "--input", "RAGGED"],
+            ["spectral", "--input", "SYS_A", "--r", "nan"],
+            ["spectral", "--input", "SYS_A", "--r", "-1"],
+            ["verify", "--input", "SYS_A", "--r", "0.8", "--m", "0.5", "--tol", "nan"],
+            ["verify", "--input", "SYS_A", "--r", "0.8", "--m", "0.5", "--tol", "-1"],
         ],
         ids=" ".join,
     )

@@ -61,16 +61,11 @@ class TestBuildSystem:
     def test_external_assets_default_to_pre_shock(self, sys_a):
         np.testing.assert_array_equal(sys_a.external_assets, sys_a.pre_shock_assets)
 
-    def test_append_sink_from_vector(self):
-        appended = cn.build_system(
-            [[0, 2], [3, 0]],
-            [8, 9],
-            sink_liabilities=[8, 7],
-            sink_assets=1.0,
-        )
-        full = cn.build_system([[0, 2, 8], [3, 0, 7], [0, 0, 0]], [8, 9, 1])
-        np.testing.assert_array_equal(appended.liabilities, full.liabilities)
-        np.testing.assert_array_equal(appended.pre_shock_assets, full.pre_shock_assets)
+    def test_non_finite_external_assets_rejected(self):
+        system = cn.build_system([[0, 5, 5], [5, 0, 5], [0, 0, 0]], [1, 1, 1])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(cn.ValidationError, match="finite"):
+                system.with_external_assets([bad, 1, 1])
 
     def test_shocked_copies_share_liabilities_and_claims(self, sys_a):
         scenario = cn.full_default_shock(sys_a, 0.5)

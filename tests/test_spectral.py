@@ -93,20 +93,14 @@ class TestSparseInput:
         for system in ensemble[:20]:
             dense = cn.relative_claims(system).matrix.toarray()
             sparse = system.claims
-            assert cn.spectral_radius(sparse) == pytest.approx(
-                cn.spectral_radius(dense), abs=1e-12
-            )
+            assert cn.spectral_radius(sparse) == cn.spectral_radius(dense)
             ok, report = cn.check_invertibility(sparse, 1.0)
-            ok_dense, report_dense = cn.check_invertibility(dense, 1.0)
-            assert ok == ok_dense
-            assert report.invertible_for_r == report_dense.invertible_for_r
-            assert report.collatz_wielandt_lower == pytest.approx(
-                report_dense.collatz_wielandt_lower, abs=1e-12
-            )
+            assert (ok, report) == cn.check_invertibility(dense, 1.0)
 
-    def test_fallback_densifies(self):
+    def test_fallback_densifies(self, monkeypatch):
+        monkeypatch.setattr(clearnet.spectral, "RADIUS_MAX_ITER", 100)
         C = scipy.sparse.csr_array(np.array([[0.5, 1.0], [0.0, 0.5]]))
-        assert cn.spectral_radius(C, max_iter=100) == pytest.approx(0.5, abs=1e-10)
+        assert cn.spectral_radius(C) == pytest.approx(0.5, abs=1e-10)
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
