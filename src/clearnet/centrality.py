@@ -61,7 +61,7 @@ def beta_vector(system: FinancialSystem, r, m) -> NDArray:
     r_vec = broadcast_rate(r, n, "r")
     m_vec = validate_interpolation(m, n)
     l = system.total_liabilities
-    cl = system.claims @ l
+    cl = system.total_claims
     beta = (1.0 - m_vec) * l - (r_vec - m_vec) * cl
     beta[system.sink] = 0.0
     return beta
@@ -121,9 +121,8 @@ def closed_form_full_shock(system: FinancialSystem, params: ClearingParams, m) -
     n = system.node_count
     r_vec = params.recovery_vector(n)
     m_vec = validate_interpolation(m, n)
-    l = system.total_liabilities
-    C = system.claims
-    return solve_attenuated(C, r_vec, m_vec * (l - C @ l), "full-shock form")
+    rhs = m_vec * (system.total_liabilities - system.total_claims)
+    return solve_attenuated(system.claims, r_vec, rhs, "full-shock form")
 
 
 def printed_relaxed_closed_form(system: FinancialSystem, r, m) -> NDArray:
@@ -137,7 +136,5 @@ def printed_relaxed_closed_form(system: FinancialSystem, r, m) -> NDArray:
     n = system.node_count
     r_vec = broadcast_rate(r, n, "r")
     m_vec = validate_interpolation(m, n)
-    l = system.total_liabilities
-    C = system.claims
-    rhs = m_vec * (l + r_vec * (C @ l))
-    return solve_attenuated(C, r_vec - m_vec, rhs, "relaxed closed form")
+    rhs = m_vec * (system.total_liabilities + r_vec * system.total_claims)
+    return solve_attenuated(system.claims, r_vec - m_vec, rhs, "relaxed closed form")

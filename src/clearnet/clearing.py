@@ -91,7 +91,8 @@ def solve_given_defaults(
     Solvent nodes ``S`` pay ``l`` directly. The payments of the defaulted
     nodes ``D`` solve ``(I - diag(r) C_DD) p_D = r C_DS l_S + r_a a_D``,
     restricted to the defaulted block, which is what keeps the cost low
-    when only a few banks fail. The right-hand side is nonnegative, so
+    when only a few banks fail; when every node is flagged the block is
+    ``C`` itself, and no copy is made. The right-hand side is nonnegative, so
     nothing cancels even when payments are tiny next to liabilities. The
     block goes to :func:`clearnet._linalg.solve_attenuated`: a Neumann
     sweep on the sparse block where it contracts and beats a dense LU,
@@ -111,9 +112,10 @@ def solve_given_defaults(
 
     from_solvent = r * (C @ np.where(defaults.flags, 0.0, l))
     b = (from_solvent + params.r_a * system.external_assets)[idx]
+    block = C if idx.size == system.node_count else C[idx][:, idx]
     p = l.copy()
     p[idx] = solve_attenuated(
-        C[idx][:, idx], r[idx], b, f"reduced system on {idx.size} defaulted node(s)"
+        block, r[idx], b, f"reduced system on {idx.size} defaulted node(s)"
     )
     return p
 
@@ -205,7 +207,7 @@ def capitalization_adjusted_loss(
     """
     l = system.total_liabilities
     shock = system.external_assets - system.pre_shock_assets
-    denom = system.pre_shock_assets + system.claims @ l
+    denom = system.pre_shock_assets + system.total_claims
     zero = denom[system.banks] == 0
     if np.any(zero):
         i = int(np.argmax(zero))

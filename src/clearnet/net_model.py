@@ -7,9 +7,9 @@ treated as defaulted by convention, which is what makes the clearing
 algebra well posed for any recovery rate.
 
 Everything in this module is immutable after construction and every
-operation is a pure function of its inputs. The total liabilities ``l``
-and the claims matrix ``C`` are derived once, when the system is built,
-and every copy with new external assets shares them.
+operation is a pure function of its inputs. The total liabilities ``l``,
+the claims matrix ``C`` and the total claims ``C l`` are derived once, when
+the system is built, and every copy with new external assets shares them.
 """
 from __future__ import annotations
 
@@ -93,6 +93,9 @@ class FinancialSystem:
         sparse rows, read-only; every matrix-vector product and linear
         solve inside the package runs on it. ``claims.toarray()`` gives a
         dense copy.
+    total_claims : (N,) ndarray
+        ``C l``, what each node is owed when every debtor pays in full;
+        read-only.
     """
 
     node_count: int
@@ -101,6 +104,7 @@ class FinancialSystem:
     pre_shock_assets: NDArray
     total_liabilities: NDArray = field(repr=False, compare=False)
     claims: scipy.sparse.csr_array = field(repr=False, compare=False)
+    total_claims: NDArray = field(repr=False, compare=False)
 
     @property
     def sink(self) -> int:
@@ -117,7 +121,7 @@ class FinancialSystem:
 
     def with_external_assets(self, assets: NDArray) -> "FinancialSystem":
         """Copy of the system with a new external-asset vector ``a``; it
-        shares ``l`` and ``C`` with this one."""
+        shares ``l``, ``C`` and ``C l`` with this one."""
         return FinancialSystem(
             node_count=self.node_count,
             liabilities=self.liabilities,
@@ -125,6 +129,7 @@ class FinancialSystem:
             pre_shock_assets=self.pre_shock_assets,
             total_liabilities=self.total_liabilities,
             claims=self.claims,
+            total_claims=self.total_claims,
         )
 
 
@@ -253,6 +258,8 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
     C = C.T.tocsr()
     for part in (C.data, C.indices, C.indptr):
         part.setflags(write=False)
+    cl = C @ l
+    cl.setflags(write=False)
 
     return FinancialSystem(
         node_count=N,
@@ -261,6 +268,7 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
         pre_shock_assets=o,
         total_liabilities=l,
         claims=C,
+        total_claims=cl,
     )
 
 

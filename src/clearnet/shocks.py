@@ -114,7 +114,7 @@ def full_default_shock(system: FinancialSystem, m) -> ShockScenario:
     n = system.node_count
     m_vec = validate_interpolation(m, n)
     l = system.total_liabilities
-    cl = system.claims @ l
+    cl = system.total_claims
     _require_interbank_margin(l, cl, system.n_banks)
 
     a = system.pre_shock_assets.copy()
@@ -179,7 +179,7 @@ def relaxed_shock_search(
         raise ValidationError(f"max_steps must be at least 1, got {max_steps}")
 
     l = system.total_liabilities
-    cl = system.claims @ l
+    cl = system.total_claims
     o = system.pre_shock_assets
     banks = system.banks
 

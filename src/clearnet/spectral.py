@@ -22,7 +22,6 @@ from .net_model import DefaultIndicator
 RADIUS_TOL = 1e-10
 RADIUS_MAX_ITER = 100_000
 INVERTIBILITY_MARGIN = 1e-12
-_NILPOTENCY_SWEEP_CAP = 256
 _START_PERTURBATION = 1e-9
 
 __all__ = [
@@ -77,28 +76,24 @@ def collatz_wielandt_value(C: NDArray, x: NDArray) -> float:
 
 
 def _is_nilpotent(C: NDArray) -> bool:
-    """Exact check via repeated products with the all-ones vector.
+    """Exact check via the supports of ``C^k @ 1``.
 
     For nonnegative ``C``, ``C^k @ 1 = 0`` iff ``C^k = 0``, so the radius
-    is exactly zero iff the sweep dies out. Starting from full support the
-    support sequence is monotone decreasing, so it either reaches the empty
-    set (nilpotent) or repeats (not nilpotent) within ``n`` steps.
+    is exactly zero iff the support dies out. Node ``i`` is in the support
+    of ``C^{k+1} @ 1`` iff some ``C_ij > 0`` has ``j`` in that of
+    ``C^k @ 1``; propagating the 0/1 indicator keeps every product exact.
+    Starting from full support the sequence only shrinks, so within
+    ``n + 1`` steps it either reaches the empty set (nilpotent) or repeats
+    (not nilpotent).
     """
-    n = C.shape[0]
-    y = C @ np.ones(n)
-    prev = None
-    for _ in range(min(n, _NILPOTENCY_SWEEP_CAP) + 1):
-        support = y > 0
-        if not support.any():
+    support = np.ones(C.shape[0], dtype=bool)
+    while True:
+        nxt = C @ support.astype(float) > 0
+        if not nxt.any():
             return True
-        if prev is not None and np.array_equal(support, prev):
+        if np.array_equal(nxt, support):
             return False
-        prev = support
-        y = C @ y
-        m = y.max()
-        if m > 0:
-            y /= m  # rescale so long sweeps neither overflow nor underflow
-    return not (y > 0).any()
+        support = nxt
 
 
 def spectral_radius(C: NDArray) -> float:
@@ -163,8 +158,10 @@ def _below_one(r_max: float, bound: float) -> bool:
 
 
 def _column_norm(C: scipy.sparse.csr_array) -> float:
-    """``||C||_1``, the largest column sum."""
-    return float(C.sum(axis=0).max(initial=0.0))
+    """``||C||_1``, the largest column sum, added over the stored entries
+    in row order (bit for bit ``C.sum(axis=0).max()``, without its copies)."""
+    sums = np.bincount(C.indices, weights=C.data, minlength=C.shape[1])
+    return float(sums.max(initial=0.0))
 
 
 def safely_invertible(C, r) -> tuple[bool, float | None]:

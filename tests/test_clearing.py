@@ -5,6 +5,7 @@ import pytest
 
 import clearnet as cn
 import clearnet.clearing
+from clearnet._linalg import solve_attenuated
 from conftest import exact_frozen_payments, partial_default_variant
 
 # independently frozen via the fixed-point oracle (see picard tests below)
@@ -85,6 +86,23 @@ class TestSolveGivenDefaults:
             again = frozen_map(system, params, defaults, f)
             l_scale = max(1.0, cn.total_liabilities(system).max())
             assert np.abs(again - f).max() <= 1e-10 * l_scale
+
+    def test_every_node_flagged_equals_the_explicit_block_solve(self, ensemble):
+        systems = ensemble[:20] + [cn.generate_random_system(4, 300, 0.03)]
+        rng = np.random.default_rng(5)
+        for system in systems:
+            n = system.node_count
+            shocked = cn.shocked_system(system, cn.full_default_shock(system, 0.4))
+            everyone = cn.DefaultIndicator(flags=np.ones(n, dtype=bool))
+            for r in (0.5, 0.9, rng.uniform(0.0, 1.0, n)):
+                params = cn.ClearingParams(r=r, r_a=0.7)
+                r_vec = params.recovery_vector(n)
+                idx = np.arange(n)
+                C = system.claims
+                b = r_vec * (C @ np.zeros(n)) + 0.7 * shocked.external_assets
+                want = solve_attenuated(C[idx][:, idx], r_vec[idx], b[idx], "block")
+                got = cn.solve_given_defaults(shocked, params, everyone)
+                np.testing.assert_array_equal(got, want)
 
     def test_singular_reduced_system(self):
         # two banks owing only each other, full recovery: I - C is singular

@@ -1,6 +1,11 @@
 """The solver of ``(I - diag(r) C) x = b`` against dense LU and exact
 arithmetic, and each side of its choice between a Neumann sweep and LU."""
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +15,11 @@ from hypothesis import strategies as st
 
 import clearnet as cn
 import clearnet._linalg
-from clearnet._linalg import as_csr, solve_attenuated, solve_checked
+from clearnet._linalg import as_csr, attenuation_norm, solve_attenuated, solve_checked
 from conftest import exact_frozen_payments
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _no_lu(A, context):
@@ -157,6 +165,86 @@ class TestSelection:
         x = solve_attenuated(sys_a.claims, 0.0, b, "r = 0")
         np.testing.assert_array_equal(x, b)
         assert x is not b
+
+
+def reference_solve(C, r, b) -> np.ndarray:
+    """The solver written out plainly: ``q`` from scipy's product
+    ``abs(C).T @ |r|``, the sweep ``x <- b + r * (C @ x)`` with its count
+    and early stop, and otherwise the dense LU of ``I - diag(r) C``."""
+    n = C.shape[0]
+    r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
+    q = float((abs(C).T @ np.abs(r)).max())
+    if q < 1.0:
+        bound = np.finfo(float).eps * (1.0 - q) / (1.0 + q)
+        sweeps = 1 if q == 0.0 else math.ceil(math.log(bound) / math.log(q))
+        if sweeps * C.nnz < n**3 / 3:
+            x = b.copy()
+            for _ in range(sweeps):
+                nxt = b + r * (C @ x)
+                if np.array_equal(nxt, x):
+                    break
+                x = nxt
+            return x
+    return solve_checked(np.eye(n) - r[:, None] * C.toarray(), b, "reference")
+
+
+def pinned_cases():
+    """(C, r, b) triples: scalar and per-node rates, rates ``r - m`` with
+    negative entries, a matrix with negative stored entries, both signs of
+    ``b``, and small systems that take the dense LU."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for seed, n_banks, density in ((1, 300, 0.03), (2, 300, 8 / 300), (3, 6, 0.5)):
+        system = cn.generate_random_system(seed, n_banks, density)
+        C, n = system.claims, system.node_count
+        l = system.total_liabilities
+        signs = rng.choice([-1.0, 1.0], size=C.nnz)
+        signed = scipy.sparse.csr_array((C.data * signs, C.indices, C.indptr), shape=C.shape)
+        rates = (0.5, 0.9, rng.uniform(0.0, 0.95, n), 0.3 - 0.7,
+                 rng.uniform(0.0, 0.9, n) - rng.uniform(0.0, 0.9, n))
+        for r in rates:
+            for b in (l, rng.uniform(-1.0, 1.0, n) * l):
+                cases.append((C, r, b))
+                cases.append((signed, r, b))
+    return cases
+
+
+class TestBitPins:
+    """The solver's outputs, and the ``q`` that picks its path, are pinned
+    bit for bit to the plainly written form above."""
+
+    def test_q_from_the_stored_entries_matches_scipys_product(self):
+        for C, r, _ in pinned_cases():
+            r = np.broadcast_to(np.asarray(r, dtype=float), (C.shape[0],))
+            assert attenuation_norm(C, r) == float((abs(C).T @ np.abs(r)).max())
+
+    def test_solutions_match_the_reference_bit_for_bit(self):
+        for C, r, b in pinned_cases():
+            got = solve_attenuated(C, r, b, "pinned")
+            np.testing.assert_array_equal(got, reference_solve(C, r, b))
+
+
+def test_import_loads_no_dense_linear_algebra():
+    # scipy.sparse may load scipy.linalg itself in some scipy versions, so
+    # only what importing clearnet adds on top of it counts
+    script = (
+        "import sys, scipy.sparse\n"
+        "before = 'scipy.linalg' in sys.modules\n"
+        "import clearnet as cn\n"
+        "print(before, 'scipy.linalg' in sys.modules)\n"
+        "x = cn.solve_given_defaults(\n"
+        "    cn.build_system([[0, 1, 1], [2, 0, 1], [0, 0, 0]], [1, 1, 1]),\n"
+        "    cn.ClearingParams(r=1.0), cn.DefaultIndicator(flags=[True, True, True]))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    before, after_import, after_lu = out
+    if before == "False":
+        assert after_import == "False"
+    assert after_lu == "True"  # the 3-node solve took the dense LU
 
 
 class TestAsCsr:

@@ -92,6 +92,16 @@ class TestBuildSystem:
             with pytest.raises(ValueError):
                 part[0] = 0
 
+    def test_total_claims_are_stored_once_and_shared(self, sys_a, ensemble):
+        for system in ensemble[:20] + [sys_a]:
+            np.testing.assert_array_equal(
+                system.total_claims, system.claims @ system.total_liabilities
+            )
+            with pytest.raises(ValueError):
+                system.total_claims[0] = 5.0
+            shocked = cn.shocked_system(system, cn.full_default_shock(system, 0.5))
+            assert shocked.total_claims is system.total_claims
+
     def test_arrays_are_immutable(self, sys_a):
         with pytest.raises(ValueError):
             sys_a.liabilities[0, 1] = 5.0

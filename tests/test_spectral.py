@@ -69,6 +69,16 @@ class TestSpectralRadius:
     def test_nilpotent_claims_matrix_is_exactly_zero(self, sys_0):
         assert cn.spectral_radius(cn.relative_claims(sys_0).matrix) == 0.0
 
+    @pytest.mark.parametrize("n_banks", [300, 600])
+    def test_long_payment_chain_is_nilpotent(self, n_banks):
+        # bank i owes bank i + 1, the last bank owes the sink: C^k vanishes
+        # only at k = n_banks + 1, past any fixed cap on the support sweep
+        L = np.zeros((n_banks + 1, n_banks + 1))
+        L[np.arange(n_banks), np.arange(1, n_banks + 1)] = 1.0
+        C = cn.build_system(L, np.ones(n_banks + 1)).claims
+        assert clearnet.spectral._is_nilpotent(C)
+        assert cn.spectral_radius(C) == 0.0
+
     def test_asymmetric_two_cycle(self):
         # iterating C itself oscillates here; the shifted iteration converges
         C = np.array([[0.0, 1.0], [0.5, 0.0]])
@@ -105,6 +115,15 @@ class TestSparseInput:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             cn.spectral_radius(scipy.sparse.csr_array(np.array([[0.0, -1.0], [0.0, 0.0]])))
+
+
+def test_column_norm_is_the_largest_column_sum_bit_for_bit(ensemble):
+    matrices = [system.claims for system in ensemble]
+    matrices += [cn.generate_random_system(7, 1500, d).claims for d in (8 / 1500, 0.03)]
+    matrices.append(scipy.sparse.csr_array(column_stochastic(2, 40)))
+    for C in matrices:
+        got = clearnet.spectral._column_norm(C)
+        assert got == float(C.sum(axis=0).max(initial=0.0))
 
 
 class TestCheckInvertibility:
