@@ -54,15 +54,18 @@ class CentralityResult:
 def beta_vector(system: FinancialSystem, r, m) -> NDArray:
     """Source term ``beta_i = (1 - m) l_i - (r - m) (C l)_i`` per bank.
 
-    The sink entry is zero. For ``r = m`` this collapses to
-    ``(1 - r) l_i``. ``r`` and ``m`` may be scalars or per-node vectors.
+    It is evaluated as ``(1 - m)(l - C l) + (1 - r) C l``: where a bank's
+    headroom ``l - C l`` is positive both terms are nonnegative, so nothing
+    cancels even when ``C l`` is within rounding of ``l``. The sink entry
+    is zero. For ``r = m`` this collapses to ``(1 - r) l_i``. ``r`` and
+    ``m`` may be scalars or per-node vectors.
     """
     n = system.node_count
     r_vec = broadcast_rate(r, n, "r")
     m_vec = validate_interpolation(m, n)
     l = system.total_liabilities
     cl = system.total_claims
-    beta = (1.0 - m_vec) * l - (r_vec - m_vec) * cl
+    beta = (1.0 - m_vec) * (l - cl) + (1.0 - r_vec) * cl
     beta[system.sink] = 0.0
     return beta
 

@@ -42,6 +42,53 @@ class TestBetaVector:
         np.testing.assert_allclose(beta, expected)
 
 
+def exact_beta(system, r, m) -> list:
+    """``(1 - m) l - (r - m) C l`` per bank in exact rational arithmetic,
+    from the float ``l``, ``C l`` (the system's own ``total_claims``), ``r``
+    and ``m``."""
+    n = system.node_count
+    r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
+    m = np.broadcast_to(np.asarray(m, dtype=float), (n,))
+    return [
+        (1 - Fraction(mi)) * Fraction(li) - (Fraction(ri) - Fraction(mi)) * Fraction(ci)
+        for ri, mi, li, ci in zip(r, m, system.total_liabilities, system.total_claims)
+    ][:-1]
+
+
+def assert_beta_accurate(beta, exact, ulps=8):
+    eps = Fraction(np.finfo(float).eps)
+    for got, want in zip(beta, exact):
+        assert abs(Fraction(got) - want) <= ulps * eps * abs(want)
+
+
+class TestBetaWithoutCancellation:
+    """Bank 0 is owed 1 by bank 1 and owes 1 + 2**-40 to the sink, so its
+    headroom ``l - C l`` is 2**-40 of its liabilities."""
+
+    @staticmethod
+    def thin_headroom_system():
+        L = np.zeros((3, 3))
+        L[0, 2] = 1.0 + 2.0**-40
+        L[1, 0] = L[1, 2] = 1.0
+        return cn.build_system(L, np.ones(3))
+
+    def test_full_recovery_matches_exact_arithmetic(self):
+        system = self.thin_headroom_system()
+        assert system.total_claims[0] == 1.0
+        for m in (0.3, 0.7, 0.1234567):
+            beta = cn.beta_vector(system, 1.0, m)
+            assert_beta_accurate(beta[:-1], exact_beta(system, 1.0, m))
+            assert beta[system.sink] == 0.0
+
+    def test_ensemble_matches_exact_arithmetic(self, ensemble):
+        rng = np.random.default_rng(8)
+        for system in ensemble[:40]:
+            n = system.node_count
+            for r, m in ((1.0, 0.3), (0.8, 0.5), (rng.uniform(0, 1, n), rng.uniform(0.01, 0.99, n))):
+                beta = cn.beta_vector(system, r, m)
+                assert_beta_accurate(beta[system.banks], exact_beta(system, r, m))
+
+
 class TestGeneralizedKatz:
     def test_sys_a_matches_hand_solve(self, sys_a):
         C = cn.relative_claims(sys_a).matrix
