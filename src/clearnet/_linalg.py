@@ -64,23 +64,24 @@ def attenuation_norm(C: scipy.sparse.csr_array, r: NDArray) -> float:
     """``||diag(r) C||_1``, the largest column sum of ``|r_i C_ij|``, for a
     length-n ``r``.
 
-    The terms are added over the stored entries of ``C`` in row order, the
-    order of scipy's product ``abs(C).T @ abs(r)``, so the two agree bit for
-    bit; no copy of ``C`` is made.
+    The arrays of ``C``, with ``|C.data|``, are read as the compressed
+    columns of ``|C|^T``, sharing the index arrays: the product is the one
+    ``abs(C).T @ abs(r)`` computes, term for term, without copying ``C``.
     """
-    weights = np.abs(C.data) * np.repeat(np.abs(r), np.diff(C.indptr))
-    return float(np.bincount(C.indices, weights=weights, minlength=C.shape[1]).max())
+    abs_t = scipy.sparse.csc_array((np.abs(C.data), C.indices, C.indptr), shape=C.shape[::-1])
+    return float((abs_t @ np.abs(r)).max(initial=0.0))
 
 
 def solve_attenuated(C: scipy.sparse.csr_array, r, b: NDArray, context: str) -> NDArray:
     """Solve ``(I - diag(r) C) x = b`` for a sparse square ``C``.
 
-    With ``q = ||diag(r) C||_1`` (:func:`attenuation_norm`) below one, the Neumann sweep ``x <- b + r * (C @ x)`` from ``x = b`` is
-    a contraction, and ``k = ceil(log(eps (1 - q) / (1 + q)) / log q)``
-    sweeps bound its relative 1-norm error by machine epsilon. The sweep
-    runs when, besides, ``k * nnz(C) < n**3 / 3``, the flop count of a
-    dense LU; it stops early as soon as a sweep returns its input bit for
-    bit. Otherwise (``q >= 1``, or a small or dense ``C``) the dense
+    With ``q = ||diag(r) C||_1`` (:func:`attenuation_norm`) below one, the
+    Neumann sweep ``x <- b + r * (C @ x)`` from ``x = b`` is a contraction,
+    and ``k = ceil(log(eps (1 - q) / (1 + q)) / log q)`` sweeps bound its
+    relative 1-norm error by machine epsilon; each sweep updates in place.
+    The sweep runs when, besides, ``k * nnz(C) < n**3 / 3``, the flop count
+    of a dense LU; it stops early as soon as a sweep returns its input bit
+    for bit. Otherwise (``q >= 1``, or a small or dense ``C``) the dense
     ``I - diag(r) C`` is formed and solved by :func:`solve_checked`, which
     raises ``SingularSystem`` on a pivot below ``1e-14``.
     """

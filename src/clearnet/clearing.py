@@ -92,8 +92,8 @@ def solve_given_defaults(
     nodes ``D`` solve ``(I - diag(r) C_DD) p_D = r C_DS l_S + r_a a_D``,
     restricted to the defaulted block, which is what keeps the cost low
     when only a few banks fail; when every node is flagged the block is
-    ``C`` itself, and no copy is made. The right-hand side is nonnegative, so
-    nothing cancels even when payments are tiny next to liabilities. The
+    ``C`` itself, and no copy is made. The right-hand side is nonnegative,
+    so nothing cancels even when payments are tiny next to liabilities. The
     block goes to :func:`clearnet._linalg.solve_attenuated`: a Neumann
     sweep on the sparse block where it contracts and beats a dense LU,
     else a dense LU with partial pivoting.

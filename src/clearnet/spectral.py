@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 from numpy.typing import NDArray
 
-from ._linalg import as_csr
+from ._linalg import as_csr, attenuation_norm
 from .errors import ZeroVector
 from .net_model import DefaultIndicator
 
@@ -158,10 +158,9 @@ def _below_one(r_max: float, bound: float) -> bool:
 
 
 def _column_norm(C: scipy.sparse.csr_array) -> float:
-    """``||C||_1``, the largest column sum, added over the stored entries
-    in row order (bit for bit ``C.sum(axis=0).max()``, without its copies)."""
-    sums = np.bincount(C.indices, weights=C.data, minlength=C.shape[1])
-    return float(sums.max(initial=0.0))
+    """``||C||_1``, the largest column sum of the nonnegative ``C``: bit for
+    bit ``C.sum(axis=0).max()``, which copies ``C``."""
+    return attenuation_norm(C, np.ones(C.shape[0]))
 
 
 def safely_invertible(C, r) -> tuple[bool, float | None]:

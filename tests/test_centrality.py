@@ -84,7 +84,8 @@ class TestBetaWithoutCancellation:
         rng = np.random.default_rng(8)
         for system in ensemble[:40]:
             n = system.node_count
-            for r, m in ((1.0, 0.3), (0.8, 0.5), (rng.uniform(0, 1, n), rng.uniform(0.01, 0.99, n))):
+            per_node = (rng.uniform(0, 1, n), rng.uniform(0.01, 0.99, n))
+            for r, m in ((1.0, 0.3), (0.8, 0.5), per_node):
                 beta = cn.beta_vector(system, r, m)
                 assert_beta_accurate(beta[system.banks], exact_beta(system, r, m))
 
