@@ -68,7 +68,9 @@ def attenuation_norm(C: scipy.sparse.csr_array, r: NDArray) -> float:
     columns of ``|C|^T``, sharing the index arrays: the product is the one
     ``abs(C).T @ abs(r)`` computes, term for term, without copying ``C``.
     """
-    abs_t = scipy.sparse.csc_array((np.abs(C.data), C.indices, C.indptr), shape=C.shape[::-1])
+    abs_t = scipy.sparse.csc_array(
+        (np.abs(C.data), C.indices, C.indptr), shape=C.shape[::-1]
+    )
     return float((abs_t @ np.abs(r)).max(initial=0.0))
 
 

@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 
 import clearnet as cn
 import clearnet._linalg
-from clearnet._linalg import as_csr, attenuation_norm, solve_attenuated, solve_checked
+from clearnet._linalg import (
+    as_csr,
+    attenuation_norm,
+    solve_attenuated,
+    solve_checked,
+)
 from conftest import exact_frozen_payments
 
 
