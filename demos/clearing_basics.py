@@ -14,8 +14,8 @@ L = [[0, 2, 8],   # bank 1 owes 2 to bank 2 and 8 outside
      [0, 0, 0]]   # the sink owes nothing
 system = cn.build_system(L, pre_shock_assets=[8.0, 9.0, 1.0])
 
-l = cn.total_liabilities(system)
-C = cn.relative_claims(system).matrix
+l = system.total_liabilities
+C = system.claims
 print("total liabilities:", l)
 print("claims matrix C (who holds what share of each debtor):")
 print(C.toarray())

@@ -19,7 +19,7 @@ for seed in range(40):
     density = 0.2 + 0.6 * ((seed * 0.31) % 1.0)
     system = cn.generate_random_system(seed=seed, n_banks=n_banks, density=density)
 
-    rho = cn.spectral_radius(cn.relative_claims(system).matrix)
+    rho = cn.spectral_radius(system.claims)
     assert rho < 1.0, "sink node keeps the radius below one"
 
     for r in R_GRID:

@@ -51,7 +51,7 @@ print("its gap to the certified solution:", cert.printed_gap)
 # The certified vector satisfies the rearranged self-consistency identity
 # p = m l + (r - m) C p:
 p = cert.clearing.payments
-l = cn.total_liabilities(system)
-C = cn.relative_claims(system).matrix
+l = system.total_liabilities
+C = system.claims
 identity_gap = np.abs(p - (0.5 * l + 0.0 * (C @ p)))[:2].max()
 print("\nself-consistency residual (r = m):", identity_gap)

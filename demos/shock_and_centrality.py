@@ -19,13 +19,13 @@ params = cn.ClearingParams(r=r)
 scenario = cn.full_default_shock(system, m)
 shocked = cn.shocked_system(system, scenario)
 solution = cn.fictitious_default_sequence(shocked, params)
-sigma_clearing = cn.systemic_loss(solution, cn.total_liabilities(system))
+sigma_clearing = cn.systemic_loss(solution, system.total_liabilities)
 print("clearing rounds:", solution.iterations, "(always 1 under this shock)")
 print("all nodes defaulted:", bool(solution.defaults.flags.all()))
 
 # Route two: one linear solve on the unshocked system.
 beta = cn.beta_vector(system, r, m)
-katz = cn.generalized_katz(cn.relative_claims(system).matrix, r, beta)
+katz = cn.generalized_katz(system.claims, r, beta)
 print("centrality residual:", katz.residual)
 
 banks = system.banks
@@ -48,5 +48,5 @@ print("\nverify_full_shock_equivalence ->",
 # system the clearing model shows no losses at all, while the centrality
 # vector is oblivious to capitalization:
 quiet = cn.fictitious_default_sequence(system, params)
-print("\nunshocked losses:", cn.systemic_loss(quiet, cn.total_liabilities(system))[banks].max(),
+print("\nunshocked losses:", cn.systemic_loss(quiet, system.total_liabilities)[banks].max(),
       "-- but sigma_katz ignores assets entirely:", katz.sigma[banks].max())

@@ -70,7 +70,6 @@ from .net_model import (
     equity,
     fundamental_defaults,
     relative_claims,
-    total_liabilities,
 )
 from .shocks import (
     RelaxedShockCertificate,

@@ -17,7 +17,7 @@ EPS = float(np.finfo(float).eps)
 
 
 def as_csr(C) -> scipy.sparse.csr_array:
-    """``C`` as a float CSR array.
+    """``C`` as a float CSR array; a float CSR array is returned as it is.
 
     A dense 2-D input is converted with one scan for its nonzeros in row-
     major order, which gives the CSR column indices and, by a search for
@@ -26,6 +26,8 @@ def as_csr(C) -> scipy.sparse.csr_array:
     :func:`clearnet.net_model.build_system` converts and for dense
     matrices passed to the public functions.
     """
+    if isinstance(C, scipy.sparse.csr_array) and C.dtype == float:
+        return C
     if scipy.sparse.issparse(C):
         return scipy.sparse.csr_array(C, dtype=float)
     C = np.asarray(C, dtype=float)

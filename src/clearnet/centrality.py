@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import as_csr, solve_attenuated
+from ._linalg import solve_attenuated
 from .errors import SingularSystem
 from .net_model import (
     ClearingParams,
@@ -22,7 +22,7 @@ from .net_model import (
     broadcast_rate,
     validate_interpolation,
 )
-from .spectral import safely_invertible
+from .spectral import _check_nonnegative, safely_invertible
 
 __all__ = [
     "CentralityResult",
@@ -74,12 +74,12 @@ def generalized_katz(C, r, beta: NDArray, m=None) -> CentralityResult:
     """Solve ``(I - r C) sigma = beta``.
 
     ``C`` is a full claims matrix with the sink stored last, dense or
-    sparse; a dense one is converted to CSR once per call, and the
+    sparse; it is converted to CSR and checked once per call, and the
     :func:`clearnet.spectral.safely_invertible` gate and the solve
     (:func:`clearnet._linalg.solve_attenuated`) run on that. The sink entry
     of the result is zeroed by convention.
     """
-    C = as_csr(C)
+    C = _check_nonnegative(C)
     n = C.shape[0]
     r_vec = broadcast_rate(r, n, "r")
     beta = np.asarray(beta, dtype=float)
@@ -107,7 +107,7 @@ def standard_katz(adjacency: NDArray, alpha: float) -> NDArray:
     ``A[i, j] = 1`` means node ``j`` feeds node ``i`` (the same orientation
     as the claims matrix: debtor in the column, creditor in the row).
     """
-    A = as_csr(adjacency)
+    A = _check_nonnegative(adjacency)
     if not safely_invertible(A, float(alpha))[0]:
         raise SingularSystem(f"alpha = {alpha} is not safely below 1 / rho(adjacency)")
     return solve_attenuated(A, float(alpha), np.ones(A.shape[0]), "Katz solve")

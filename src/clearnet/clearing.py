@@ -92,8 +92,9 @@ def solve_given_defaults(
     nodes ``D`` solve ``(I - diag(r) C_DD) p_D = r C_DS l_S + r_a a_D``,
     restricted to the defaulted block, which is what keeps the cost low
     when only a few banks fail; when every node is flagged the block is
-    ``C`` itself, and no copy is made. The right-hand side is nonnegative,
-    so nothing cancels even when payments are tiny next to liabilities. The
+    ``C`` itself, no copy is made and the empty sum ``C_DS l_S`` is not
+    formed. The right-hand side is nonnegative, so nothing cancels even
+    when payments are tiny next to liabilities. The
     block goes to :func:`clearnet._linalg.solve_attenuated`: a Neumann
     sweep on the sparse block where it contracts and beats a dense LU,
     else a dense LU with partial pivoting.
@@ -110,19 +111,17 @@ def solve_given_defaults(
     r = params.recovery_vector(system.node_count)
     idx = np.flatnonzero(defaults.flags)
 
-    from_solvent = r * (C @ np.where(defaults.flags, 0.0, l))
-    b = (from_solvent + params.r_a * system.external_assets)[idx]
-    block = C if idx.size == system.node_count else C[idx][:, idx]
+    b = params.r_a * system.external_assets + 0.0   # a -0.0 asset recovers +0.0
+    if idx.size == system.node_count:   # no solvent node pays in
+        block = C
+    else:
+        b = (r * (C @ np.where(defaults.flags, 0.0, l)) + b)[idx]
+        block = C[idx][:, idx]
     p = l.copy()
     p[idx] = solve_attenuated(
         block, r[idx], b, f"reduced system on {idx.size} defaulted node(s)"
     )
     return p
-
-
-def _bank_residual(system: FinancialSystem, params: ClearingParams, p: NDArray) -> float:
-    gap = np.abs(apply_clearing_map(system, params, p) - p)[system.banks]
-    return float(gap.max(initial=0.0))
 
 
 def fictitious_default_sequence(
@@ -148,16 +147,16 @@ def fictitious_default_sequence(
         history.append(nxt)
         if nxt == current:
             # rounding guard only: the converged vector is within [0, l]
-            # on banks up to machine noise
-            p = p.copy()
+            # on banks up to machine noise (p is the solver's own copy)
             p[system.banks] = np.clip(p[system.banks], 0.0, l[system.banks])
             p.setflags(write=False)
+            gap = np.abs(apply_clearing_map(system, params, p) - p)[system.banks]
             return ClearingSolution(
                 payments=p,
                 defaults=nxt,
                 default_history=tuple(history),
                 iterations=iteration,
-                residual=_bank_residual(system, params, p),
+                residual=float(gap.max(initial=0.0)),
                 uniqueness_ok=uniqueness_ok,
             )
         current = nxt

@@ -125,99 +125,112 @@ def dumps_canonical(value) -> str:
 # documents
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+_ARRAY_FIELDS = ("liabilities", "pre_shock_assets", "external_assets")
+
+
+def _document_array(values, name: str) -> NDArray | None:
+    """A document field as a read-only float array: a system's own array is
+    kept, anything else is converted once. ``null``, which numpy reads as
+    NaN, and non-numbers raise."""
+    if values is None:
+        return None
+    frozen = isinstance(values, np.ndarray) and not values.flags.writeable
+    if frozen and values.dtype == float:
+        return values
+    try:
+        a = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"non-numeric entry in document: {exc}") from exc
+    if np.isnan(a).any():
+        raise ValidationError(f"non-numeric entry in document: {name} holds null or NaN")
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class SystemDocument:
     """On-disk representation of a financial system.
 
     ``liabilities`` is row-major with the sink last; ``names`` labels all
-    nodes and always ends with ``"SINK"``. Documents round-trip losslessly
-    through JSON (floats keep 17 significant digits).
+    nodes and always ends with ``"SINK"``. The numeric fields are read-only
+    float arrays, compared by value, and a document is validated when it is
+    built. Documents round-trip losslessly through JSON (floats keep 17
+    significant digits).
     """
 
-    liabilities: tuple
-    pre_shock_assets: tuple
-    external_assets: tuple | None = None
+    liabilities: NDArray
+    pre_shock_assets: NDArray
+    external_assets: NDArray | None = None
     names: tuple | None = None
 
+    def __post_init__(self):
+        for name in _ARRAY_FIELDS:
+            object.__setattr__(self, name, _document_array(getattr(self, name), name))
+        if self.names is not None:
+            object.__setattr__(self, "names", tuple(str(x) for x in self.names))
+        self.validate()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SystemDocument):
+            return NotImplemented
+        return self.names == other.names and all(   # array_equal(None, None) holds
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAY_FIELDS
+        )
+
     @classmethod
-    def from_system(
-        cls, system: FinancialSystem, names=None
-    ) -> "SystemDocument":
+    def from_system(cls, system: FinancialSystem, names=None) -> "SystemDocument":
+        """The document of ``system``, referring to its arrays (no copy)."""
         if names is None:
-            names = tuple(f"B{i + 1}" for i in range(system.n_banks)) + (SINK_LABEL,)
-        else:
-            names = tuple(str(n) for n in names)
-        doc = cls(
-            liabilities=tuple(map(tuple, system.liabilities.tolist())),
-            pre_shock_assets=tuple(system.pre_shock_assets.tolist()),
-            external_assets=tuple(system.external_assets.tolist()),
+            names = [f"B{i + 1}" for i in range(system.n_banks)] + [SINK_LABEL]
+        return cls(
+            liabilities=system.liabilities,
+            pre_shock_assets=system.pre_shock_assets,
+            external_assets=system.external_assets,
             names=names,
         )
-        doc.validate()
-        return doc
 
     def validate(self) -> None:
+        if self.names is None:
+            return
         n = len(self.liabilities)
-        if self.names is not None:
-            if len(self.names) != n:
-                raise ValidationError(
-                    f"names has {len(self.names)} entries for {n} nodes"
-                )
-            if self.names[-1] != SINK_LABEL:
-                raise ValidationError(
-                    f'last label must be "{SINK_LABEL}", got "{self.names[-1]}"'
-                )
-        for i, row in enumerate(self.liabilities):
-            if len(row) != len(self.liabilities[0]):
-                raise ValidationError(
-                    f"liabilities row {i} has {len(row)} entries, "
-                    f"row 0 has {len(self.liabilities[0])}"
-                )
+        if len(self.names) != n:
+            raise ValidationError(f"names has {len(self.names)} entries for {n} nodes")
+        if self.names[-1:] != (SINK_LABEL,):
+            last = "".join(self.names[-1:])
+            raise ValidationError(f'last label must be "{SINK_LABEL}", got "{last}"')
 
     def to_system(self) -> FinancialSystem:
-        return build_system(
-            np.asarray(self.liabilities, dtype=float),
-            np.asarray(self.pre_shock_assets, dtype=float),
-            None
-            if self.external_assets is None
-            else np.asarray(self.external_assets, dtype=float),
-        )
+        return build_system(self.liabilities, self.pre_shock_assets, self.external_assets)
 
     def to_dict(self) -> dict:
-        d: dict = {}
-        if self.names is not None:
-            d["names"] = list(self.names)
-        d["liabilities"] = [list(row) for row in self.liabilities]
-        d["pre_shock_assets"] = list(self.pre_shock_assets)
-        if self.external_assets is not None:
-            d["external_assets"] = list(self.external_assets)
-        return d
+        """The fields that are set, in file order, for :func:`dumps_canonical`."""
+        fields = ("names",) + _ARRAY_FIELDS
+        return {f: getattr(self, f) for f in fields if getattr(self, f) is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemDocument":
         if not isinstance(data, dict):
             raise ValidationError("document root must be a JSON object")
-        if "liabilities" not in data:
-            raise ValidationError("liabilities required")
-        if "pre_shock_assets" not in data:
-            raise ValidationError("pre_shock_assets required")
-        try:
-            liabilities = tuple(tuple(map(float, row)) for row in data["liabilities"])
-            assets = tuple(map(float, data["pre_shock_assets"]))
-            external = data.get("external_assets")
-            if external is not None:
-                external = tuple(map(float, external))
-        except (TypeError, ValueError) as exc:
+        for required in ("liabilities", "pre_shock_assets"):
+            if required not in data:
+                raise ValidationError(f"{required} required")
+        try:   # a scalar field or row has no length
+            widths = [len(row) for row in data["liabilities"]]
+        except TypeError as exc:
             raise ValidationError(f"non-numeric entry in document: {exc}") from exc
-        names = data.get("names")
-        doc = cls(
-            liabilities=liabilities,
-            pre_shock_assets=assets,
-            external_assets=external,
-            names=None if names is None else tuple(str(x) for x in names),
+        for i, width in enumerate(widths):
+            if width != widths[0]:
+                raise ValidationError(
+                    f"liabilities row {i} has {width} entries, row 0 has {widths[0]}"
+                )
+        if not isinstance(data.get("names"), (list, type(None))):
+            raise ValidationError("names must be a list of labels")
+        return cls(
+            liabilities=data["liabilities"],
+            pre_shock_assets=data["pre_shock_assets"],
+            external_assets=data.get("external_assets"),
+            names=data.get("names"),
         )
-        doc.validate()
-        return doc
 
 
 def parse_document(text: str) -> SystemDocument:
@@ -369,9 +382,7 @@ def generate_random_system(
 
 def _input_echo(path, system: FinancialSystem, names) -> dict:
     doc = SystemDocument.from_system(system, names=names)
-    echo = {"path": None if path is None else str(path)}
-    echo.update(doc.to_dict())
-    return echo
+    return {"path": None if path is None else str(path), **doc.to_dict()}
 
 
 def _clearing_sections(system: FinancialSystem, params: ClearingParams) -> dict:
@@ -614,8 +625,7 @@ def _cmd_gen(args) -> int:
     system = generate_random_system(
         args.seed, args.n, args.density, weight_scale=args.weight_scale
     )
-    doc = SystemDocument.from_system(system)
-    save_document(doc, args.out)
+    save_document(SystemDocument.from_system(system), args.out)
     report = {
         "command": "gen",
         "out": str(args.out),

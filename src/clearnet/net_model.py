@@ -43,7 +43,6 @@ __all__ = [
     "broadcast_rate",
     "validate_interpolation",
     "build_system",
-    "total_liabilities",
     "relative_claims",
     "equity",
     "default_indicator",
@@ -89,10 +88,12 @@ class FinancialSystem:
     total_liabilities : (N,) ndarray
         Row sums ``l`` of ``liabilities``.
     claims : (N, N) scipy.sparse.csr_array
-        Claims matrix ``C`` (see :func:`relative_claims`) in compressed
-        sparse rows, read-only; every matrix-vector product and linear
-        solve inside the package runs on it. ``claims.toarray()`` gives a
-        dense copy.
+        Column-normalized claims matrix ``C[i, j] = L[j, i] / l_j``, the
+        share of node ``j``'s total liabilities owed to node ``i``; columns
+        of nodes without liabilities (the sink's included) are zero. Stored
+        in compressed sparse rows, read-only; every matrix-vector product
+        and linear solve inside the package runs on it.
+        ``claims.toarray()`` gives a dense copy.
     total_claims : (N,) ndarray
         ``C l``, what each node is owed when every debtor pays in full;
         read-only.
@@ -135,13 +136,7 @@ class FinancialSystem:
 
 @dataclass(frozen=True)
 class RelativeClaims:
-    """Column-normalized claims matrix ``C``.
-
-    ``matrix[i, j]`` is the share of node ``j``'s total liabilities owed to
-    node ``i``; columns of nodes with no liabilities are zero, so ``C @ x``
-    values a payment vector ``x`` for the creditors. ``matrix`` is the
-    system's read-only CSR array; ``matrix.toarray()`` gives a dense copy.
-    """
+    """The claims matrix ``C`` of a system; ``matrix`` is ``system.claims``."""
 
     matrix: scipy.sparse.csr_array
 
@@ -272,16 +267,8 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
     )
 
 
-def total_liabilities(system: FinancialSystem) -> NDArray:
-    """Row sums ``l_i`` of the liability matrix; zero for the sink."""
-    return system.total_liabilities
-
-
 def relative_claims(system: FinancialSystem) -> RelativeClaims:
-    """Column-normalized claims matrix ``C[i, j] = L[j, i] / l_j``.
-
-    Columns of nodes without liabilities (including the sink) are zero.
-    """
+    """``system.claims`` (see :class:`FinancialSystem`) wrapped."""
     return RelativeClaims(matrix=system.claims)
 
 

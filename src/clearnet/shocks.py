@@ -93,16 +93,6 @@ class RelaxedShockCertificate:
     printed_gap: float
 
 
-def _require_interbank_margin(l: NDArray, cl: NDArray, n_banks: int) -> None:
-    bad = np.flatnonzero(cl[:n_banks] >= l[:n_banks])
-    if bad.size:
-        raise PreconditionViolated(
-            "bank(s) %s have interbank claims covering their total liabilities "
-            "((C l)_i >= l_i); no asset shock can put them in fundamental default"
-            % bad.tolist()
-        )
-
-
 def full_default_shock(system: FinancialSystem, m) -> ShockScenario:
     """Shock placing every bank strictly inside fundamental default.
 
@@ -115,10 +105,16 @@ def full_default_shock(system: FinancialSystem, m) -> ShockScenario:
     m_vec = validate_interpolation(m, n)
     l = system.total_liabilities
     cl = system.total_claims
-    _require_interbank_margin(l, cl, system.n_banks)
+    b = system.banks
+    bad = np.flatnonzero(cl[b] >= l[b])
+    if bad.size:
+        raise PreconditionViolated(
+            "bank(s) %s have interbank claims covering their total liabilities "
+            "((C l)_i >= l_i); no asset shock can put them in fundamental default"
+            % bad.tolist()
+        )
 
     a = system.pre_shock_assets.copy()
-    b = system.banks
     a[b] = m_vec[b] * (l[b] - cl[b])
     shock = a - system.pre_shock_assets
 
@@ -137,16 +133,6 @@ def full_default_shock(system: FinancialSystem, m) -> ShockScenario:
 def shocked_system(system: FinancialSystem, scenario: ShockScenario) -> FinancialSystem:
     """The same network with the scenario's post-shock assets installed."""
     return system.with_external_assets(scenario.post_shock_assets)
-
-
-def _search_assets(l, cl, o, banks, k: int, max_steps: int) -> NDArray:
-    a = o.copy()
-    frac = 1.0 - k / max_steps
-    # floor at zero: banks whose claims exceed their liabilities would get
-    # negative assets from the formula; they can still default through
-    # contagion, or else surface in the exhaustion diagnostics
-    a[banks] = np.maximum(frac * (l[banks] - cl[banks]), 0.0)
-    return a
 
 
 def relaxed_shock_search(
@@ -184,7 +170,11 @@ def relaxed_shock_search(
     banks = system.banks
 
     def defaults_at(k: int):
-        a = _search_assets(l, cl, o, banks, k, max_steps)
+        # floor at zero: banks whose claims exceed their liabilities would get
+        # negative assets from the formula; they can still default through
+        # contagion, or else surface in the exhaustion diagnostics
+        a = o.copy()
+        a[banks] = np.maximum((1.0 - k / max_steps) * (l[banks] - cl[banks]), 0.0)
         solution = fictitious_default_sequence(
             system.with_external_assets(a), params
         )

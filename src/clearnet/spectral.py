@@ -47,11 +47,12 @@ class SpectralReport:
 def _check_nonnegative(C) -> scipy.sparse.csr_array:
     """``C`` as a float CSR array, after checking that it is square and
     elementwise nonnegative. Dense and sparse input take this one
-    conversion, so both give bit-identical results downstream."""
+    conversion, so both give bit-identical results downstream. Each public
+    entry runs it once; the private helpers take its result unchecked."""
     C = as_csr(C)
     if C.shape[0] != C.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {C.shape}")
-    if np.any(C.data < 0):
+    if C.data.min(initial=0.0) < 0:
         raise ValueError("matrix must be elementwise nonnegative")
     return C
 
@@ -68,9 +69,14 @@ def collatz_wielandt_value(C: NDArray, x: NDArray) -> float:
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("test vector must be nonnegative")
-    support = x > 0
-    if not support.any():
+    if not np.any(x > 0):
         raise ZeroVector("test vector must have at least one positive entry")
+    return _quotient(C, x)
+
+
+def _quotient(C: scipy.sparse.csr_array, x: NDArray) -> float:
+    """:func:`collatz_wielandt_value` of a checked ``C`` and ``x``."""
+    support = x > 0
     xC = C.T @ x
     return float(np.min(xC[support] / x[support]))
 
@@ -110,7 +116,11 @@ def spectral_radius(C: NDArray) -> float:
     ``RADIUS_TOL``; when ``RADIUS_MAX_ITER`` steps do not converge, a dense
     eigenvalue computation gives the radius instead.
     """
-    C = _check_nonnegative(C)
+    return _radius(_check_nonnegative(C))
+
+
+def _radius(C: scipy.sparse.csr_array) -> float:
+    """:func:`spectral_radius` of a checked ``C``."""
     n = C.shape[0]
     if _is_nilpotent(C):   # also the empty matrix
         return 0.0
@@ -134,7 +144,7 @@ def spectral_radius(C: NDArray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(C.toarray()))))
 
 
-def _best_lower_bound(C: NDArray) -> float:
+def _best_lower_bound(C: scipy.sparse.csr_array) -> float:
     """Best Collatz-Wielandt bound over a small family of test vectors."""
     n = C.shape[0]
     candidates = [np.ones(n)]
@@ -149,7 +159,7 @@ def _best_lower_bound(C: NDArray) -> float:
         y = C.T @ y + y
         y /= y.max()
     candidates.append(y)
-    return max(collatz_wielandt_value(C, x) for x in candidates)
+    return max(_quotient(C, x) for x in candidates)
 
 
 def _below_one(r_max: float, bound: float) -> bool:
@@ -163,20 +173,20 @@ def _column_norm(C: scipy.sparse.csr_array) -> float:
     return attenuation_norm(C, np.ones(C.shape[0]))
 
 
-def safely_invertible(C, r) -> tuple[bool, float | None]:
+def safely_invertible(C: scipy.sparse.csr_array, r) -> tuple[bool, float | None]:
     """The one rule: is ``I - diag(r) C`` safely invertible?
 
     Yes if ``max(r) * ||C||_1 < 1 - 1e-12`` (the largest column sum bounds
     the radius; it is at most 1 for a :func:`build_system` claims matrix);
     else iff ``max(r) * radius < 1 - 1e-12``, ``radius`` being the larger of
     the power-iteration estimate and the certified Collatz-Wielandt bound.
-    Returns the verdict and that radius (None when the norm decided).
+    Returns the verdict and that radius (None when the norm decided). The
+    caller has run :func:`_check_nonnegative` on ``C``.
     """
-    C = _check_nonnegative(C)
     r_max = float(np.max(r))
     if _below_one(r_max, _column_norm(C)):
         return True, None
-    radius = max(spectral_radius(C), _best_lower_bound(C))
+    radius = max(_radius(C), _best_lower_bound(C))
     return _below_one(r_max, radius), radius
 
 
@@ -189,7 +199,7 @@ def check_invertibility(C: NDArray, r: float) -> tuple[bool, SpectralReport]:
     bound the report carries: the norm accepts, or else the radius does.
     """
     C = _check_nonnegative(C)
-    estimate = spectral_radius(C)
+    estimate = _radius(C)
     lower = _best_lower_bound(C)
     bound = min(_column_norm(C), max(estimate, lower))
     report = SpectralReport(
@@ -211,4 +221,4 @@ def corollary_radius_bound(C: NDArray, defaults: DefaultIndicator) -> bool:
     mask = defaults.flags.astype(float)
     masked = C.copy()
     masked.data *= np.repeat(mask, np.diff(C.indptr)) * mask[C.indices]
-    return spectral_radius(masked) <= spectral_radius(C) + 1e-10
+    return _radius(masked) <= _radius(C) + 1e-10

@@ -41,7 +41,7 @@ def search_step_system(system: cn.FinancialSystem, k: int, max_steps: int):
     bank assets (1 - k/max_steps)(l - C l), floored at zero. ``C l`` is
     taken with the sparse ``C`` the search uses, so the assets agree bit
     for bit."""
-    l = cn.total_liabilities(system)
+    l = system.total_liabilities
     cl = system.claims @ l
     a = system.pre_shock_assets.copy()
     b = system.banks

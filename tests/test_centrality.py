@@ -25,7 +25,7 @@ class TestBetaVector:
         for system in ensemble[:10]:
             r = 0.35
             beta = cn.beta_vector(system, r, r)
-            l = cn.total_liabilities(system)
+            l = system.total_liabilities
             b = system.banks
             np.testing.assert_allclose(beta[b], (1 - r) * l[b], rtol=1e-12)
             assert beta[system.sink] == 0.0
@@ -92,14 +92,14 @@ class TestBetaWithoutCancellation:
 
 class TestGeneralizedKatz:
     def test_sys_a_matches_hand_solve(self, sys_a):
-        C = cn.relative_claims(sys_a).matrix
+        C = sys_a.claims
         result = cn.generalized_katz(C, 0.8, np.array([4.1, 4.4, 0.0]))
         np.testing.assert_allclose(result.sigma[:2], (5.36190, 5.25790), atol=1e-4)
         assert result.sigma[2] == 0.0
         assert result.residual <= 1e-10
 
     def test_zero_beta(self, sys_a):
-        C = cn.relative_claims(sys_a).matrix
+        C = sys_a.claims
         result = cn.generalized_katz(C, 0.8, np.zeros(3))
         np.testing.assert_array_equal(result.sigma, np.zeros(3))
 
@@ -114,7 +114,7 @@ class TestGeneralizedKatz:
             cn.generalized_katz(stochastic, 1.0, np.ones(2))
 
     def test_linearity(self, sys_a):
-        C = cn.relative_claims(sys_a).matrix
+        C = sys_a.claims
         rng = np.random.default_rng(8)
         b1 = rng.uniform(0, 5, 3)
         b2 = rng.uniform(0, 5, 3)
@@ -156,8 +156,8 @@ class TestClosedFormFullShock:
         for system in ensemble[:10]:
             r, m = 0.7, 0.4
             p = cn.closed_form_full_shock(system, cn.ClearingParams(r=r), m)
-            l = cn.total_liabilities(system)
-            C = cn.relative_claims(system).matrix
+            l = system.total_liabilities
+            C = system.claims
             a = m * (l - C @ l)
             direct = np.linalg.solve(np.eye(system.node_count) - r * C, a)
             b = system.banks
@@ -171,12 +171,12 @@ class TestClosedFormFullShock:
             shocked = cn.shocked_system(system, scenario)
             p_clear = cn.fictitious_default_sequence(shocked, params).payments
             b = system.banks
-            scale = max(1.0, cn.total_liabilities(system).max())
+            scale = max(1.0, system.total_liabilities.max())
             assert np.abs(p_form - p_clear)[b].max() <= 1e-10 * scale
 
     def test_zero_interbank_block(self, sys_0):
         p = cn.closed_form_full_shock(sys_0, cn.ClearingParams(r=0.5), 0.5)
-        l = cn.total_liabilities(sys_0)
+        l = sys_0.total_liabilities
         np.testing.assert_allclose(p[:2], 0.5 * l[:2], atol=1e-12)
 
     def test_no_cancellation_on_large_liabilities(self):
@@ -201,21 +201,21 @@ class TestClosedFormFullShock:
 class TestPrintedRelaxedClosedForm:
     def test_equal_rates_reduce_to_quadratic(self, sys_a):
         p = cn.printed_relaxed_closed_form(sys_a, 0.5, 0.5)
-        l = cn.total_liabilities(sys_a)
-        C = cn.relative_claims(sys_a).matrix
+        l = sys_a.total_liabilities
+        C = sys_a.claims
         np.testing.assert_allclose(p, 0.5 * l + 0.25 * (C @ l), atol=1e-12)
         np.testing.assert_allclose(p[:2], [5.75, 5.5], atol=1e-12)
 
     def test_zero_matrix(self, sys_0):
         p = cn.printed_relaxed_closed_form(sys_0, 0.5, 0.5)
-        l = cn.total_liabilities(sys_0)
+        l = sys_0.total_liabilities
         np.testing.assert_allclose(p[:2], 0.5 * l[:2], atol=1e-12)
 
 
 class TestNeumannEquivalence:
     def test_series_matches_solve_at_moderate_attenuation(self, ensemble):
         for system in ensemble[:8]:
-            C = cn.relative_claims(system).matrix
+            C = system.claims
             r = 0.8
             if r * cn.spectral_radius(C) > 0.85:
                 continue
@@ -234,11 +234,11 @@ class TestKatzReduction:
     def test_chain_matches_standard_katz(self):
         system = single_creditor_chain()
         r = 0.5
-        C = cn.relative_claims(system).matrix.toarray()
+        C = system.claims.toarray()
         adjacency = C[system.banks, system.banks]
         assert set(np.unique(adjacency)) <= {0.0, 1.0}
         beta = cn.beta_vector(system, r, r)
-        l = cn.total_liabilities(system)
+        l = system.total_liabilities
         normalized = np.zeros(4)
         normalized[:3] = beta[:3] / ((1 - r) * l[:3])
         sigma = cn.generalized_katz(C, r, normalized).sigma

@@ -19,8 +19,8 @@ TINY_PAYMENTS_L = [[0, 1e14, 1e14], [1e14, 0, 1e14], [0, 0, 0]]
 
 def frozen_map(system, params, defaults, f):
     """Clearing map with the default set frozen (for consistency checks)."""
-    l = cn.total_liabilities(system)
-    C = cn.relative_claims(system).matrix
+    l = system.total_liabilities
+    C = system.claims
     d = defaults.flags
     r = params.recovery_vector(system.node_count)
     mixed = np.where(d, f, l)
@@ -30,13 +30,13 @@ def frozen_map(system, params, defaults, f):
 class TestApplyClearingMap:
     def test_full_payment_is_fixed_point_without_defaults(self, sys_a):
         params = cn.ClearingParams(r=0.8)
-        l = cn.total_liabilities(sys_a)
+        l = sys_a.total_liabilities
         f = cn.apply_clearing_map(sys_a, params, l)
         np.testing.assert_array_equal(f[sys_a.banks], l[sys_a.banks])
 
     def test_defaulted_bank_without_claims_pays_external_assets(self, sys_0):
         params = cn.ClearingParams(r=0.5, r_a=1.0)
-        l = cn.total_liabilities(sys_0)
+        l = sys_0.total_liabilities
         f = cn.apply_clearing_map(sys_0, params, l)
         assert f[0] == 10.0           # solvent, pays in full
         assert f[1] == 4.0            # defaulted, no interbank claims: r_a * a
@@ -52,7 +52,7 @@ class TestApplyClearingMap:
 class TestSolveGivenDefaults:
     def test_sink_only_default_returns_full_payment_on_banks(self, sys_a):
         params = cn.ClearingParams(r=0.8)
-        l = cn.total_liabilities(sys_a)
+        l = sys_a.total_liabilities
         defaults = cn.default_indicator(sys_a, l)
         p = cn.solve_given_defaults(sys_a, params, defaults)
         np.testing.assert_array_equal(p[sys_a.banks], l[sys_a.banks])
@@ -84,7 +84,7 @@ class TestSolveGivenDefaults:
             defaults = cn.DefaultIndicator(flags=flags)
             f = cn.solve_given_defaults(system, params, defaults)
             again = frozen_map(system, params, defaults, f)
-            l_scale = max(1.0, cn.total_liabilities(system).max())
+            l_scale = max(1.0, system.total_liabilities.max())
             assert np.abs(again - f).max() <= 1e-10 * l_scale
 
     def test_every_node_flagged_equals_the_explicit_block_solve(self, ensemble):
@@ -103,6 +103,30 @@ class TestSolveGivenDefaults:
                 want = solve_attenuated(C[idx][:, idx], r_vec[idx], b[idx], "block")
                 got = cn.solve_given_defaults(shocked, params, everyone)
                 np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    @pytest.mark.parametrize("n_banks", [3, 300])
+    def test_negative_zero_asset_pays_positive_zero(self, n_banks, r):
+        # bank 0 is owed nothing and holds -0.0; at r = 0 the sweep returns
+        # its right-hand side as is, at r = 0.5 the 4-node block takes the LU
+        if n_banks == 3:
+            L = np.array([[0, 2, 3, 1], [0, 0, 1, 4], [0, 2, 0, 3], [0, 0, 0, 0]], float)
+        else:
+            L = cn.generate_random_system(4, n_banks, 0.03).liabilities.copy()
+            L[:, 0] = 0.0
+        a = np.full(n_banks + 1, 0.25)
+        a[0], a[-1] = -0.0, 1.0
+        system = cn.build_system(L, np.ones(n_banks + 1)).with_external_assets(a)
+        params = cn.ClearingParams(r=r, r_a=0.7)
+        everyone = cn.DefaultIndicator(flags=np.ones(n_banks + 1, dtype=bool))
+        r_vec = params.recovery_vector(n_banks + 1)
+        b = r_vec * (system.claims @ np.zeros(n_banks + 1)) + 0.7 * a
+        want = solve_attenuated(system.claims, r_vec, b, "block")
+        got = cn.solve_given_defaults(system, params, everyone)
+        assert got.tobytes() == want.tobytes()
+        solution = cn.fictitious_default_sequence(system, params)
+        assert solution.defaults == everyone
+        assert not np.signbit(solution.payments).any()
 
     def test_singular_reduced_system(self):
         # two banks owing only each other, full recovery: I - C is singular
@@ -130,7 +154,7 @@ class TestPaymentsFarBelowLiabilities:
 class TestFictitiousDefaultSequence:
     def test_no_defaults_converges_immediately(self, sys_a):
         solution = cn.fictitious_default_sequence(sys_a, cn.ClearingParams(r=0.8))
-        l = cn.total_liabilities(sys_a)
+        l = sys_a.total_liabilities
         np.testing.assert_array_equal(solution.payments[sys_a.banks], l[sys_a.banks])
         assert solution.iterations == 1
         np.testing.assert_array_equal(
@@ -178,13 +202,13 @@ class TestFictitiousDefaultSequence:
             params = cn.ClearingParams(r=r)
             solution = cn.fictitious_default_sequence(shocked, params)
             oracle = cn.picard_clearing_oracle(shocked, params)
-            scale = max(1.0, cn.total_liabilities(system).max())
+            scale = max(1.0, system.total_liabilities.max())
             assert np.abs(solution.payments - oracle)[shocked.banks].max() <= 1e-8 * scale
 
 
 class TestPicardOracle:
     def test_fixed_point_at_full_payment(self, sys_a):
-        l = cn.total_liabilities(sys_a)
+        l = sys_a.total_liabilities
         oracle = cn.picard_clearing_oracle(sys_a, cn.ClearingParams(r=0.8))
         np.testing.assert_array_equal(oracle[sys_a.banks], l[sys_a.banks])
 
@@ -210,18 +234,18 @@ class TestPicardOracle:
 class TestLossMeasures:
     def test_no_losses_at_full_payment(self, sys_a):
         solution = cn.fictitious_default_sequence(sys_a, cn.ClearingParams(r=0.8))
-        l = cn.total_liabilities(sys_a)
+        l = sys_a.total_liabilities
         np.testing.assert_array_equal(cn.systemic_loss(solution, l), np.zeros(3))
 
     def test_sys_a_full_default_losses(self, sys_a):
         shocked = sys_a.with_external_assets([3.5, 4.0, 1.0])
         solution = cn.fictitious_default_sequence(shocked, cn.ClearingParams(r=0.8))
-        sigma = cn.systemic_loss(solution, cn.total_liabilities(shocked))
+        sigma = cn.systemic_loss(solution, shocked.total_liabilities)
         np.testing.assert_allclose(sigma, (5.36190, 5.25790, 0.0), atol=1e-4)
 
     def test_sys_0_losses(self, sys_0):
         solution = cn.fictitious_default_sequence(sys_0, cn.ClearingParams(r=0.5))
-        sigma = cn.systemic_loss(solution, cn.total_liabilities(sys_0))
+        sigma = cn.systemic_loss(solution, sys_0.total_liabilities)
         np.testing.assert_allclose(sigma, [0.0, 4.0, 0.0], atol=1e-12)
 
     def test_capitalization_adjustment_zero_shock(self, sys_a):
@@ -233,7 +257,7 @@ class TestLossMeasures:
         shocked = sys_a.with_external_assets([3.5, 4.0, 1.0])
         solution = cn.fictitious_default_sequence(shocked, cn.ClearingParams(r=0.8))
         out = cn.capitalization_adjusted_loss(solution, shocked)
-        sigma = cn.systemic_loss(solution, cn.total_liabilities(shocked))
+        sigma = cn.systemic_loss(solution, shocked.total_liabilities)
         expected = [sigma[0] * (-4.5) / 11.0, sigma[1] * (-5.0) / 11.0, 0.0]
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
@@ -242,7 +266,7 @@ class TestLossMeasures:
         shocked = system.with_external_assets([3.0, 1.0])  # s = -o/2
         solution = cn.fictitious_default_sequence(shocked, cn.ClearingParams(r=0.5))
         out = cn.capitalization_adjusted_loss(solution, shocked)
-        sigma = cn.systemic_loss(solution, cn.total_liabilities(shocked))
+        sigma = cn.systemic_loss(solution, shocked.total_liabilities)
         assert out[0] == pytest.approx(sigma[0] * (-0.5) * 6.0 / (6.0 + 0.0))
 
     def test_capitalization_adjustment_division_by_zero(self):
@@ -259,7 +283,7 @@ class TestStructuralProperties:
             shocked = partial_default_variant(system, seed=i)
             params = cn.ClearingParams(r=0.1 + 0.8 * ((i * 0.41) % 1.0))
             solution = cn.fictitious_default_sequence(shocked, params)
-            l = cn.total_liabilities(shocked)
+            l = shocked.total_liabilities
             b = shocked.banks
             assert np.all(solution.payments[b] >= 0)
             assert np.all(solution.payments[b] <= l[b])

@@ -21,14 +21,14 @@ class TestFullShockEquivalence:
         scenario = cn.full_default_shock(sys_a, 0.5)
         shocked = cn.shocked_system(sys_a, scenario)
         solution = cn.fictitious_default_sequence(shocked, params)
-        sigma = cn.systemic_loss(solution, cn.total_liabilities(sys_a))
+        sigma = cn.systemic_loss(solution, sys_a.total_liabilities)
         np.testing.assert_allclose(sigma[:2], (5.36190, 5.25790), atol=1e-4)
 
     def test_trivial_interbank_block(self, sys_0):
         report = cn.verify_full_shock_equivalence(sys_0, cn.ClearingParams(r=0.5), 0.5)
         assert report.passed
         # with no interbank claims both routes reduce to (1 - m) l
-        l = cn.total_liabilities(sys_0)
+        l = sys_0.total_liabilities
         beta = cn.beta_vector(sys_0, 0.5, 0.5)
         np.testing.assert_allclose(beta[:2], 0.5 * l[:2])
 
@@ -45,11 +45,11 @@ class TestFullShockEquivalence:
             scenario = cn.full_default_shock(system, 0.5)
             shocked = cn.shocked_system(system, scenario)
             solution = cn.fictitious_default_sequence(shocked, params)
-            l = cn.total_liabilities(system)
+            l = system.total_liabilities
             sigma_clearing = cn.systemic_loss(solution, l)[system.banks]
             beta = cn.beta_vector(system, 0.7, 0.5)
             sigma_katz = cn.generalized_katz(
-                cn.relative_claims(system).matrix, 0.7, beta
+                system.claims, 0.7, beta
             ).sigma[system.banks]
             np.testing.assert_array_equal(
                 np.argsort(-sigma_clearing, kind="stable"),

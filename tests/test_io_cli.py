@@ -18,6 +18,17 @@ from clearnet.io_cli import (
     serialize_document,
 )
 
+# one invocation of every report command, without --input
+REPORT_COMMANDS = [
+    ["clear", "--r", "0.8"],
+    ["shock", "--kind", "full", "--m", "0.5", "--r", "0.8"],
+    ["shock", "--kind", "relaxed", "--r", "0.8", "--max-steps", "100"],
+    ["katz", "--r", "0.8", "--m", "0.5"],
+    ["verify", "--r", "0.8", "--m", "0.5"],
+    ["spectral"],
+    ["spectral", "--r", "1"],
+]
+
 
 @pytest.fixture
 def sys_a_path(tmp_path, sys_a):
@@ -112,8 +123,8 @@ class TestGenerator:
     def test_full_default_precondition_holds(self):
         for seed in range(30):
             system = cn.generate_random_system(seed, 2 + seed % 20, 0.4)
-            l = cn.total_liabilities(system)
-            cl = cn.relative_claims(system).matrix @ l
+            l = system.total_liabilities
+            cl = system.claims @ l
             b = system.banks
             assert np.all(cl[b] < l[b])
             # every bank starts solvent
@@ -264,8 +275,8 @@ class TestCli:
         out = tmp_path / "gen.json"
         cli_main(["gen", "--seed", "2", "--n", "9", "--density", "0.7", "--out", str(out)])
         system = cn.load_system(out)
-        l = cn.total_liabilities(system)
-        cl = cn.relative_claims(system).matrix @ l
+        l = system.total_liabilities
+        cl = system.claims @ l
         assert np.all(cl[system.banks] < l[system.banks])
 
     def test_spectral_report(self, sys_a_path, capsys):
@@ -388,18 +399,55 @@ class TestReportPipeline:
         assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "argv",
+        "document",
         [
-            ["clear", "--r", "0.8"],
-            ["shock", "--kind", "full", "--m", "0.5", "--r", "0.8"],
-            ["shock", "--kind", "relaxed", "--r", "0.8", "--max-steps", "100"],
-            ["katz", "--r", "0.8", "--m", "0.5"],
-            ["verify", "--r", "0.8", "--m", "0.5"],
-            ["spectral"],
-            ["spectral", "--r", "1"],
+            '{"liabilities": [[0, null], [0, 0]], "pre_shock_assets": [1, 1]}',
+            '{"liabilities": [[0, 1], [0, 0]], "pre_shock_assets": [null, 1]}',
+            '{"liabilities": [1, 2], "pre_shock_assets": [1, 1]}',
+            '{"liabilities": 5, "pre_shock_assets": [1]}',
+            '{"liabilities": [[0, 1], [0, 0]], "pre_shock_assets": [[1], [1]]}',
+            '{"liabilities": [[0, {}], [0, 0]], "pre_shock_assets": [1, 1]}',
+            '{"liabilities": [[0, 1], [0]], "pre_shock_assets": [1, 1]}',
         ],
-        ids=" ".join,
+        ids=["null liability", "null asset", "scalar rows", "scalar field",
+             "nested assets", "object entry", "ragged rows"],
     )
+    def test_malformed_document_exits_1(self, document, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(document)
+        assert cli_main(["clear", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        if "null" in document:
+            assert "non-numeric entry" in captured.err
+
+    @pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=" ".join)
+    def test_input_echo_is_the_document_bit_for_bit(self, argv, tmp_path, capsys):
+        path = tmp_path / "gen.json"
+        assert cli_main(
+            ["gen", "--seed", "3", "--n", "30", "--density", "0.2", "--out", str(path)]
+        ) == 0
+        capsys.readouterr()
+        document = json.loads(path.read_text())
+        assert cli_main(argv + ["--input", str(path)]) == 0
+        echo = json.loads(capsys.readouterr().out)["input"]
+        for field in ("liabilities", "pre_shock_assets", "external_assets"):
+            got = np.array(echo[field], dtype=float)
+            want = np.array(document[field], dtype=float)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_gen_writes_the_canonical_document(self, tmp_path, capsys):
+        path = tmp_path / "gen.json"
+        assert cli_main(
+            ["gen", "--seed", "3", "--n", "30", "--density", "0.2", "--out", str(path)]
+        ) == 0
+        system = cn.generate_random_system(3, 30, 0.2)
+        doc = SystemDocument.from_system(system)
+        assert path.read_text() == dumps_canonical(doc.to_dict()) + "\n"
+
+    @pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=" ".join)
     def test_pretty_is_a_view_of_the_json_report(self, argv, sys_a_path, capsys):
         argv = argv + ["--input", str(sys_a_path)]
         assert cli_main(argv) == 0

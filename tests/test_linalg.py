@@ -66,13 +66,13 @@ def test_solver_matches_dense_lu(
     flags = rng.random(n) < block_share
     flags[system.sink] = True
     idx = np.flatnonzero(flags)
-    l = cn.total_liabilities(system)[idx]
+    l = system.total_liabilities[idx]
     b = rng.uniform(-1.0 if mixed_sign else 0.0, 1.0, size=idx.size) * l
     if not b.any():
         b[0] = scale
 
     x = solve_attenuated(system.claims[idx][:, idx], r_vec[idx], b, "block")
-    block = cn.relative_claims(system).matrix.toarray()[np.ix_(idx, idx)]
+    block = system.claims.toarray()[np.ix_(idx, idx)]
     A = np.eye(idx.size) - r_vec[idx, None] * block
     want = solve_checked(A, b, "dense block")
     assert np.abs(x - want).sum() <= 1e-13 * np.abs(want).sum()
@@ -114,8 +114,8 @@ def test_solve_given_defaults_matches_exact_arithmetic(
 class TestSelection:
     def test_full_default_clear_and_katz_sweep_without_lu(self, monkeypatch):
         system = cn.generate_random_system(seed=3, n_banks=300, density=0.03)
-        l = cn.total_liabilities(system)
-        C = cn.relative_claims(system).matrix
+        l = system.total_liabilities
+        C = system.claims
         beta = cn.beta_vector(system, 0.8, 0.5)
         want = np.linalg.solve(np.eye(system.node_count) - 0.8 * C, beta)
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
@@ -255,7 +255,7 @@ def test_import_loads_no_dense_linear_algebra():
 class TestAsCsr:
     def test_dense_round_trip(self, ensemble):
         for system in ensemble[:20]:
-            C = cn.relative_claims(system).matrix.toarray()
+            C = system.claims.toarray()
             np.testing.assert_array_equal(as_csr(C).toarray(), C)
 
     def test_empty_and_zero_matrices(self):

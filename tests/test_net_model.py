@@ -70,18 +70,18 @@ class TestBuildSystem:
     def test_shocked_copies_share_liabilities_and_claims(self, sys_a):
         scenario = cn.full_default_shock(sys_a, 0.5)
         shocked = cn.shocked_system(sys_a, scenario)
-        assert cn.relative_claims(shocked).matrix is cn.relative_claims(sys_a).matrix
-        assert cn.total_liabilities(shocked) is cn.total_liabilities(sys_a)
+        assert shocked.claims is sys_a.claims
+        assert shocked.total_liabilities is sys_a.total_liabilities
         with pytest.raises(ValueError):
-            cn.relative_claims(sys_a).matrix[0, 1] = 5.0
+            sys_a.claims[0, 1] = 5.0
         # an insertion is refused too, once scipy's efficiency warning passes
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.sparse.SparseEfficiencyWarning)
             with pytest.raises(ValueError):
-                cn.relative_claims(sys_a).matrix[0, 0] = 5.0
+                sys_a.claims[0, 0] = 5.0
         assert sys_a.claims.nnz == 4
         with pytest.raises(ValueError):
-            cn.total_liabilities(sys_a)[0] = 5.0
+            sys_a.total_liabilities[0] = 5.0
         assert shocked.total_claims is sys_a.total_claims
         with pytest.raises(ValueError):
             sys_a.total_claims[0] = 5.0
@@ -104,35 +104,35 @@ class TestBuildSystem:
 
 class TestTotalLiabilities:
     def test_sys_a(self, sys_a):
-        np.testing.assert_array_equal(cn.total_liabilities(sys_a), [10, 10, 0])
+        np.testing.assert_array_equal(sys_a.total_liabilities, [10, 10, 0])
 
     def test_zero_matrix(self):
         system = cn.build_system(np.zeros((3, 3)), [1, 1, 1])
-        np.testing.assert_array_equal(cn.total_liabilities(system), [0, 0, 0])
+        np.testing.assert_array_equal(system.total_liabilities, [0, 0, 0])
 
     def test_sys_0(self, sys_0):
-        np.testing.assert_array_equal(cn.total_liabilities(sys_0), [10, 8, 0])
+        np.testing.assert_array_equal(sys_0.total_liabilities, [10, 8, 0])
 
 
 class TestRelativeClaims:
     def test_sys_a(self, sys_a):
         expected = [[0, 0.3, 0], [0.2, 0, 0], [0.8, 0.7, 0]]
-        np.testing.assert_allclose(cn.relative_claims(sys_a).matrix.toarray(), expected)
+        np.testing.assert_allclose(sys_a.claims.toarray(), expected)
 
     def test_sys_0_only_sink_has_claims(self, sys_0):
         expected = [[0, 0, 0], [0, 0, 0], [1, 1, 0]]
-        np.testing.assert_array_equal(cn.relative_claims(sys_0).matrix.toarray(), expected)
+        np.testing.assert_array_equal(sys_0.claims.toarray(), expected)
 
     def test_zero_matrix(self):
         system = cn.build_system(np.zeros((3, 3)), [1, 1, 1])
         np.testing.assert_array_equal(
-            cn.relative_claims(system).matrix.toarray(), np.zeros((3, 3))
+            system.claims.toarray(), np.zeros((3, 3))
         )
 
     def test_column_stochastic_where_liable(self, ensemble):
         for system in ensemble[:25]:
-            C = cn.relative_claims(system).matrix.toarray()
-            l = cn.total_liabilities(system)
+            C = system.claims.toarray()
+            l = system.total_liabilities
             assert C.min() >= 0 and C.max() <= 1
             sums = C.sum(axis=0)
             np.testing.assert_allclose(sums[l > 0], 1.0, atol=1e-12)
@@ -142,8 +142,8 @@ class TestRelativeClaims:
     def test_claims_monotone_in_payments(self, ensemble):
         rng = np.random.default_rng(3)
         for system in ensemble[:10]:
-            C = cn.relative_claims(system).matrix
-            l = cn.total_liabilities(system)
+            C = system.claims
+            l = system.total_liabilities
             x = rng.uniform(0, 1, size=system.node_count) * l
             assert np.all(C @ x <= C @ l + 1e-12)
 
@@ -186,7 +186,7 @@ class TestClaimsBuild:
 
 class TestEquity:
     def test_sys_a_full_payment(self, sys_a):
-        l = cn.total_liabilities(sys_a)
+        l = sys_a.total_liabilities
         np.testing.assert_allclose(cn.equity(sys_a, l), [1, 1, 16])
 
     def test_no_liabilities_equity_is_assets(self):
@@ -195,31 +195,31 @@ class TestEquity:
 
     def test_sys_a_after_shock(self, sys_a):
         shocked = sys_a.with_external_assets([3.5, 4.0, 1.0])
-        l = cn.total_liabilities(shocked)
+        l = shocked.total_liabilities
         np.testing.assert_allclose(cn.equity(shocked, l), [-3.5, -4, 16])
 
 
 class TestDefaultIndicator:
     def test_solvent_banks_only_sink_flagged(self, sys_a):
-        l = cn.total_liabilities(sys_a)
+        l = sys_a.total_liabilities
         flags = cn.default_indicator(sys_a, l).flags
         np.testing.assert_array_equal(flags, [False, False, True])
 
     def test_all_flagged_after_shock(self, sys_a):
         shocked = sys_a.with_external_assets([3.5, 4.0, 1.0])
-        flags = cn.default_indicator(shocked, cn.total_liabilities(shocked)).flags
+        flags = cn.default_indicator(shocked, shocked.total_liabilities).flags
         np.testing.assert_array_equal(flags, [True, True, True])
 
     def test_boundary_equality_counts_as_solvent(self, sys_a):
         # a_0 + (C l)_0 = 7 + 3 = 10 = l_0 exactly
         boundary = sys_a.with_external_assets([7.0, 9.0, 1.0])
-        flags = cn.default_indicator(boundary, cn.total_liabilities(boundary)).flags
+        flags = cn.default_indicator(boundary, boundary.total_liabilities).flags
         assert not flags[0]
 
     def test_monotone_in_payments(self, ensemble):
         rng = np.random.default_rng(4)
         for system in ensemble[:10]:
-            l = cn.total_liabilities(system)
+            l = system.total_liabilities
             y = rng.uniform(0, 1, size=system.node_count) * l
             x = y * rng.uniform(0, 1, size=system.node_count)
             under_y = cn.default_indicator(system, y)
@@ -227,7 +227,7 @@ class TestDefaultIndicator:
             assert under_y.issubset(under_x)
 
     def test_indicator_equality_and_diagonal(self, sys_a):
-        l = cn.total_liabilities(sys_a)
+        l = sys_a.total_liabilities
         d1 = cn.default_indicator(sys_a, l)
         d2 = cn.default_indicator(sys_a, l)
         assert d1 == d2
@@ -257,7 +257,7 @@ class TestFundamentalDefaults:
                 system.external_assets
                 * np.random.default_rng(i).uniform(0.2, 1.2, system.node_count)
             )
-            l = cn.total_liabilities(system)
+            l = system.total_liabilities
             eq = cn.equity(system, l)
             flags = cn.fundamental_defaults(system).flags
             banks = system.banks

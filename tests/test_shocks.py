@@ -31,8 +31,8 @@ class TestFullDefaultShock:
         for i, system in enumerate(ensemble[:20]):
             m = 0.05 + 0.9 * ((i * 0.29) % 1.0)
             scenario = cn.full_default_shock(system, m)
-            l = cn.total_liabilities(system)
-            cl = cn.relative_claims(system).matrix @ l
+            l = system.total_liabilities
+            cl = system.claims @ l
             b = system.banks
             a = scenario.post_shock_assets
             np.testing.assert_allclose(a[b], m * (l[b] - cl[b]), rtol=1e-12)
@@ -67,8 +67,8 @@ class TestFullDefaultShock:
 
     def test_vector_interpolation(self, sys_a):
         scenario = cn.full_default_shock(sys_a, np.array([0.3, 0.6, 0.5]))
-        l = cn.total_liabilities(sys_a)
-        cl = cn.relative_claims(sys_a).matrix @ l
+        l = sys_a.total_liabilities
+        cl = sys_a.claims @ l
         np.testing.assert_allclose(
             scenario.post_shock_assets[:2],
             [0.3 * (l[0] - cl[0]), 0.6 * (l[1] - cl[1])],
@@ -185,7 +185,7 @@ class TestRelaxedInterpolatedShock:
 
     def test_zero_interbank_block_is_trivially_consistent(self, sys_0):
         cert = cn.relaxed_interpolated_shock(sys_0, cn.ClearingParams(r=0.5), 0.5)
-        l = cn.total_liabilities(sys_0)
+        l = sys_0.total_liabilities
         np.testing.assert_allclose(cert.candidate[:2], 0.5 * l[:2], atol=1e-12)
         np.testing.assert_allclose(
             cert.scenario.post_shock_assets[:2], 0.5 * l[:2], atol=1e-12
@@ -207,8 +207,8 @@ class TestRelaxedInterpolatedShock:
             m = rng.uniform(0.1, 0.85)
             cert = cn.relaxed_interpolated_shock(system, cn.ClearingParams(r=r), m)
             p = cert.clearing.payments
-            l = cn.total_liabilities(system)
-            C = cn.relative_claims(system).matrix
+            l = system.total_liabilities
+            C = system.claims
             b = system.banks
             lhs = p[b]
             rhs = (m * l + (r - m) * (C @ p))[b]

@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 import scipy.sparse
 
 import clearnet as cn
+import clearnet.centrality
 import clearnet.spectral
 
 
@@ -18,7 +18,7 @@ def column_stochastic(seed: int, n: int) -> np.ndarray:
 
 class TestCollatzWielandt:
     def test_uniform_vector_on_bank_block(self, sys_a):
-        block = cn.relative_claims(sys_a).matrix[:2, :2]
+        block = sys_a.claims[:2, :2]
         assert cn.collatz_wielandt_value(block, np.ones(2)) == pytest.approx(0.2)
 
     def test_zero_matrix_gives_zero(self):
@@ -39,8 +39,8 @@ class TestCollatzWielandt:
 
     def test_lower_bound_property_on_many_vectors(self, sys_a, ensemble):
         rng = np.random.default_rng(21)
-        matrices = [cn.relative_claims(sys_a).matrix]
-        matrices += [cn.relative_claims(s).matrix for s in ensemble[:4]]
+        matrices = [sys_a.claims]
+        matrices += [s.claims for s in ensemble[:4]]
         for C in matrices:
             rho = cn.spectral_radius(C)
             n = C.shape[0]
@@ -54,7 +54,7 @@ class TestCollatzWielandt:
 
 class TestSpectralRadius:
     def test_sys_a_radius_below_one(self, sys_a):
-        rho = cn.spectral_radius(cn.relative_claims(sys_a).matrix)
+        rho = cn.spectral_radius(sys_a.claims)
         assert 0 < rho < 1
         assert rho == pytest.approx(np.sqrt(0.06), abs=1e-9)
 
@@ -67,7 +67,7 @@ class TestSpectralRadius:
         assert cn.spectral_radius(np.zeros((4, 4))) == 0.0
 
     def test_nilpotent_claims_matrix_is_exactly_zero(self, sys_0):
-        assert cn.spectral_radius(cn.relative_claims(sys_0).matrix) == 0.0
+        assert cn.spectral_radius(sys_0.claims) == 0.0
 
     @pytest.mark.parametrize("n_banks", [300, 600])
     def test_long_payment_chain_is_nilpotent(self, n_banks):
@@ -101,7 +101,7 @@ class TestSpectralRadius:
 class TestSparseInput:
     def test_matches_dense_on_ensemble(self, ensemble):
         for system in ensemble[:20]:
-            dense = cn.relative_claims(system).matrix.toarray()
+            dense = system.claims.toarray()
             sparse = system.claims
             assert cn.spectral_radius(sparse) == cn.spectral_radius(dense)
             ok, report = cn.check_invertibility(sparse, 1.0)
@@ -129,7 +129,7 @@ def test_column_norm_is_the_largest_column_sum_bit_for_bit(ensemble):
 class TestCheckInvertibility:
     def test_full_recovery_with_sink(self, sys_a):
         ok, report = cn.check_invertibility(
-            cn.relative_claims(sys_a).matrix, r=1.0
+            sys_a.claims, r=1.0
         )
         assert ok
         assert report.invertible_for_r == "[0, 1]"
@@ -160,26 +160,26 @@ class TestCheckInvertibility:
 
     def test_zero_recovery_always_invertible(self, sys_a):
         ok, _ = cn.check_invertibility(
-            cn.relative_claims(sys_a).matrix, r=0.0
+            sys_a.claims, r=0.0
         )
         assert ok
 
 
 class TestCorollaryBound:
     def test_identity_mask_is_equality(self, sys_a):
-        C = cn.relative_claims(sys_a).matrix
+        C = sys_a.claims
         all_default = cn.DefaultIndicator(flags=np.ones(3, dtype=bool))
         assert cn.corollary_radius_bound(C, all_default)
 
     def test_sink_only_mask_zeroes_radius(self, sys_a):
-        C = cn.relative_claims(sys_a).matrix
+        C = sys_a.claims
         sink_only = cn.DefaultIndicator(flags=np.array([False, False, True]))
         assert cn.corollary_radius_bound(C, sink_only)
 
     def test_seeded_random_masks(self, ensemble):
         rng = np.random.default_rng(2)
         for system in ensemble[:10]:
-            C = cn.relative_claims(system).matrix
+            C = system.claims
             flags = rng.random(system.node_count) < 0.5
             flags[system.sink] = True
             assert cn.corollary_radius_bound(C, cn.DefaultIndicator(flags=flags))
@@ -206,10 +206,37 @@ class TestCorollaryBound:
         assert peak < n * n * 8 / 20
 
 
+def test_each_public_entry_checks_the_matrix_once(sys_a, monkeypatch):
+    checks = []
+    real = clearnet.spectral._check_nonnegative
+
+    def counting(C):
+        checks.append(C)
+        return real(C)
+
+    for module in (clearnet.spectral, clearnet.centrality):
+        monkeypatch.setattr(module, "_check_nonnegative", counting)
+    C = sys_a.claims
+    everyone = cn.DefaultIndicator(flags=np.ones(sys_a.node_count, dtype=bool))
+    beta = cn.beta_vector(sys_a, 0.8, 0.5)
+    for call in (
+        lambda: cn.check_invertibility(C, 1.0),
+        lambda: cn.spectral_radius(C),
+        lambda: cn.collatz_wielandt_value(C, np.ones(sys_a.node_count)),
+        lambda: cn.corollary_radius_bound(C, everyone),
+        lambda: cn.generalized_katz(C, 0.8, beta),
+        lambda: cn.generalized_katz(C, 1.0, beta),
+        lambda: cn.standard_katz(C, 0.8),
+    ):
+        checks.clear()
+        call()
+        assert len(checks) == 1
+
+
 class TestNeumannSeries:
     def test_truncated_series_matches_direct_solve(self, ensemble):
         for i, system in enumerate(ensemble[:10]):
-            C = cn.relative_claims(system).matrix
+            C = system.claims
             r = (0.3, 0.5, 0.7, 0.9)[i % 4]
             if r * cn.spectral_radius(C) > 0.85:
                 continue
@@ -288,16 +315,14 @@ class TestOneInvertibilityRule:
         self, ensemble, monkeypatch
     ):
         calls = []
-        real = clearnet.spectral.spectral_radius
+        real = clearnet.spectral._radius
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        # bind the spy wherever a clearnet module holds the radius function
-        for name, module in list(sys.modules.items()):
-            if name.startswith("clearnet") and getattr(module, "spectral_radius", None) is real:
-                monkeypatch.setattr(module, "spectral_radius", counting)
+        # the power iteration behind every radius, public or internal
+        monkeypatch.setattr(clearnet.spectral, "_radius", counting)
         rng = np.random.default_rng(3)
         for system in ensemble[:60]:
             n = system.node_count
