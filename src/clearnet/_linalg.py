@@ -1,6 +1,13 @@
 """The one solver of ``(I - diag(r) C) x = b``, plus the dense LU it falls
 back on, which keeps an explicit pivot check. ``scipy.linalg`` is imported
-by that fallback only, so a run that never takes it never loads it."""
+by that fallback only, so a run that never takes it never loads it.
+
+The solver's Neumann sweep takes one Aitken step along the dominant mode
+whenever the ratio of successive sweep steps has settled: on claims
+matrices the Perron root stands well clear of the rest of the spectrum, so
+after a few sweeps the error is nearly one geometric sequence, and the
+step removes it at the cost of one subtraction and two dot products per
+sweep."""
 from __future__ import annotations
 
 import math
@@ -14,6 +21,10 @@ from .errors import SingularSystem
 
 PIVOT_TOL = 1e-14
 EPS = float(np.finfo(float).eps)
+# Relative agreement of two successive step ratios at which the sweep jumps.
+# The ratio converges to the dominant eigenvalue as fast as the other modes
+# fade; sweep counts on generated networks barely move from 0.01 to 0.1.
+RATIO_SETTLE = 0.03
 
 
 def as_csr(C) -> scipy.sparse.csr_array:
@@ -81,13 +92,29 @@ def solve_attenuated(C: scipy.sparse.csr_array, r, b: NDArray, context: str) -> 
 
     With ``q = ||diag(r) C||_1`` (:func:`attenuation_norm`) below one, the
     Neumann sweep ``x <- b + r * (C @ x)`` from ``x = b`` is a contraction,
-    and ``k = ceil(log(eps (1 - q) / (1 + q)) / log q)`` sweeps bound its
-    relative 1-norm error by machine epsilon; each sweep updates in place.
-    The sweep runs when, besides, ``k * nnz(C) < n**3 / 3``, the flop count
-    of a dense LU; it stops early as soon as a sweep returns its input bit
-    for bit. Otherwise (``q >= 1``, or a small or dense ``C``) the dense
-    ``I - diag(r) C`` is formed and solved by :func:`solve_checked`, which
-    raises ``SingularSystem`` on a pivot below ``1e-14``.
+    and ``k = ceil(log(eps (1 - q) / (1 + q)) / log q)`` sweeps of it bound
+    its relative 1-norm error by machine epsilon. The sweep runs when,
+    besides, ``k * nnz(C) < n**3 / 3``, the flop count of a dense LU, and
+    it returns as soon as a sweep returns its input bit for bit, so ``x``
+    is a floating-point fixed point of ``b + r * (C @ x)``: the step
+    ``d = y - x`` is zero exactly when ``y == x``, and its squared norm,
+    which the ratios below need anyway, is tested first.
+
+    Each sweep keeps its step ``d = y - x`` and the ratio
+    ``lam = (d . d_prev) / (d_prev . d_prev)`` to the step before. When two
+    successive ratios agree within ``RATIO_SETTLE`` relative and
+    ``0 < lam <= q``, the error is close to one geometric mode of ratio
+    ``lam``, and Aitken's step ``y + d lam / (1 - lam)`` jumps to its limit;
+    the ratios then start afresh. A jump voids the a-priori count ``k``, so
+    a sweep that reaches ``k`` without a bit-stable step returns its last
+    iterate ``y`` only under the certificate
+    ``||y - x||_1 <= eps (1 - q) ||y||_1``, which bounds the error of ``y``
+    by ``eps ||y||_1`` since ``||(I - diag(r) C)^-1||_1 <= 1 / (1 - q)``.
+
+    Otherwise (``q >= 1``, a small or dense ``C``, or a failed certificate)
+    the dense ``I - diag(r) C`` is formed and solved by
+    :func:`solve_checked`, which raises ``SingularSystem`` on a pivot below
+    ``1e-14``.
     """
     n = C.shape[0]
     b = np.asarray(b, dtype=float)
@@ -100,14 +127,31 @@ def solve_attenuated(C: scipy.sparse.csr_array, r, b: NDArray, context: str) -> 
         sweeps = 1 if q == 0.0 else math.ceil(math.log(bound) / math.log(q))
         if sweeps * C.nnz < n**3 / 3:
             x = b.copy()
-            for _ in range(sweeps):
-                y = C @ x
-                y *= r
-                y += b
-                if (y == x).all():
-                    break
-                x = y
-            return x
+            prev = lam = None  # the last step and the ratio it gave
+            # a step whose square overflows gives a ratio of inf or nan, which
+            # never jumps; a solution beyond the float range comes back
+            # non-finite without a warning, as from the dense LU
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(sweeps):
+                    y = C @ x
+                    y *= r
+                    y += b
+                    d = y - x
+                    d_sq = d.dot(d)
+                    if d_sq == 0.0 and not d.any():   # y == x bit for bit
+                        return x
+                    x = y
+                    lam_prev, lam = lam, None
+                    if prev is not None and prev_sq > 0.0:   # the square may underflow
+                        lam = d.dot(prev) / prev_sq
+                        if (lam_prev is not None and 0.0 < lam <= q
+                                and abs(lam - lam_prev) <= RATIO_SETTLE * lam):
+                            x = y + d * (lam / (1.0 - lam))
+                            prev = lam = None
+                            continue
+                    prev, prev_sq = d, d_sq
+            if np.abs(d).sum() <= EPS * (1.0 - q) * np.abs(y).sum():
+                return y
     A = C.toarray()
     A *= -r[:, None]
     A[np.diag_indices(n)] += 1.0

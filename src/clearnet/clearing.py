@@ -29,6 +29,7 @@ from .net_model import (
     DefaultIndicator,
     FinancialSystem,
     default_indicator,
+    fundamental_defaults,
 )
 
 ORACLE_STEP_TOL = 1e-12
@@ -138,7 +139,7 @@ def fictitious_default_sequence(
     l = system.total_liabilities
     uniqueness_ok = bool(np.all(system.external_assets > 0))
 
-    current = default_indicator(system, l)
+    current = fundamental_defaults(system)
     history = [current]
     p = l
     for iteration in range(1, N + 2):

@@ -278,20 +278,27 @@ def equity(system: FinancialSystem, payments: NDArray) -> NDArray:
     return system.external_assets + system.claims @ p - system.total_liabilities
 
 
-def default_indicator(system: FinancialSystem, payments: NDArray) -> DefaultIndicator:
-    """Default flags under a payment vector.
-
-    A bank defaults when its equity is below the (tiny) tolerance band
-    around zero, so exact boundary solvency counts as solvent; the sink is
-    flagged by convention.
-    """
-    eq = equity(system, payments)
+def _indicator_from_equity(system: FinancialSystem, eq: NDArray) -> DefaultIndicator:
+    """Default flags from equity: a bank defaults when its equity is below
+    the (tiny) tolerance band around zero, so exact boundary solvency
+    counts as solvent; the sink is flagged by convention."""
     flags = eq < -DEFAULT_BAND * np.maximum(1.0, system.total_liabilities)
     flags[system.sink] = True
     flags.setflags(write=False)
     return DefaultIndicator(flags=flags)
 
 
+def default_indicator(system: FinancialSystem, payments: NDArray) -> DefaultIndicator:
+    """Default flags under a payment vector (see :func:`_indicator_from_equity`)."""
+    return _indicator_from_equity(system, equity(system, payments))
+
+
 def fundamental_defaults(system: FinancialSystem) -> DefaultIndicator:
-    """Banks insolvent even when every counterparty pays in full (p = l)."""
-    return default_indicator(system, system.total_liabilities)
+    """Banks insolvent even when every counterparty pays in full (p = l).
+
+    Equity is formed from the stored ``total_claims``, the product ``C l``
+    that :func:`default_indicator` would form again, so the flags are the
+    same bit for bit."""
+    return _indicator_from_equity(
+        system, system.external_assets + system.total_claims - system.total_liabilities
+    )

@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 import clearnet as cn
 import clearnet._linalg
 from clearnet._linalg import (
+    EPS,
     as_csr,
     attenuation_norm,
     solve_attenuated,
     solve_checked,
 )
-from conftest import exact_frozen_payments
+from conftest import exact_frozen_payments, fraction_solve
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -229,6 +230,186 @@ class TestBitPins:
             np.testing.assert_array_equal(got, reference_solve(C, r, b))
 
 
+class CountingCsr(scipy.sparse.csr_array):
+    """A CSR array that counts its products, one per sweep."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+class JitteredCsr(CountingCsr):
+    """Products off by ``jitter`` in entry 0, with alternating sign, so that
+    no sweep ever returns its input bit for bit."""
+
+    jitter = 0.0
+
+    def __matmul__(self, other):
+        out = super().__matmul__(other)
+        self.jitter = -self.jitter
+        out[0] += self.jitter
+        return out
+
+
+def two_cycles(pairs: int) -> scipy.sparse.csr_array:
+    """Disjoint 2-cycles: the spectrum is ``+-sqrt(w w')`` per pair, so the
+    sweep's error alternates in sign and its step ratio is negative."""
+    w = np.random.default_rng(5).uniform(0.2, 1.0, size=(pairs, 2))
+    return scipy.sparse.csr_array(
+        scipy.sparse.block_diag([[[0.0, a], [c, 0.0]] for a, c in w]), dtype=float
+    )
+
+
+def cycle(n: int) -> scipy.sparse.csr_array:
+    """One weighted n-cycle: its spectrum is spread evenly round a circle."""
+    w = np.random.default_rng(6).uniform(0.5, 1.0, size=n)
+    return scipy.sparse.csr_array(np.roll(np.diag(w), 1, axis=0))
+
+
+def payment_chain(n_banks: int) -> scipy.sparse.csr_array:
+    """Bank i owes only bank i + 1, the last bank the sink: a nilpotent C."""
+    L = np.zeros((n_banks + 1, n_banks + 1))
+    L[np.arange(n_banks), np.arange(1, n_banks + 1)] = np.arange(1.0, n_banks + 1)
+    return cn.build_system(L, np.ones(n_banks + 1)).claims
+
+
+def rates(kind: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    return {
+        "scalar": np.full(n, 0.9),
+        "per-node": rng.uniform(0.0, 0.95, n),
+        "r - m": np.full(n, 0.3 - 0.7),
+        "per-node r - m": rng.uniform(0.0, 0.9, n) - rng.uniform(0.0, 0.9, n),
+    }[kind]
+
+
+def right_hand_side(signs: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(8)
+    return rng.uniform(-1.0 if signs == "mixed" else 0.1, 1.0, n)
+
+
+def fraction_reference(C, r, b) -> list:
+    """``(I - diag(r) C)^-1 b`` in exact arithmetic on the float inputs; a
+    strictly lower triangular ``C`` is solved by forward substitution."""
+    r = [Fraction(x) for x in r.tolist()]
+    b = [Fraction(x) for x in b.tolist()]
+    if scipy.sparse.triu(C).nnz == 0:
+        x = []
+        for i, row in enumerate(C.toarray().tolist()):
+            x.append(b[i] + r[i] * sum(Fraction(c) * x[j] for j, c in enumerate(row[:i]) if c))
+        return x
+    A = [[int(i == j) - r[i] * Fraction(c) for j, c in enumerate(row)]
+         for i, row in enumerate(C.toarray().tolist())]
+    return fraction_solve(A, b)
+
+
+class TestAcceleratedSweep:
+    """The sweep with its Aitken jumps against exact and dense solves, its
+    sweep count against the plain loop, and its exit at the sweep cap."""
+
+    @pytest.mark.parametrize("signs", ["nonnegative", "mixed"])
+    @pytest.mark.parametrize("kind", ["scalar", "per-node", "r - m", "per-node r - m"])
+    @pytest.mark.parametrize("matrix", ["2-cycles", "cycle", "payment chain"])
+    def test_matches_exact_arithmetic(self, matrix, kind, signs, monkeypatch):
+        C = {"2-cycles": lambda: two_cycles(30), "cycle": lambda: cycle(40),
+             "payment chain": lambda: payment_chain(300)}[matrix]()
+        n = C.shape[0]
+        r, b = rates(kind, n), right_hand_side(signs, n)
+        monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
+        x = solve_attenuated(C, r, b, matrix)
+        exact = fraction_reference(C, r, b)
+        gap = sum(abs(Fraction(got) - want) for got, want in zip(x.tolist(), exact))
+        assert gap <= Fraction(1e-14) * sum(abs(want) for want in exact)
+
+    def test_jumping_sweep_matches_exact_arithmetic(self):
+        # a 41-node network is small enough for an exact solve and large
+        # enough to sweep; its Perron mode dominates, so the sweep jumps
+        C = CountingCsr(cn.generate_random_system(4, 40, 0.1).claims)
+        n = C.shape[0]
+        r, b = np.full(n, 0.5), right_hand_side("mixed", n)
+        x = solve_attenuated(C, r, b, "network")
+        sweeps, C.products = C.products, 0
+        reference_solve(C, r, b)
+        assert sweeps < C.products
+        exact = fraction_reference(C, r, b)
+        gap = sum(abs(Fraction(got) - want) for got, want in zip(x.tolist(), exact))
+        assert gap <= Fraction(1e-14) * sum(abs(want) for want in exact)
+
+    @pytest.mark.parametrize("signs", ["nonnegative", "mixed"])
+    @pytest.mark.parametrize("kind", ["scalar", "per-node", "r - m", "per-node r - m"])
+    def test_network_matches_dense_lu(self, kind, signs, monkeypatch):
+        C = cn.generate_random_system(3, 300, 0.03).claims
+        n = C.shape[0]
+        r, b = rates(kind, n), right_hand_side(signs, n)
+        want = solve_checked(np.eye(n) - r[:, None] * C.toarray(), b, "dense")
+        monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
+        x = solve_attenuated(C, r, b, "network")
+        assert np.abs(x - want).sum() <= 1e-14 * np.abs(want).sum()
+
+    @pytest.mark.parametrize("exponent", [60, -60])
+    def test_power_of_two_scaling_is_exact(self, exponent):
+        # every sweep, step, ratio and jump scales exactly, so the solution
+        # does too, bit for bit
+        system = cn.generate_random_system(3, 300, 0.03)
+        C, n = system.claims, system.node_count
+        for kind in ("scalar", "per-node r - m"):
+            r, b = rates(kind, n), right_hand_side("mixed", n)
+            x = solve_attenuated(C, r, b, "unscaled")
+            scaled = solve_attenuated(C, r, np.ldexp(b, exponent), "scaled")
+            np.testing.assert_array_equal(scaled, np.ldexp(x, exponent))
+
+    @pytest.mark.parametrize("exponent", [520, -520])
+    def test_steps_beyond_the_range_of_their_squares(self, exponent):
+        # squared steps overflow or underflow here: the ratios fail, the
+        # sweep goes on without jumps, and no floating-point warning escapes
+        system = cn.generate_random_system(3, 300, 0.03)
+        C, n = system.claims, system.node_count
+        r, b = rates("per-node", n), right_hand_side("mixed", n)
+        want = solve_checked(np.eye(n) - r[:, None] * C.toarray(), b, "dense")
+        x = solve_attenuated(C, r, np.ldexp(b, exponent), "scaled")
+        assert np.abs(np.ldexp(x, -exponent) - want).sum() <= 1e-14 * np.abs(want).sum()
+
+    def test_fewer_sweeps_than_the_plain_loop(self):
+        system = cn.generate_random_system(3, 300, 0.03)
+        C = CountingCsr(system.claims)
+        b = cn.beta_vector(system, 0.9, 0.3)
+        x = solve_attenuated(C, 0.9, b, "accelerated")
+        sweeps, C.products = C.products, 0
+        plain = reference_solve(C, 0.9, b)
+        # 28 sweeps against the plain loop's 39; a jump by half
+        # the Aitken step, or one taken before the ratio settles, saves less
+        assert 5 * sweeps <= 4 * C.products
+        np.testing.assert_array_equal(x, plain)
+
+    @pytest.mark.parametrize("jitter, lu_expected", [(1 / 8, False), (8.0, True)])
+    def test_sweep_cap_returns_a_certified_iterate_or_takes_lu(
+        self, jitter, lu_expected, lu_sizes
+    ):
+        # at r = 0.5 the alternating jitter d moves the iterate by at most
+        # 2 r d / (1 - q) = 2 d and at least 2 r d / (1 + q) = 2 d / 1.5
+        # per sweep, so 1/8 of the certificate's bound passes and 8 times
+        # it fails
+        system = cn.generate_random_system(3, 300, 0.03)
+        C, n = system.claims, system.node_count
+        b = system.total_liabilities
+        want = solve_checked(np.eye(n) - 0.5 * C.toarray(), b, "dense")
+        q = attenuation_norm(C, np.full(n, 0.5))
+        cap = math.ceil(math.log(EPS * (1.0 - q) / (1.0 + q)) / math.log(q))
+        lu_sizes.clear()
+        jittered = JitteredCsr(C)
+        jittered.jitter = jitter * EPS * (1.0 - q) * np.abs(want).sum()
+        x = solve_attenuated(jittered, 0.5, b, "jittered")
+        assert jittered.products == cap
+        if lu_expected:
+            assert lu_sizes == [n]
+            np.testing.assert_array_equal(x, want)
+        else:
+            assert lu_sizes == []
+            assert np.abs(x - want).sum() <= 2 * EPS * np.abs(want).sum()
+
+
 def test_import_loads_no_dense_linear_algebra():
     # scipy.sparse may load scipy.linalg itself in some scipy versions, so
     # only what importing clearnet adds on top of it counts
@@ -250,6 +431,26 @@ def test_import_loads_no_dense_linear_algebra():
     if before == "False":
         assert after_import == "False"
     assert after_lu == "True"  # the 3-node solve took the dense LU
+
+
+def test_sweep_path_loads_no_sparse_linear_algebra():
+    # the full-default clear and its Katz vector sweep; scipy.sparse.linalg
+    # would add its own import time to every command
+    script = (
+        "import sys\n"
+        "import clearnet as cn\n"
+        "system = cn.generate_random_system(3, 300, 0.03)\n"
+        "scenario = cn.full_default_shock(system, 0.5)\n"
+        "cn.fictitious_default_sequence(cn.shocked_system(system, scenario),\n"
+        "                               cn.ClearingParams(r=0.8))\n"
+        "cn.generalized_katz(system.claims, 0.8, cn.beta_vector(system, 0.8, 0.5))\n"
+        "print('scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["False", "False"]
 
 
 class TestAsCsr:

@@ -7,6 +7,7 @@ import scipy.sparse
 
 import clearnet as cn
 from clearnet._linalg import as_csr
+from conftest import partial_default_variant
 
 
 class TestBuildSystem:
@@ -266,3 +267,16 @@ class TestFundamentalDefaults:
             np.testing.assert_array_equal(
                 flags[banks][clear], (eq[banks] < 0)[clear]
             )
+
+    def test_matches_the_indicator_at_full_payment_bit_for_bit(self, ensemble):
+        # the stored total_claims is C @ l from the same kernel, so the
+        # flags agree even at the band's edge; full_default_shock puts
+        # equity within rounding of -m (l - C l)
+        for i, system in enumerate(ensemble):
+            l = system.total_liabilities
+            edge = system.with_external_assets(np.maximum(l - system.total_claims, 0.0))
+            full = cn.shocked_system(system, cn.full_default_shock(system, 0.5))
+            for variant in (system, partial_default_variant(system, i), edge, full):
+                assert cn.fundamental_defaults(variant) == cn.default_indicator(
+                    variant, variant.total_liabilities
+                )
