@@ -41,7 +41,9 @@ params = cn.ClearingParams(r=0.7)
 base = cn.fictitious_default_sequence(shocked, params).payments
 for c in (1e-3, 1e3):
     scaled_system = cn.build_system(
-        c * shocked.liabilities, c * shocked.pre_shock_assets, c * shocked.external_assets
+        c * shocked.sparse_liabilities,
+        c * shocked.pre_shock_assets,
+        c * shocked.external_assets,
     )
     scaled = cn.fictitious_default_sequence(scaled_system, params).payments
     print(f"scale {c:g}: max relative drift "

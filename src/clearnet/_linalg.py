@@ -110,6 +110,10 @@ def solve_attenuated(C: scipy.sparse.csr_array, r, b: NDArray, context: str) -> 
     iterate ``y`` only under the certificate
     ``||y - x||_1 <= eps (1 - q) ||y||_1``, which bounds the error of ``y``
     by ``eps ||y||_1`` since ``||(I - diag(r) C)^-1||_1 <= 1 / (1 - q)``.
+    A sweep that returns the iterate of two sweeps back bit for bit (screened
+    by ``lam == -1`` and equal squared steps) has entered a period-2
+    floating-point cycle, which no later sweep leaves; the loop stops there
+    and goes on as at the cap, with the iterate of the cap's parity.
 
     Otherwise (``q >= 1``, a small or dense ``C``, or a failed certificate)
     the dense ``I - diag(r) C`` is formed and solved by
@@ -132,7 +136,7 @@ def solve_attenuated(C: scipy.sparse.csr_array, r, b: NDArray, context: str) -> 
             # never jumps; a solution beyond the float range comes back
             # non-finite without a warning, as from the dense LU
             with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(sweeps):
+                for sweep in range(sweeps):
                     y = C @ x
                     y *= r
                     y += b
@@ -140,16 +144,23 @@ def solve_attenuated(C: scipy.sparse.csr_array, r, b: NDArray, context: str) -> 
                     d_sq = d.dot(d)
                     if d_sq == 0.0 and not d.any():   # y == x bit for bit
                         return x
-                    x = y
+                    x_in, x = x, y
                     lam_prev, lam = lam, None
                     if prev is not None and prev_sq > 0.0:   # the square may underflow
                         lam = d.dot(prev) / prev_sq
+                        if lam == -1.0 and d_sq == prev_sq and np.array_equal(y, x_in_prev):
+                            # a period-2 cycle: the sweeps left alternate
+                            # between x_in and y, so the cap's iterate is the
+                            # one of its parity, and its step is +-d
+                            if (sweeps - 1 - sweep) % 2:
+                                y = x_in
+                            break
                         if (lam_prev is not None and 0.0 < lam <= q
                                 and abs(lam - lam_prev) <= RATIO_SETTLE * lam):
                             x = y + d * (lam / (1.0 - lam))
                             prev = lam = None
                             continue
-                    prev, prev_sq = d, d_sq
+                    prev, prev_sq, x_in_prev = d, d_sq, x_in
             if np.abs(d).sum() <= EPS * (1.0 - q) * np.abs(y).sum():
                 return y
     A = C.toarray()

@@ -144,9 +144,9 @@ def verify_katz_reduction(system: FinancialSystem, r: float) -> bool:
     NotSingleCreditor
         If some bank has several creditors or none at all.
     """
-    L = system.liabilities
     banks = system.banks
-    creditor_counts = (L[banks] > 0).sum(axis=1)
+    # L stores no zeros, so each stored entry of a row names one creditor
+    creditor_counts = np.diff(system.sparse_liabilities.indptr)[banks]
     bad = np.flatnonzero(creditor_counts != 1)
     if bad.size:
         raise NotSingleCreditor(

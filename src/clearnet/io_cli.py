@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
 from numpy.typing import NDArray
 
 from .clearing import (
@@ -39,7 +40,7 @@ from .errors import (
     PreconditionViolated,
     ValidationError,
 )
-from .net_model import ClearingParams, FinancialSystem, build_system
+from .net_model import ROW_BLOCK, ClearingParams, FinancialSystem, build_system, row_sums
 from .centrality import beta_vector, generalized_katz
 from .shocks import full_default_shock, relaxed_shock_search, shocked_system
 from .spectral import check_invertibility
@@ -128,6 +129,11 @@ def dumps_canonical(value) -> str:
 _ARRAY_FIELDS = ("liabilities", "pre_shock_assets", "external_assets")
 
 
+def _node_names(system: FinancialSystem) -> list:
+    """The default labels: B1 ... Bn, then the sink."""
+    return [f"B{i + 1}" for i in range(system.n_banks)] + [SINK_LABEL]
+
+
 def _document_array(values, name: str) -> NDArray | None:
     """A document field as a read-only float array: a system's own array is
     kept, anything else is converted once. ``null``, which numpy reads as
@@ -179,14 +185,13 @@ class SystemDocument:
 
     @classmethod
     def from_system(cls, system: FinancialSystem, names=None) -> "SystemDocument":
-        """The document of ``system``, referring to its arrays (no copy)."""
-        if names is None:
-            names = [f"B{i + 1}" for i in range(system.n_banks)] + [SINK_LABEL]
+        """The document of ``system``, referring to its asset arrays; the
+        liability matrix is the dense copy of the system's sparse ``L``."""
         return cls(
             liabilities=system.liabilities,
             pre_shock_assets=system.pre_shock_assets,
             external_assets=system.external_assets,
-            names=names,
+            names=_node_names(system) if names is None else names,
         )
 
     def validate(self) -> None:
@@ -314,12 +319,13 @@ def load_system(path, format: str | None = None, assets_path=None) -> FinancialS
     return _load_input(path, format, assets_path)[0]
 
 
-def _load_input(path, format, assets_path) -> tuple[FinancialSystem, tuple | None]:
-    """:func:`load_system` plus the document's node names (None for CSV)."""
+def _load_input(path, format, assets_path) -> tuple[FinancialSystem, tuple | None, NDArray]:
+    """:func:`load_system` plus the document's node names (None for CSV) and
+    the liability matrix as read, which the report echoes."""
     fmt = format or ("csv" if str(path).lower().endswith(".csv") else "json")
     if fmt == "json":
         doc = load_document(path)
-        return doc.to_system(), doc.names
+        return doc.to_system(), doc.names, doc.liabilities
     if fmt == "csv":
         matrix = _read_csv(path)
         if assets_path is None:
@@ -328,13 +334,26 @@ def _load_input(path, format, assets_path) -> tuple[FinancialSystem, tuple | Non
                 "(--assets FILE)"
             )
         assets = _read_csv(assets_path, sidecar=True)
-        return build_system(matrix, assets), None
+        return build_system(matrix, assets), None, matrix
     raise ValidationError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
 
 
 # --------------------------------------------------------------------------
 # random systems
 # --------------------------------------------------------------------------
+
+def _weight_block(rng, shape, weight_scale, positions) -> tuple[NDArray, NDArray]:
+    """One block of the weight stream: its weights at the flat ``positions``
+    of the edges, and the block's row sums as numpy forms them on the dense
+    block. The drawn array is reused as that block, so one array of
+    ``shape`` is live at a time."""
+    drawn = rng.lognormal(mean=0.0, sigma=1.0, size=shape)
+    drawn *= weight_scale
+    kept = drawn.ravel()[positions]
+    drawn.fill(0.0)
+    np.put(drawn, positions, kept)
+    return kept, drawn.sum(axis=1)
+
 
 def generate_random_system(
     seed: int, n_banks: int, density: float, weight_scale: float = 1.0
@@ -347,6 +366,12 @@ def generate_random_system(
     keeps every bank's claims strictly below its liabilities (the
     precondition of the full-default shock). Pre-shock assets are drawn so
     every bank starts solvent; the sink holds one unit.
+
+    The edge and weight streams are drawn ``ROW_BLOCK`` rows of the bank
+    block at a time, which yields the numbers of one n x n draw of each,
+    and only the edges are kept: memory is O(nnz + ROW_BLOCK * n). Sums
+    are formed as numpy forms them on the dense matrix, so every seeded
+    network is the same bit for bit as one built densely.
     """
     if n_banks < 1:
         raise ValidationError(f"n_banks must be at least 1, got {n_banks}")
@@ -355,20 +380,40 @@ def generate_random_system(
     rng = np.random.default_rng(seed)
     n = n_banks
     N = n + 1
+    blocks = [(start, min(start + ROW_BLOCK, n)) for start in range(0, n, ROW_BLOCK)]
 
-    L = np.zeros((N, N))
-    edges = rng.random((n, n)) < density
-    np.fill_diagonal(edges, False)
-    weights = weight_scale * rng.lognormal(mean=0.0, sigma=1.0, size=(n, n))
-    L[:n, :n] = np.where(edges, weights, 0.0)
-    del edges, weights   # two n x n temporaries, not kept through build_system
-
-    claims = L[:n, :n].sum(axis=0)
-    interbank = L[:n, :n].sum(axis=1)
+    edges = []   # per block, the flat positions of its edges, in row-major order
+    for start, stop in blocks:
+        drawn = rng.random((stop - start, n)) < density
+        drawn[np.arange(stop - start), np.arange(start, stop)] = False
+        edges.append(np.flatnonzero(drawn))
+    weights = []
+    interbank = np.empty(n)
+    for (start, stop), positions in zip(blocks, edges):
+        kept, interbank[start:stop] = _weight_block(
+            rng, (stop - start, n), weight_scale, positions
+        )
+        weights.append(kept)
+    positions = np.concatenate([p + start * n for (start, _), p in zip(blocks, edges)])
+    weights = np.concatenate(weights)
+    cols = positions % n
+    # bincount adds each column's entries in row order, as numpy's column
+    # sum of the dense block does
+    claims = np.bincount(cols, weights=weights, minlength=n)
     u = rng.uniform(0.1, 1.0, size=n)
-    L[:n, N - 1] = claims + u * (1.0 + interbank)
 
-    l = L.sum(axis=1)
+    # each bank row ends with its (positive) liability to the sink, so bank
+    # row i starts i entries later than in the bank block; the sink row is empty
+    bank_ptr = np.searchsorted(positions, np.arange(n + 1) * n)
+    L = scipy.sparse.csr_array(
+        (
+            np.insert(weights, bank_ptr[1:], claims + u * (1.0 + interbank)),
+            np.insert(cols, bank_ptr[1:], N - 1),
+            np.append(bank_ptr + np.arange(N), n + weights.size),
+        ),
+        shape=(N, N),
+    )
+    l = row_sums(L)
     o = np.empty(N)
     o[:n] = (l[:n] - claims) + rng.uniform(0.0, 1.0, size=n) * l[:n]
     o[N - 1] = 1.0
@@ -380,8 +425,16 @@ def generate_random_system(
 # arguments and the loaded system
 # --------------------------------------------------------------------------
 
-def _input_echo(path, system: FinancialSystem, names) -> dict:
-    doc = SystemDocument.from_system(system, names=names)
+def _input_echo(path, system: FinancialSystem, names, liabilities: NDArray) -> dict:
+    """The loaded input as a document. ``liabilities`` is the matrix as read,
+    so the echo keeps each entry's bits (a -0.0 stays -0) and never
+    densifies the system's sparse ``L``."""
+    doc = SystemDocument(
+        liabilities=liabilities,
+        pre_shock_assets=system.pre_shock_assets,
+        external_assets=system.external_assets,
+        names=_node_names(system) if names is None else names,
+    )
     return {"path": None if path is None else str(path), **doc.to_dict()}
 
 
@@ -614,8 +667,11 @@ def _cmd_report(args) -> int:
     the report as canonical JSON or its --pretty view. A report that
     carries ``passed`` exits 2 when it is false."""
     build, pretty = _REPORTS[args.command]
-    system, names = _load_input(args.input, args.format, args.assets)
-    report = {"command": args.command, "input": _input_echo(args.input, system, names)}
+    system, names, liabilities = _load_input(args.input, args.format, args.assets)
+    report = {
+        "command": args.command,
+        "input": _input_echo(args.input, system, names, liabilities),
+    }
     report.update(build(args, system))
     print(pretty(report) if args.pretty else dumps_canonical(report))
     return 0 if report.get("passed", True) else 2

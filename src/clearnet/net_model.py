@@ -7,9 +7,12 @@ treated as defaulted by convention, which is what makes the clearing
 algebra well posed for any recovery rate.
 
 Everything in this module is immutable after construction and every
-operation is a pure function of its inputs. The total liabilities ``l``,
-the claims matrix ``C`` and the total claims ``C l`` are derived once, when
-the system is built, and every copy with new external assets shares them.
+operation is a pure function of its inputs. The liability matrix ``L`` is
+stored once, in compressed sparse rows; the total liabilities ``l``, the
+claims matrix ``C`` and the total claims ``C l`` are derived from it once,
+when the system is built, and every copy with new external assets shares
+them. No N x N array is formed on the way, except on request by the dense
+:attr:`FinancialSystem.liabilities`.
 """
 from __future__ import annotations
 
@@ -33,6 +36,8 @@ from .errors import (
 # within -DEFAULT_BAND * max(1, l_i) of zero still counts as solvent, so
 # floating-point noise cannot flip the default flag at the boundary.
 DEFAULT_BAND = 1e-12
+# Rows densified at a time where a row sum must equal numpy's dense one.
+ROW_BLOCK = 64
 
 __all__ = [
     "DEFAULT_BAND",
@@ -78,15 +83,16 @@ class FinancialSystem:
     ----------
     node_count : int
         Number of nodes ``N`` (banks plus the sink, which is index ``N-1``).
-    liabilities : (N, N) ndarray
-        ``liabilities[i, j]`` is what node ``i`` owes node ``j``. The sink
-        row is all zeros and the diagonal is zero.
+    sparse_liabilities : (N, N) scipy.sparse.csr_array
+        ``L[i, j]``, what node ``i`` owes node ``j``, in compressed sparse
+        rows with sorted indices, read-only; zeros are not stored. The sink
+        row and the diagonal are empty. :attr:`liabilities` is a dense copy.
     external_assets : (N,) ndarray
         Current external assets ``a`` (post-shock when a shock was applied).
     pre_shock_assets : (N,) ndarray
         Asset values ``o`` before any shock.
     total_liabilities : (N,) ndarray
-        Row sums ``l`` of ``liabilities``.
+        Row sums ``l`` of ``L``, bit for bit those of the dense matrix.
     claims : (N, N) scipy.sparse.csr_array
         Column-normalized claims matrix ``C[i, j] = L[j, i] / l_j``, the
         share of node ``j``'s total liabilities owed to node ``i``; columns
@@ -100,12 +106,20 @@ class FinancialSystem:
     """
 
     node_count: int
-    liabilities: NDArray
+    sparse_liabilities: scipy.sparse.csr_array
     external_assets: NDArray
     pre_shock_assets: NDArray
     total_liabilities: NDArray = field(repr=False, compare=False)
     claims: scipy.sparse.csr_array = field(repr=False, compare=False)
     total_claims: NDArray = field(repr=False, compare=False)
+
+    @property
+    def liabilities(self) -> NDArray:
+        """A fresh, read-only dense copy of ``L``: N x N floats, built on
+        each access. Nothing inside the package reads it."""
+        L = self.sparse_liabilities.toarray()
+        L.setflags(write=False)
+        return L
 
     @property
     def sink(self) -> int:
@@ -122,10 +136,10 @@ class FinancialSystem:
 
     def with_external_assets(self, assets: NDArray) -> "FinancialSystem":
         """Copy of the system with a new external-asset vector ``a``; it
-        shares ``l``, ``C`` and ``C l`` with this one."""
+        shares ``L``, ``l``, ``C`` and ``C l`` with this one."""
         return FinancialSystem(
             node_count=self.node_count,
-            liabilities=self.liabilities,
+            sparse_liabilities=self.sparse_liabilities,
             external_assets=_validated_assets(assets, "external_assets", self.node_count),
             pre_shock_assets=self.pre_shock_assets,
             total_liabilities=self.total_liabilities,
@@ -204,21 +218,64 @@ class ClearingParams:
         return broadcast_rate(self.r, node_count, "r")
 
 
+def row_sums(L: scipy.sparse.csr_array) -> NDArray:
+    """Row sums of a canonical CSR matrix, bit for bit numpy's
+    ``sum(axis=1)`` of the dense matrix. numpy sums a row pairwise, so the
+    zeros between the stored entries decide how the terms pair up; the rows
+    are densified ``ROW_BLOCK`` at a time. A sum that overflows is inf,
+    without a warning."""
+    n_rows, n_cols = L.shape
+    out = np.empty(n_rows)
+    buffer = np.empty((min(ROW_BLOCK, n_rows), n_cols))
+    with np.errstate(over="ignore"):
+        for start in range(0, n_rows, ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, n_rows)
+            ptr = L.indptr[start:stop + 1]
+            entries = slice(ptr[0], ptr[-1])
+            block = buffer[:stop - start]
+            block.fill(0.0)
+            block[np.repeat(np.arange(stop - start), np.diff(ptr)), L.indices[entries]] = (
+                L.data[entries]
+            )
+            out[start:stop] = block.sum(axis=1)
+    return out
+
+
+def _liability_csr(liabilities) -> scipy.sparse.csr_array:
+    """A private float CSR copy of a dense or ``scipy.sparse`` matrix, with
+    sorted int64 indices, duplicates summed and zeros of either sign
+    dropped, so that dense and sparse input give the same arrays."""
+    if scipy.sparse.issparse(liabilities):
+        L = scipy.sparse.csr_array(liabilities, dtype=float, copy=True)
+        L.sum_duplicates()
+        L.eliminate_zeros()
+    else:
+        L = np.asarray(liabilities, dtype=float)
+        if L.ndim != 2:
+            raise DimensionMismatch(f"liability matrix must be square, got shape {L.shape}")
+        L = as_csr(L)
+    indices, indptr = (part.astype(np.int64, copy=False) for part in (L.indices, L.indptr))
+    return scipy.sparse.csr_array((L.data, indices, indptr), shape=L.shape)
+
+
 def build_system(liabilities, pre_shock_assets, external_assets=None) -> FinancialSystem:
     """Validate raw inputs and assemble a :class:`FinancialSystem`.
 
-    ``liabilities`` contains the sink as its last row and column.
+    ``liabilities`` is a dense matrix or any ``scipy.sparse`` matrix or
+    array; it contains the sink as its last row and column. It is converted
+    to CSR once and validated in one pass over its nonzero entries.
     ``external_assets`` defaults to ``pre_shock_assets`` (no shock yet).
 
     Raises
     ------
     DimensionMismatch, NegativeEntry, NonzeroDiagonal, NonzeroSinkRow
-        Each names the offending index. A non-finite entry, or a row whose
+        Each names the offending index, the first in row-major order, the
+        same for dense and sparse input. A non-finite entry, or a row whose
         entries are finite but whose sum overflows, raises
         ``DimensionMismatch``.
     """
-    L = np.asarray(liabilities, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+    L = _liability_csr(liabilities)
+    if L.shape[0] != L.shape[1]:
         raise DimensionMismatch(f"liability matrix must be square, got shape {L.shape}")
     N = L.shape[0]
     o = _validated_assets(pre_shock_assets, "pre_shock_assets", N)
@@ -226,39 +283,39 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
     if external_assets is not None:
         a = _validated_assets(external_assets, "external_assets", N)
 
-    if not np.all(np.isfinite(L)):
+    data, cols = L.data, L.indices
+    rows = np.repeat(np.arange(N), np.diff(L.indptr))
+    if not np.all(np.isfinite(data)):
         raise DimensionMismatch("liabilities must be finite")
-    if np.any(L < 0):
-        i, j = np.unravel_index(int(np.argmin(L)), L.shape)
-        raise NegativeEntry(f"liabilities[{i}][{j}] = {L[i, j]} is negative")
-    diag = np.diagonal(L)
-    if np.any(diag != 0):
-        i = int(np.argmax(diag != 0))
-        raise NonzeroDiagonal(f"node {i} has a self-liability of {diag[i]}")
-    if np.any(L[N - 1] != 0):
-        j = int(np.argmax(L[N - 1] != 0))
-        raise NonzeroSinkRow(f"sink owes {L[N - 1, j]} to node {j}")
+    if np.any(data < 0):
+        k = int(np.argmin(data))
+        raise NegativeEntry(f"liabilities[{rows[k]}][{cols[k]}] = {data[k]} is negative")
+    diagonal = rows == cols
+    if np.any(diagonal):
+        k = int(np.argmax(diagonal))
+        raise NonzeroDiagonal(f"node {rows[k]} has a self-liability of {data[k]}")
+    if L.indptr[N] > L.indptr[N - 1]:
+        k = L.indptr[N - 1]
+        raise NonzeroSinkRow(f"sink owes {data[k]} to node {cols[k]}")
     if o[N - 1] <= 0:
         raise NegativeEntry(f"sink pre_shock_assets must be positive, got {o[N - 1]}")
 
-    with np.errstate(over="ignore"):
-        l = L.sum(axis=1)
+    l = row_sums(L)
     if not np.all(np.isfinite(l)):
         i = int(np.argmax(~np.isfinite(l)))
         raise DimensionMismatch(f"total liabilities of node {i} are not finite")
     l.setflags(write=False)
-    # C = L^T / l, one division per stored entry of L: no N x N temporary
-    C = as_csr(L)
-    C.data /= np.repeat(l, np.diff(C.indptr))
+    # C = L^T / l, one division per stored entry of L
+    C = scipy.sparse.csr_array((data / l[rows], cols, L.indptr), shape=L.shape)
     C = C.T.tocsr()
-    for part in (C.data, C.indices, C.indptr):
+    for part in (L.data, L.indices, L.indptr, C.data, C.indices, C.indptr):
         part.setflags(write=False)
     cl = C @ l
     cl.setflags(write=False)
 
     return FinancialSystem(
         node_count=N,
-        liabilities=_readonly(L),
+        sparse_liabilities=L,
         external_assets=a,
         pre_shock_assets=o,
         total_liabilities=l,

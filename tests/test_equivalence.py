@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 import clearnet as cn
 from test_centrality import single_creditor_chain
@@ -91,13 +92,29 @@ class TestKatzReduction:
         assert cn.verify_katz_reduction(single_creditor_chain((3.0, 3.0, 3.0)), r=0.3)
 
     def test_multi_creditor_system_rejected(self, sys_a):
-        with pytest.raises(cn.NotSingleCreditor):
+        with pytest.raises(cn.NotSingleCreditor,
+                           match=r"^bank\(s\) \[0, 1\] do not have exactly one creditor$"):
             cn.verify_katz_reduction(sys_a, r=0.5)
 
     def test_bank_without_creditors_rejected(self):
         system = cn.build_system([[0, 0, 0], [5, 0, 5], [0, 0, 0]], [4.0, 3.0, 1.0])
-        with pytest.raises(cn.NotSingleCreditor):
+        with pytest.raises(cn.NotSingleCreditor,
+                           match=r"^bank\(s\) \[0, 1\] do not have exactly one creditor$"):
             cn.verify_katz_reduction(system, r=0.5)
+        system = cn.build_system([[0, 0, 0], [0, 0, 5], [0, 0, 0]], [4.0, 3.0, 1.0])
+        with pytest.raises(cn.NotSingleCreditor,
+                           match=r"^bank\(s\) \[0\] do not have exactly one creditor$"):
+            cn.verify_katz_reduction(system, r=0.5)
+
+    def test_stored_zeros_are_not_creditors(self):
+        # a zero liability, of either sign or stored explicitly, names no creditor
+        explicit = scipy.sparse.csr_array(
+            ([0.0, 4.0, 3.0], [1, 2, 2], [0, 2, 3, 3]), shape=(3, 3)
+        )
+        for L in ([[0, 0.0, 4], [0, 0, 3], [0, 0, 0]],
+                  [[0, -0.0, 4], [0, 0, 3], [0, 0, 0]], explicit):
+            system = cn.build_system(L, [1.0, 1.0, 1.0])
+            assert cn.verify_katz_reduction(system, r=0.5)
 
     def test_single_bank(self):
         system = cn.build_system([[0, 7], [0, 0]], [2.0, 1.0])

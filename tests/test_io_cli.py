@@ -438,6 +438,37 @@ class TestReportPipeline:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_negative_zero_liability_echoes_as_minus_zero(self, fmt, tmp_path, capsys):
+        path = tmp_path / f"net.{fmt}"
+        if fmt == "json":
+            path.write_text('{"liabilities": [[0, -0.0, 8], [3, 0, 7], [0, 0, 0]], '
+                            '"pre_shock_assets": [8, 9, 1]}')
+            argv = ["clear", "--input", str(path)]
+        else:
+            path.write_text("0,-0.0,8\n3,0,7\n0,0,0\n")
+            assets = tmp_path / "assets.csv"
+            assets.write_text("8\n9\n1\n")
+            argv = ["clear", "--input", str(path), "--assets", str(assets)]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert '"liabilities": [[0, -0, 8], [3, 0, 7], [0, 0, 0]]' in out
+
+    @pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=" ".join)
+    def test_reports_never_densify_the_stored_liabilities(
+        self, argv, sys_a_path, capsys, monkeypatch
+    ):
+        # the echo prints the document's own array
+        assert cli_main(argv + ["--input", str(sys_a_path)]) == 0
+        want = capsys.readouterr().out
+
+        def refuse(self):
+            raise AssertionError("the dense liabilities were built")
+
+        monkeypatch.setattr(cn.FinancialSystem, "liabilities", property(refuse))
+        assert cli_main(argv + ["--input", str(sys_a_path)]) == 0
+        assert capsys.readouterr().out == want
+
     def test_gen_writes_the_canonical_document(self, tmp_path, capsys):
         path = tmp_path / "gen.json"
         assert cli_main(

@@ -241,15 +241,17 @@ class CountingCsr(scipy.sparse.csr_array):
 
 
 class JitteredCsr(CountingCsr):
-    """Products off by ``jitter`` in entry 0, with alternating sign, so that
-    no sweep ever returns its input bit for bit."""
+    """Products off in entry 0 by ``jitter`` times the next factor of
+    ``pattern``, taken in turn, so that no sweep ever returns its input bit
+    for bit. An alternating sign alone leads the iterates into a period-2
+    cycle; a pattern of period 4 does not."""
 
     jitter = 0.0
+    pattern = (-1.0, 1.0)
 
     def __matmul__(self, other):
         out = super().__matmul__(other)
-        self.jitter = -self.jitter
-        out[0] += self.jitter
+        out[0] += self.jitter * self.pattern[(self.products - 1) % len(self.pattern)]
         return out
 
 
@@ -383,14 +385,53 @@ class TestAcceleratedSweep:
         assert 5 * sweeps <= 4 * C.products
         np.testing.assert_array_equal(x, plain)
 
-    @pytest.mark.parametrize("jitter, lu_expected", [(1 / 8, False), (8.0, True)])
+    @pytest.mark.parametrize("r, parity", [(0.7, 1), (0.9, 0)])
+    def test_period_two_cycle_returns_the_caps_iterate(self, r, parity):
+        # with a mixed-sign b the sweep on disjoint 2-cycles never jumps and
+        # falls into a period-2 floating-point cycle, where the plain loop
+        # runs to the cap; the exit leaves that many sweeps, odd or even,
+        # untaken and returns the iterate the cap would
+        C = CountingCsr(two_cycles(30))
+        n = C.shape[0]
+        b = right_hand_side("mixed", n)
+        x = solve_attenuated(C, r, b, "2-cycles")
+        sweeps, C.products = C.products, 0
+        want = reference_solve(C, r, b)
+        q = attenuation_norm(C, np.full(n, r))
+        cap = math.ceil(math.log(EPS * (1.0 - q) / (1.0 + q)) / math.log(q))
+        assert C.products == cap
+        assert (cap - sweeps) % 2 == parity
+        assert 4 * sweeps <= 3 * cap
+        np.testing.assert_array_equal(x, want)
+
+    def test_period_two_cycle_after_a_jump(self, monkeypatch):
+        # with a nonnegative b an early jump lands the sweep on such a cycle
+        C = CountingCsr(two_cycles(30))
+        n = C.shape[0]
+        b = right_hand_side("nonnegative", n)
+        want = solve_checked(np.eye(n) - 0.9 * C.toarray(), b, "dense")
+        monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
+        x = solve_attenuated(C, 0.9, b, "2-cycles")
+        assert 2 * C.products <= 368   # the cap at r = 0.9
+        assert np.abs(x - want).sum() <= 1e-14 * np.abs(want).sum()
+
+    @pytest.mark.parametrize(
+        "jitter, lu_expected, pattern",
+        [
+            pytest.param(1 / 8, False, (-1.0, 1.0, -2.0, 2.0), id="0.125-False"),
+            pytest.param(8.0, True, (-1.0, 1.0, -2.0, 2.0), id="8.0-True"),
+            pytest.param(1 / 8, False, (-1.0, 1.0), id="0.125-False-cycle"),
+            pytest.param(8.0, True, (-1.0, 1.0), id="8.0-True-cycle"),
+        ],
+    )
     def test_sweep_cap_returns_a_certified_iterate_or_takes_lu(
-        self, jitter, lu_expected, lu_sizes
+        self, jitter, lu_expected, pattern, lu_sizes
     ):
-        # at r = 0.5 the alternating jitter d moves the iterate by at most
-        # 2 r d / (1 - q) = 2 d and at least 2 r d / (1 + q) = 2 d / 1.5
-        # per sweep, so 1/8 of the certificate's bound passes and 8 times
-        # it fails
+        # at r = 0.5 a jitter d of alternating sign moves the iterate by at
+        # most 2 r d / (1 - q) = 2 d and at least 2 r d / (1 + q) = 2 d / 1.5
+        # per sweep, so with d up to twice the jitter 1/8 of the
+        # certificate's bound passes and 8 times it fails; the period-2
+        # pattern ends in a cycle, which stops the loop before the cap
         system = cn.generate_random_system(3, 300, 0.03)
         C, n = system.claims, system.node_count
         b = system.total_liabilities
@@ -400,8 +441,12 @@ class TestAcceleratedSweep:
         lu_sizes.clear()
         jittered = JitteredCsr(C)
         jittered.jitter = jitter * EPS * (1.0 - q) * np.abs(want).sum()
+        jittered.pattern = pattern
         x = solve_attenuated(jittered, 0.5, b, "jittered")
-        assert jittered.products == cap
+        if len(pattern) == 2:
+            assert jittered.products < cap
+        else:
+            assert jittered.products == cap
         if lu_expected:
             assert lu_sizes == [n]
             np.testing.assert_array_equal(x, want)

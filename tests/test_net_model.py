@@ -181,8 +181,9 @@ class TestClaimsBuild:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the read-only copy of L is the only N x N float array
-        assert peak < 1.25 * 8 * N * N
+        # the scan of the dense input for its nonzeros, one byte per entry,
+        # is the largest temporary; the system keeps no N x N array
+        assert peak < 0.25 * 8 * N * N
 
 
 class TestEquity:
@@ -280,3 +281,172 @@ class TestFundamentalDefaults:
                 assert cn.fundamental_defaults(variant) == cn.default_indicator(
                     variant, variant.total_liabilities
                 )
+
+
+def reference_random_system(seed, n_banks, density, weight_scale=1.0):
+    """The generator written out with one n x n draw of each random stream:
+    the dense ``L`` and the pre-shock assets ``o``."""
+    rng = np.random.default_rng(seed)
+    n, N = n_banks, n_banks + 1
+    L = np.zeros((N, N))
+    edges = rng.random((n, n)) < density
+    np.fill_diagonal(edges, False)
+    weights = weight_scale * rng.lognormal(mean=0.0, sigma=1.0, size=(n, n))
+    L[:n, :n] = np.where(edges, weights, 0.0)
+    claims = L[:n, :n].sum(axis=0)
+    interbank = L[:n, :n].sum(axis=1)
+    u = rng.uniform(0.1, 1.0, size=n)
+    L[:n, N - 1] = claims + u * (1.0 + interbank)
+    l = L.sum(axis=1)
+    o = np.empty(N)
+    o[:n] = (l[:n] - claims) + rng.uniform(0.0, 1.0, size=n) * l[:n]
+    o[N - 1] = 1.0
+    return L, o
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_system(got, want):
+    for name in ("total_liabilities", "total_claims", "pre_shock_assets", "external_assets"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+    for name in ("sparse_liabilities", "claims"):
+        for part in ("data", "indices", "indptr"):
+            assert_same_bits(getattr(getattr(got, name), part),
+                             getattr(getattr(want, name), part))
+
+
+# (seed, banks, density, weight scale): one bank, a complete digraph, a bank
+# count off the generator's row blocks, and the contagion-clear scale
+GENERATED = [(1, 30, 0.2, 1.0), (2, 1, 0.5, 1.0), (5, 6, 1.0, 1.0), (3, 130, 0.3, 1e-3),
+             (7, 300, 0.03, 1.0), (13, 2000, 8 / 2000, 1.0)]
+
+# invalid liability matrices, each with the message its error must carry
+INVALID = [
+    ([[0, -2, 8], [3, 0, -7], [0, 0, 0]], cn.NegativeEntry, r"liabilities\[1\]\[2\] = -7.0"),
+    ([[0, -7, 8], [3, 0, -7], [0, 0, 0]], cn.NegativeEntry, r"liabilities\[0\]\[1\] = -7.0"),
+    ([[0, np.nan, 8], [3, 0, 7], [0, 0, 0]], cn.DimensionMismatch, "finite"),
+    ([[0, 2, 8], [3, 0, -np.inf], [0, 0, 0]], cn.DimensionMismatch, "finite"),
+    ([[0, 2, 8], [3, 4, 7], [0, 0, 0]], cn.NonzeroDiagonal, "node 1 .* 4.0"),
+    ([[0, 2, 8], [3, 0, 7], [0, 5, 0]], cn.NonzeroSinkRow, "owes 5.0 to node 1"),
+    ([[0, 2, 8], [3, 0, 7], [-0.0, 0, 0]], None, None),
+    ([[0, 1e308, 1e308], [0, 0, 1], [0, 0, 0]], cn.DimensionMismatch, "node 0 are not finite"),
+    ([[0, 2, 8], [3, 0, 7]], cn.DimensionMismatch, "square"),
+]
+
+
+class TestSparseLiabilities:
+    """``L`` is stored once, as a read-only CSR; no N x N array is built
+    from generation through clearing and centrality."""
+
+    @pytest.mark.parametrize("seed, n_banks, density, scale", GENERATED)
+    def test_generator_matches_the_dense_draws_bit_for_bit(
+        self, seed, n_banks, density, scale
+    ):
+        L, o = reference_random_system(seed, n_banks, density, scale)
+        system = cn.generate_random_system(seed, n_banks, density, weight_scale=scale)
+        assert_same_bits(system.liabilities, L)
+        assert_same_bits(system.pre_shock_assets, o)
+        l = L.sum(axis=1)
+        assert_same_bits(system.total_liabilities, l)
+        want = as_csr(np.divide(L.T, l, out=np.zeros_like(L), where=l > 0))
+        for part in ("data", "indices", "indptr"):
+            assert_same_bits(getattr(system.claims, part), getattr(want, part))
+        assert_same_bits(system.total_claims, want @ l)
+
+    def test_dense_and_sparse_input_give_identical_systems(self, ensemble, sys_a, sys_0):
+        systems = ensemble[:40] + [sys_a, sys_0, cn.generate_random_system(7, 300, 0.03)]
+        for system in systems:
+            L, o = system.liabilities, system.pre_shock_assets
+            a = o * 0.5
+            want = cn.build_system(L, o, a)
+            assert_same_system(cn.build_system(L.tolist(), o, a), want)
+            for fmt in ("csr", "csc", "coo", "lil"):
+                got = cn.build_system(scipy.sparse.csr_array(L).asformat(fmt), o, a)
+                assert_same_system(got, want)
+            got = cn.build_system(scipy.sparse.csr_matrix(L), o, a)
+            assert_same_system(got, want)
+
+    def test_explicit_zeros_and_duplicates(self):
+        # stored zeros (of either sign) are dropped and duplicates summed
+        rows, cols = [0, 0, 0, 1, 1, 1], [1, 2, 2, 0, 2, 1]
+        values = [0.0, 5.0, 3.0, 3.0, 7.0, -0.0]
+        L = scipy.sparse.coo_array((values, (rows, cols)), shape=(3, 3))
+        system = cn.build_system(L, [8, 9, 1])
+        want = cn.build_system([[0, 0, 8], [3, 0, 7], [0, 0, 0]], [8, 9, 1])
+        assert_same_system(system, want)
+        assert system.sparse_liabilities.nnz == 3
+
+    def test_stored_matrix_is_a_private_read_only_copy(self):
+        L = scipy.sparse.csr_array(np.array([[0, 2, 8], [3, 0, 7], [0, 0, 0]], float))
+        system = cn.build_system(L, [8, 9, 1])
+        L.data[:] = 1.0
+        np.testing.assert_array_equal(system.liabilities, [[0, 2, 8], [3, 0, 7], [0, 0, 0]])
+        stored = system.sparse_liabilities
+        assert isinstance(stored, scipy.sparse.csr_array)
+        for part in (stored.data, stored.indices, stored.indptr):
+            with pytest.raises(ValueError):
+                part[0] = 0
+        assert system.with_external_assets([1, 1, 1]).sparse_liabilities is stored
+
+    def test_dense_accessor_is_fresh_and_read_only(self, sys_a):
+        first, second = sys_a.liabilities, sys_a.liabilities
+        assert first is not second
+        assert not first.flags.writeable
+        assert_same_bits(first, np.array([[0, 2, 8], [3, 0, 7], [0, 0, 0]], float))
+
+    @pytest.mark.parametrize("matrix, error, message", INVALID)
+    def test_sparse_input_is_validated_like_dense(self, matrix, error, message):
+        L = np.array(matrix, dtype=float)
+        o = np.ones(L.shape[0])
+        inputs = [L] + [scipy.sparse.coo_array(L).asformat(f) for f in ("csr", "csc", "coo")]
+        if error is None:   # a -0.0 in the sink row is a zero
+            for given in inputs:
+                assert cn.build_system(given, o).sparse_liabilities.nnz == 4
+            return
+        for given in inputs:
+            with pytest.raises(error, match=message):
+                cn.build_system(given, o)
+
+    def test_generation_and_solves_hold_no_dense_array(self):
+        n = 3000
+        tracemalloc.start()
+        try:
+            system = cn.generate_random_system(8, n, 8 / n)
+            scenario = cn.full_default_shock(system, 0.5)
+            solution = cn.fictitious_default_sequence(
+                cn.shocked_system(system, scenario), cn.ClearingParams(r=0.9)
+            )
+            katz = cn.generalized_katz(
+                system.claims, 0.9, cn.beta_vector(system, 0.9, 0.5), m=0.5
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solution.iterations == 1 and katz.sigma.shape == (n + 1,)
+        assert peak < 8 * (n + 1) ** 2 / 10
+
+    def test_clear_shock_katz_and_verify_never_densify(self, monkeypatch):
+        system = cn.generate_random_system(3, 60, 0.1)
+        chain = cn.build_system([[0, 4, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3], [0, 0, 0, 0]],
+                                [1.0, 1.0, 1.0, 1.0])
+
+        def refuse(self):
+            raise AssertionError("the dense liabilities were built")
+
+        monkeypatch.setattr(cn.FinancialSystem, "liabilities", property(refuse))
+        params = cn.ClearingParams(r=0.8)
+        shocked = system.with_external_assets(system.external_assets * 0.3)
+        cn.fictitious_default_sequence(shocked, params)
+        cn.picard_clearing_oracle(shocked, params)
+        for scenario in (cn.full_default_shock(system, 0.5),
+                         cn.relaxed_shock_search(system, params)):
+            cn.fictitious_default_sequence(cn.shocked_system(system, scenario), params)
+        cn.generalized_katz(system.claims, 0.8, cn.beta_vector(system, 0.8, 0.5), m=0.5)
+        cn.check_invertibility(system.claims, 0.8)
+        assert cn.verify_full_shock_equivalence(system, params, 0.5).passed
+        cn.verify_relaxed_equivalence(system, params, 0.5)
+        assert cn.verify_katz_reduction(chain, 0.5)
