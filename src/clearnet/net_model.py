@@ -116,7 +116,8 @@ class FinancialSystem:
     @property
     def liabilities(self) -> NDArray:
         """A fresh, read-only dense copy of ``L``: N x N floats, built on
-        each access. Nothing inside the package reads it."""
+        each access. Inside the package only ``SystemDocument.from_system``
+        (the ``gen`` command) reads it."""
         L = self.sparse_liabilities.toarray()
         L.setflags(write=False)
         return L

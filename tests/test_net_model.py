@@ -370,6 +370,18 @@ class TestSparseLiabilities:
             got = cn.build_system(scipy.sparse.csr_matrix(L), o, a)
             assert_same_system(got, want)
 
+    def test_total_liabilities_are_numpys_dense_row_sums(self):
+        # wide rows with magnitudes over many orders: summing only the stored
+        # entries, or in any order but numpy's pairwise one, changes bits
+        rng = np.random.default_rng(11)
+        N = 700
+        L = np.where(rng.random((N, N)) < 0.4, rng.lognormal(0.0, 8.0, (N, N)), 0.0)
+        L[np.diag_indices(N)] = 0.0
+        L[N - 1] = 0.0
+        want = L.sum(axis=1)
+        for given in (L, scipy.sparse.csr_array(L)):
+            assert_same_bits(cn.build_system(given, np.ones(N)).total_liabilities, want)
+
     def test_explicit_zeros_and_duplicates(self):
         # stored zeros (of either sign) are dropped and duplicates summed
         rows, cols = [0, 0, 0, 1, 1, 1], [1, 2, 2, 0, 2, 1]
