@@ -29,7 +29,6 @@ from .equivalence import (
     default_tolerance,
     verify_full_shock_equivalence,
     verify_katz_reduction,
-    verify_relaxed_equivalence,
 )
 from .errors import (
     ClearnetError,

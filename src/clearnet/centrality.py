@@ -116,15 +116,16 @@ def standard_katz(adjacency: NDArray, alpha: float) -> NDArray:
 def closed_form_full_shock(system: FinancialSystem, params: ClearingParams, m) -> NDArray:
     """One-round clearing vector under the full-default shock.
 
-    Solves the all-defaulted system ``(I - r C) p = m (l - C l)`` for ``p``
-    itself, not for ``p - l``, so ``p`` tiny next to ``l`` stays accurate.
-    Bank entries match the clearing solver under the corresponding shock;
-    the sink entry follows this formula and carries no meaning.
+    Solves the all-defaulted system ``(I - r C) p = r_a m (l - C l)`` for
+    ``p`` itself, not for ``p - l``, so ``p`` tiny next to ``l`` stays
+    accurate. Bank entries match the clearing solver under the
+    corresponding shock; the sink entry follows this formula and carries no
+    meaning.
     """
     n = system.node_count
     r_vec = params.recovery_vector(n)
     m_vec = validate_interpolation(m, n)
-    rhs = m_vec * (system.total_liabilities - system.total_claims)
+    rhs = params.r_a * (m_vec * (system.total_liabilities - system.total_claims))
     return solve_attenuated(system.claims, r_vec, rhs, "full-shock form")
 
 

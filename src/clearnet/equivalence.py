@@ -16,15 +16,9 @@ from numpy.typing import NDArray
 
 from .centrality import beta_vector, generalized_katz, standard_katz
 from .clearing import fictitious_default_sequence, systemic_loss
-from .errors import NotSingleCreditor
+from .errors import NotSingleCreditor, ValidationError
 from .net_model import ClearingParams, FinancialSystem
-from .shocks import (
-    RELAXED_GAP_TOL,
-    ShockKind,
-    full_default_shock,
-    relaxed_interpolated_shock,
-    shocked_system,
-)
+from .shocks import full_default_shock, shocked_system
 
 # Largest gap on banks between the normalized centrality and textbook Katz.
 KATZ_REDUCTION_TOL = 1e-10
@@ -33,30 +27,25 @@ __all__ = [
     "EquivalenceReport",
     "default_tolerance",
     "verify_full_shock_equivalence",
-    "verify_relaxed_equivalence",
     "verify_katz_reduction",
 ]
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Per-bank gaps between the clearing route and the centrality route.
+    """Per-bank gaps between the clearing route and the centrality route
+    under the full-default shock.
 
-    ``passed`` requires the max gap within tolerance, every node defaulted,
-    and -- for the full-default kind -- one-round convergence of the
-    clearing iteration. ``printed_form_gap`` (relaxed kind only) records
-    how far the alternative closed form sits from the certified solution;
-    it is informational and never gates ``passed``.
+    ``passed`` requires the max gap within tolerance, every node defaulted
+    and one-round convergence of the clearing iteration.
     """
 
-    kind: ShockKind
     max_abs_gap: float
     one_step: bool
     all_defaulted: bool
     details: NDArray
     tolerance: float
     passed: bool
-    printed_form_gap: float | None = None
 
 
 def default_tolerance(system: FinancialSystem) -> float:
@@ -76,8 +65,13 @@ def verify_full_shock_equivalence(
 
     Builds the shock, runs the default-set iteration on the shocked system,
     and checks ``l - p`` against ``(I - r C)^{-1} beta`` on bank entries.
-    Shock and solver errors propagate.
+    ``beta`` assumes full recovery of external assets, so ``params.r_a``
+    must be 1. Shock and solver errors propagate.
     """
+    if params.r_a != 1.0:
+        raise ValidationError(
+            f"the Katz route assumes r_a = 1, got r_a = {params.r_a}"
+        )
     if tol is None:
         tol = default_tolerance(system)
     scenario = full_default_shock(system, m)
@@ -92,40 +86,12 @@ def verify_full_shock_equivalence(
     one_step = solution.iterations == 1
     all_defaulted = bool(solution.defaults.flags.all())
     return EquivalenceReport(
-        kind=ShockKind.FULL_DEFAULT,
         max_abs_gap=max_gap,
         one_step=one_step,
         all_defaulted=all_defaulted,
         details=details,
         tolerance=tol,
         passed=max_gap <= tol and one_step and all_defaulted,
-    )
-
-
-def verify_relaxed_equivalence(
-    system: FinancialSystem,
-    params: ClearingParams,
-    m,
-) -> EquivalenceReport:
-    """Certify the self-referential relaxed shock and surface both gaps.
-
-    The construction's own certification (candidate vs. full clearing
-    solution, within ``RELAXED_GAP_TOL``) gates the result; the distance of
-    the alternative closed form is carried alongside as data. Construction
-    errors propagate.
-    """
-    cert = relaxed_interpolated_shock(system, params, m)
-    details = np.abs(cert.clearing.payments - cert.candidate)[system.banks]
-    all_defaulted = bool(cert.clearing.defaults.flags.all())
-    return EquivalenceReport(
-        kind=ShockKind.RELAXED,
-        max_abs_gap=cert.candidate_gap,
-        one_step=cert.clearing.iterations == 1,
-        all_defaulted=all_defaulted,
-        details=details,
-        tolerance=RELAXED_GAP_TOL,
-        passed=cert.candidate_gap <= RELAXED_GAP_TOL and all_defaulted,
-        printed_form_gap=cert.printed_gap,
     )
 
 

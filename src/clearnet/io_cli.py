@@ -28,11 +28,7 @@ from .clearing import (
     picard_clearing_oracle,
     systemic_loss,
 )
-from .equivalence import (
-    default_tolerance,
-    verify_full_shock_equivalence,
-    verify_relaxed_equivalence,
-)
+from .equivalence import default_tolerance, verify_full_shock_equivalence
 from .errors import (
     ClearnetError,
     InvalidInterpolation,
@@ -42,7 +38,12 @@ from .errors import (
 )
 from .net_model import ROW_BLOCK, ClearingParams, FinancialSystem, build_system, row_sums
 from .centrality import beta_vector, generalized_katz
-from .shocks import full_default_shock, relaxed_shock_search, shocked_system
+from .shocks import (
+    full_default_shock,
+    relaxed_interpolated_shock,
+    relaxed_shock_search,
+    shocked_system,
+)
 from .spectral import check_invertibility
 
 __all__ = [
@@ -129,17 +130,10 @@ def dumps_canonical(value) -> str:
 _ARRAY_FIELDS = ("liabilities", "pre_shock_assets", "external_assets")
 
 
-def _node_names(system: FinancialSystem) -> list:
-    """The default labels: B1 ... Bn, then the sink."""
-    return [f"B{i + 1}" for i in range(system.n_banks)] + [SINK_LABEL]
-
-
-def _document_array(values, name: str) -> NDArray | None:
+def _document_array(values, name: str) -> NDArray:
     """A document field as a read-only float array: a system's own array is
     kept, anything else is converted once. ``null``, which numpy reads as
     NaN, and non-numbers raise."""
-    if values is None:
-        return None
     frozen = isinstance(values, np.ndarray) and not values.flags.writeable
     if frozen and values.dtype == float:
         return values
@@ -160,7 +154,9 @@ class SystemDocument:
     ``liabilities`` is row-major with the sink last; ``names`` labels all
     nodes and always ends with ``"SINK"``. The numeric fields are read-only
     float arrays, compared by value, and a document is validated when it is
-    built. Documents round-trip losslessly through JSON (floats keep 17
+    built. A document is always complete: ``external_assets`` defaults to
+    ``pre_shock_assets`` (no shock yet) and ``names`` to ``B1 ... Bn, SINK``.
+    Documents round-trip losslessly through JSON (floats keep 17
     significant digits).
     """
 
@@ -170,47 +166,44 @@ class SystemDocument:
     names: tuple | None = None
 
     def __post_init__(self):
+        if self.external_assets is None:
+            object.__setattr__(self, "external_assets", self.pre_shock_assets)
         for name in _ARRAY_FIELDS:
             object.__setattr__(self, name, _document_array(getattr(self, name), name))
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(str(x) for x in self.names))
+        names = self.names
+        if names is None:
+            names = [f"B{i}" for i in range(1, len(self.liabilities))] + [SINK_LABEL]
+        object.__setattr__(self, "names", tuple(str(x) for x in names))
         self.validate()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SystemDocument):
             return NotImplemented
-        return self.names == other.names and all(   # array_equal(None, None) holds
+        return self.names == other.names and all(
             np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAY_FIELDS
         )
 
     @classmethod
-    def from_system(cls, system: FinancialSystem, names=None) -> "SystemDocument":
+    def from_system(cls, system: FinancialSystem) -> "SystemDocument":
         """The document of ``system``, referring to its asset arrays; the
         liability matrix is the dense copy of the system's sparse ``L``."""
-        return cls(
-            liabilities=system.liabilities,
-            pre_shock_assets=system.pre_shock_assets,
-            external_assets=system.external_assets,
-            names=_node_names(system) if names is None else names,
-        )
+        return cls(system.liabilities, system.pre_shock_assets, system.external_assets)
 
     def validate(self) -> None:
-        if self.names is None:
-            return
         n = len(self.liabilities)
+        if n == 0:
+            raise ValidationError("liabilities must hold at least the sink row")
         if len(self.names) != n:
             raise ValidationError(f"names has {len(self.names)} entries for {n} nodes")
-        if self.names[-1:] != (SINK_LABEL,):
-            last = "".join(self.names[-1:])
-            raise ValidationError(f'last label must be "{SINK_LABEL}", got "{last}"')
+        if self.names[-1] != SINK_LABEL:
+            raise ValidationError(f'last label must be "{SINK_LABEL}", got "{self.names[-1]}"')
 
     def to_system(self) -> FinancialSystem:
         return build_system(self.liabilities, self.pre_shock_assets, self.external_assets)
 
     def to_dict(self) -> dict:
-        """The fields that are set, in file order, for :func:`dumps_canonical`."""
-        fields = ("names",) + _ARRAY_FIELDS
-        return {f: getattr(self, f) for f in fields if getattr(self, f) is not None}
+        """The fields in file order, for :func:`dumps_canonical`."""
+        return {f: getattr(self, f) for f in ("names",) + _ARRAY_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemDocument":
@@ -316,16 +309,15 @@ def load_system(path, format: str | None = None, assets_path=None) -> FinancialS
     location; semantic failures raise :class:`ValidationError`, of which the
     model-validation errors from :func:`build_system` are subclasses.
     """
-    return _load_input(path, format, assets_path)[0]
+    return _read_input(path, format, assets_path).to_system()
 
 
-def _load_input(path, format, assets_path) -> tuple[FinancialSystem, tuple | None, NDArray]:
-    """:func:`load_system` plus the document's node names (None for CSV) and
-    the liability matrix as read, which the report echoes."""
+def _read_input(path, format, assets_path) -> SystemDocument:
+    """The document a JSON file holds, or the one a CSV matrix and its
+    asset sidecar make; a report echoes it as read."""
     fmt = format or ("csv" if str(path).lower().endswith(".csv") else "json")
     if fmt == "json":
-        doc = load_document(path)
-        return doc.to_system(), doc.names, doc.liabilities
+        return load_document(path)
     if fmt == "csv":
         matrix = _read_csv(path)
         if assets_path is None:
@@ -333,8 +325,7 @@ def _load_input(path, format, assets_path) -> tuple[FinancialSystem, tuple | Non
                 "pre_shock_assets required: CSV input needs an asset sidecar "
                 "(--assets FILE)"
             )
-        assets = _read_csv(assets_path, sidecar=True)
-        return build_system(matrix, assets), None, matrix
+        return SystemDocument(matrix, _read_csv(assets_path, sidecar=True))
     raise ValidationError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
 
 
@@ -425,19 +416,6 @@ def generate_random_system(
 # arguments and the loaded system
 # --------------------------------------------------------------------------
 
-def _input_echo(path, system: FinancialSystem, names, liabilities: NDArray) -> dict:
-    """The loaded input as a document. ``liabilities`` is the matrix as read,
-    so the echo keeps each entry's bits (a -0.0 stays -0) and never
-    densifies the system's sparse ``L``."""
-    doc = SystemDocument(
-        liabilities=liabilities,
-        pre_shock_assets=system.pre_shock_assets,
-        external_assets=system.external_assets,
-        names=_node_names(system) if names is None else names,
-    )
-    return {"path": None if path is None else str(path), **doc.to_dict()}
-
-
 def _clearing_sections(system: FinancialSystem, params: ClearingParams) -> dict:
     solution = fictitious_default_sequence(system, params)
     oracle = picard_clearing_oracle(system, params)
@@ -518,22 +496,18 @@ def _verify_sections(args, system: FinancialSystem) -> dict:
         raise ValidationError(f"--tol must be finite and nonnegative, got {args.tol}")
     tol = args.tol if args.tol is not None else default_tolerance(system)
     full = verify_full_shock_equivalence(system, params, args.m, tol=tol)
+    # the construction raises unless its candidate is certified, so the
+    # section carries the two gaps or the error
     try:
-        relaxed = verify_relaxed_equivalence(system, params, args.m)
+        cert = relaxed_interpolated_shock(system, params, args.m)
     except ClearnetError as exc:
-        relaxed_dict = {"error": f"{type(exc).__name__}: {exc}"}
+        relaxed = {"error": f"{type(exc).__name__}: {exc}"}
     else:
-        relaxed_dict = {
-            "max_abs_gap": relaxed.max_abs_gap,
-            "printed_form_gap": relaxed.printed_form_gap,
-            "all_defaulted": relaxed.all_defaulted,
-            "passed": relaxed.passed,
-        }
-        if relaxed.printed_form_gap is not None and relaxed.printed_form_gap > tol:
+        relaxed = {"max_abs_gap": cert.candidate_gap, "printed_form_gap": cert.printed_gap}
+        if cert.printed_gap > tol:
             print(
                 "warning: alternative relaxed closed form differs from the "
-                f"certified solution by {relaxed.printed_form_gap:.6g} "
-                "(informational)",
+                f"certified solution by {cert.printed_gap:.6g} (informational)",
                 file=sys.stderr,
             )
     return {
@@ -545,7 +519,7 @@ def _verify_sections(args, system: FinancialSystem) -> dict:
             "details": full.details,
             "passed": full.passed,
         },
-        "relaxed": relaxed_dict,
+        "relaxed": relaxed,
         "passed": full.passed,
     }
 
@@ -663,16 +637,15 @@ _REPORTS = {
 
 
 def _cmd_report(args) -> int:
-    """Load the input once, echo it, add the command's sections and print
-    the report as canonical JSON or its --pretty view. A report that
-    carries ``passed`` exits 2 when it is false."""
+    """Read the input once, echo the document as read (a -0.0 entry stays
+    -0, and the system's sparse ``L`` is never densified), add the
+    command's sections and print the report as canonical JSON or its
+    --pretty view. A report that carries ``passed`` exits 2 when it is
+    false."""
     build, pretty = _REPORTS[args.command]
-    system, names, liabilities = _load_input(args.input, args.format, args.assets)
-    report = {
-        "command": args.command,
-        "input": _input_echo(args.input, system, names, liabilities),
-    }
-    report.update(build(args, system))
+    doc = _read_input(args.input, args.format, args.assets)
+    report = {"command": args.command, "input": {"path": str(args.input), **doc.to_dict()}}
+    report.update(build(args, doc.to_system()))
     print(pretty(report) if args.pretty else dumps_canonical(report))
     return 0 if report.get("passed", True) else 2
 

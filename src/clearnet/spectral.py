@@ -81,25 +81,28 @@ def _quotient(C: scipy.sparse.csr_array, x: NDArray) -> float:
     return float(np.min(xC[support] / x[support]))
 
 
-def _is_nilpotent(C: NDArray) -> bool:
-    """Exact check via the supports of ``C^k @ 1``.
+def _lasting_support(C) -> NDArray:
+    """0/1 indicator of the nodes ``i`` with ``(C^k 1)_i > 0`` for every
+    ``k``, of a nonnegative ``C``: those from which a path of nonzero
+    entries reaches a cycle.
 
-    For nonnegative ``C``, ``C^k @ 1 = 0`` iff ``C^k = 0``, so the radius
-    is exactly zero iff the support dies out. Node ``i`` is in the support
-    of ``C^{k+1} @ 1`` iff some ``C_ij > 0`` has ``j`` in that of
-    ``C^k @ 1``; propagating the 0/1 indicator keeps every product exact.
-    Starting from full support the sequence only shrinks, so within
-    ``n + 1`` steps it either reaches the empty set (nilpotent) or repeats
-    (not nilpotent).
+    Node ``i`` is in the support of ``C^{k+1} 1`` iff some ``C_ij > 0`` has
+    ``j`` in that of ``C^k 1``; propagating the 0/1 indicator keeps every
+    product exact. Starting from full support the sequence only shrinks,
+    so within ``n + 1`` steps it repeats, possibly as the empty set.
     """
-    support = np.ones(C.shape[0], dtype=bool)
+    support = np.ones(C.shape[0])
     while True:
-        nxt = C @ support.astype(float) > 0
-        if not nxt.any():
-            return True
+        nxt = (C @ support > 0).astype(float)
         if np.array_equal(nxt, support):
-            return False
+            return support
         support = nxt
+
+
+def _is_nilpotent(C) -> bool:
+    """Exact check: for nonnegative ``C``, ``C^k 1 = 0`` iff ``C^k = 0``,
+    so the radius is exactly zero iff the lasting support is empty."""
+    return not _lasting_support(C).any()
 
 
 def spectral_radius(C: NDArray) -> float:
@@ -145,20 +148,27 @@ def _radius(C: scipy.sparse.csr_array) -> float:
 
 
 def _best_lower_bound(C: scipy.sparse.csr_array) -> float:
-    """Best Collatz-Wielandt bound over a small family of test vectors."""
+    """Best Collatz-Wielandt bound of two test vectors: the banks (every
+    node but the last) and 50 steps toward the left Perron vector.
+
+    A test vector ``x`` certifies 0 if some ``j`` in its support has
+    ``(xC)_j = 0``: a zero column (the sink's, in a claims matrix), or a
+    bank that owes only such nodes. So the iterate starts on the lasting
+    support of ``C^T``, where every ``(xC)_j`` is positive, and
+    ``x -> xC + x`` keeps it there; the support is empty only when ``C`` is
+    nilpotent. Any nonnegative iterate is a valid certificate."""
     n = C.shape[0]
-    candidates = [np.ones(n)]
+    y = _lasting_support(C.T)
+    if not y.any():
+        return 0.0
+    for _ in range(50):
+        y = C.T @ y + y
+        y /= y.max()
+    candidates = [y]
     if n > 1:
         banks_only = np.ones(n)
         banks_only[-1] = 0.0
         candidates.append(banks_only)
-    # a few steps toward the left Perron vector sharpen the bound; any
-    # nonnegative iterate is already a valid certificate
-    y = np.ones(n)
-    for _ in range(50):
-        y = C.T @ y + y
-        y /= y.max()
-    candidates.append(y)
     return max(_quotient(C, x) for x in candidates)
 
 

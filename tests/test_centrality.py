@@ -174,6 +174,19 @@ class TestClosedFormFullShock:
             scale = max(1.0, system.total_liabilities.max())
             assert np.abs(p_form - p_clear)[b].max() <= 1e-10 * scale
 
+    @pytest.mark.parametrize("r_a", [1.0, 0.6, 0.0])
+    def test_matches_clearing_solver_at_asset_recovery(self, r_a):
+        # a defaulted bank recovers r_a of its assets m (l - C l), so the
+        # right-hand side is r_a m (l - C l), as the clearing solver forms it
+        system = cn.generate_random_system(3, 50, 0.1)
+        params = cn.ClearingParams(r=0.7, r_a=r_a)
+        p_form = cn.closed_form_full_shock(system, params, 0.5)
+        shocked = cn.shocked_system(system, cn.full_default_shock(system, 0.5))
+        solution = cn.fictitious_default_sequence(shocked, params)
+        assert solution.iterations == 1 and solution.defaults.flags.all()
+        b = system.banks
+        np.testing.assert_array_equal(p_form[b], solution.payments[b])
+
     def test_zero_interbank_block(self, sys_0):
         p = cn.closed_form_full_shock(sys_0, cn.ClearingParams(r=0.5), 0.5)
         l = sys_0.total_liabilities

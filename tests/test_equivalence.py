@@ -15,7 +15,6 @@ class TestFullShockEquivalence:
         assert report.one_step
         assert report.all_defaulted
         assert report.max_abs_gap <= 1e-8
-        assert report.printed_form_gap is None
 
     def test_sys_a_loss_values(self, sys_a):
         params = cn.ClearingParams(r=0.8)
@@ -39,6 +38,16 @@ class TestFullShockEquivalence:
         )
         with pytest.raises(cn.PreconditionViolated):
             cn.verify_full_shock_equivalence(system, cn.ClearingParams(r=0.5), 0.5)
+
+    @pytest.mark.parametrize("r_a", [0.6, 0.0])
+    def test_asset_recovery_below_one_rejected(self, r_a):
+        # beta assumes r_a = 1; below it the two routes differ (by 12.48
+        # here at r_a = 0.6), so the check refuses rather than fail
+        system = cn.generate_random_system(3, 50, 0.1)
+        with pytest.raises(cn.ValidationError, match="r_a = 1"):
+            cn.verify_full_shock_equivalence(
+                system, cn.ClearingParams(r=0.7, r_a=r_a), 0.5
+            )
 
     def test_ranking_agreement_on_ensemble(self, ensemble):
         params = cn.ClearingParams(r=0.7)
@@ -64,24 +73,31 @@ class TestFullShockEquivalence:
         assert report.passed
 
 
+def _relaxed_bank_gap(system, params, m):
+    """Certificate of the relaxed shock and the max gap on banks between its
+    candidate and the clearing vector of the shocked system."""
+    cert = cn.relaxed_interpolated_shock(system, params, m)
+    gap = np.abs(cert.clearing.payments - cert.candidate)[system.banks].max()
+    assert cert.clearing.defaults.count == system.node_count
+    assert gap == cert.candidate_gap
+    return cert, gap
+
+
 class TestRelaxedEquivalence:
     def test_sys_a_equal_rates(self, sys_a):
-        report = cn.verify_relaxed_equivalence(sys_a, cn.ClearingParams(r=0.5), 0.5)
-        assert report.passed
-        assert report.max_abs_gap <= 1e-8
-        assert report.printed_form_gap == pytest.approx(0.75, abs=1e-10)
+        cert, gap = _relaxed_bank_gap(sys_a, cn.ClearingParams(r=0.5), 0.5)
+        assert gap <= 1e-8
+        assert cert.printed_gap == pytest.approx(0.75, abs=1e-10)
 
     def test_zero_interbank_block_both_forms_agree(self, sys_0):
-        report = cn.verify_relaxed_equivalence(sys_0, cn.ClearingParams(r=0.5), 0.5)
-        assert report.passed
-        assert report.max_abs_gap <= 1e-10
-        assert report.printed_form_gap <= 1e-10
+        cert, gap = _relaxed_bank_gap(sys_0, cn.ClearingParams(r=0.5), 0.5)
+        assert gap <= 1e-10
+        assert cert.printed_gap <= 1e-10
 
     def test_seeded_system(self):
         system = cn.generate_random_system(seed=123, n_banks=8, density=0.5)
-        report = cn.verify_relaxed_equivalence(system, cn.ClearingParams(r=0.6), 0.3)
-        assert report.passed
-        assert report.max_abs_gap <= 1e-8
+        _, gap = _relaxed_bank_gap(system, cn.ClearingParams(r=0.6), 0.3)
+        assert gap <= 1e-8
 
 
 class TestKatzReduction:

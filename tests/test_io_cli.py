@@ -57,6 +57,20 @@ class TestDocuments:
         np.testing.assert_array_equal(loaded.liabilities, sys_a.liabilities)
         np.testing.assert_array_equal(loaded.external_assets, sys_a.external_assets)
 
+    def test_documents_are_complete(self, sys_a):
+        # a document without names or external assets gets B1 ... Bn, SINK
+        # and its pre-shock assets, and writes them out
+        bare = SystemDocument(liabilities=sys_a.liabilities, pre_shock_assets=(8.0, 9.0, 1.0))
+        assert bare.names == ("B1", "B2", "SINK")
+        np.testing.assert_array_equal(bare.external_assets, bare.pre_shock_assets)
+        assert bare == SystemDocument.from_system(sys_a)
+        assert list(bare.to_dict()) == [
+            "names", "liabilities", "pre_shock_assets", "external_assets"
+        ]
+        assert parse_document(serialize_document(bare)) == bare
+        text = '{"liabilities": [[0, 2, 8], [3, 0, 7], [0, 0, 0]], "pre_shock_assets": [8, 9, 1]}'
+        assert parse_document(text) == bare
+
     def test_missing_assets_field(self):
         with pytest.raises(cn.ValidationError, match="pre_shock_assets required"):
             parse_document('{"liabilities": [[0]]}')
@@ -105,6 +119,38 @@ class TestCsv:
         path.write_text("0,2,8\n3,zero,7\n0,0,0\n")
         with pytest.raises(cn.ParseError, match="line 2, column 2"):
             cn.load_system(path, assets_path=path)
+
+    def test_nan_cell_exits_1(self, tmp_path, capsys):
+        matrix = tmp_path / "net.csv"
+        matrix.write_text("0,nan,8\n3,0,7\n0,0,0\n")
+        assets = tmp_path / "assets.csv"
+        assets.write_text("8\n9\n1\n")
+        assert cli_main(["clear", "--input", str(matrix), "--assets", str(assets)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: non-numeric entry in document: liabilities holds null or NaN\n"
+        )
+
+    @pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["json", "pretty"])
+    def test_csv_and_json_input_give_the_same_report(self, argv, pretty, tmp_path, capsys):
+        # one system as a JSON document and as a CSV matrix plus sidecar
+        system = cn.generate_random_system(3, 30, 0.2)
+        document = tmp_path / "net.json"
+        cn.save_document(SystemDocument.from_system(system), document)
+        matrix = tmp_path / "net.csv"
+        matrix.write_text(
+            "\n".join(",".join(repr(x) for x in row) for row in system.liabilities.tolist())
+        )
+        assets = tmp_path / "assets.csv"
+        assets.write_text("\n".join(repr(x) for x in system.pre_shock_assets.tolist()))
+        reports = []
+        for inputs in (["--input", str(document)],
+                       ["--input", str(matrix), "--assets", str(assets)]):
+            assert cli_main(argv + inputs + pretty) == 0
+            reports.append(capsys.readouterr().out.replace(json.dumps(inputs[1]), '"PATH"'))
+        assert reports[0] == reports[1]
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "net.csv"
@@ -229,7 +275,24 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         assert report["full_shock"]["one_step"] is True
+        assert list(report["relaxed"]) == ["max_abs_gap", "printed_form_gap"]
+        assert report["relaxed"]["max_abs_gap"] <= 1e-8
         assert report["relaxed"]["printed_form_gap"] > 0.0
+
+    def test_verify_reports_a_failed_relaxed_construction(
+        self, sys_a_path, capsys, monkeypatch
+    ):
+        # the relaxed section carries the construction's error; the exit
+        # code follows the full-shock check alone
+        def failing(*args, **kwargs):
+            raise cn.NotAllDefaulted("banks [1] stayed solvent")
+
+        monkeypatch.setattr(clearnet.io_cli, "relaxed_interpolated_shock", failing)
+        code = cli_main(["verify", "--input", str(sys_a_path), "--r", "0.8", "--m", "0.5"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["relaxed"] == {"error": "NotAllDefaulted: banks [1] stayed solvent"}
+        assert report["passed"] is True
 
     def test_verify_fails_at_zero_tolerance(self, sys_a_path, capsys, monkeypatch):
         # the two routes may agree exactly on sys_a, so the failing report is
@@ -341,7 +404,9 @@ class TestCli:
     def test_reports_echo_the_document_names(self, tmp_path, sys_a, capsys, monkeypatch):
         names = ["Alpha", "Beta", "SINK"]
         path = tmp_path / "named.json"
-        cn.save_document(SystemDocument.from_system(sys_a, names=names), path)
+        cn.save_document(
+            SystemDocument(sys_a.liabilities, sys_a.pre_shock_assets, names=names), path
+        )
         parses = []
         real_parse = clearnet.io_cli.parse_document
 
@@ -408,9 +473,10 @@ class TestReportPipeline:
             '{"liabilities": [[0, 1], [0, 0]], "pre_shock_assets": [[1], [1]]}',
             '{"liabilities": [[0, {}], [0, 0]], "pre_shock_assets": [1, 1]}',
             '{"liabilities": [[0, 1], [0]], "pre_shock_assets": [1, 1]}',
+            '{"liabilities": [], "pre_shock_assets": []}',
         ],
         ids=["null liability", "null asset", "scalar rows", "scalar field",
-             "nested assets", "object entry", "ragged rows"],
+             "nested assets", "object entry", "ragged rows", "no nodes"],
     )
     def test_malformed_document_exits_1(self, document, tmp_path, capsys):
         path = tmp_path / "malformed.json"

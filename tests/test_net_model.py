@@ -460,5 +460,5 @@ class TestSparseLiabilities:
         cn.generalized_katz(system.claims, 0.8, cn.beta_vector(system, 0.8, 0.5), m=0.5)
         cn.check_invertibility(system.claims, 0.8)
         assert cn.verify_full_shock_equivalence(system, params, 0.5).passed
-        cn.verify_relaxed_equivalence(system, params, 0.5)
+        cn.relaxed_interpolated_shock(system, params, 0.5)
         assert cn.verify_katz_reduction(chain, 0.5)

@@ -215,9 +215,12 @@ class TestRelaxedInterpolatedShock:
             assert np.abs(lhs - rhs).max() <= 1e-8
 
     def test_all_nodes_default(self, ensemble):
-        for system in ensemble[10:15]:
-            cert = cn.relaxed_interpolated_shock(system, cn.ClearingParams(r=0.7), 0.4)
+        cases = [(system, 0.7, 0.4) for system in ensemble[10:15]]
+        cases.append((cn.generate_random_system(seed=123, n_banks=8, density=0.5), 0.6, 0.3))
+        for system, r, m in cases:
+            cert = cn.relaxed_interpolated_shock(system, cn.ClearingParams(r=r), m)
             assert cert.clearing.defaults.count == system.node_count
+            assert cert.candidate_gap <= 1e-8
 
     def test_interpolation_validated(self, sys_a):
         with pytest.raises(cn.InvalidInterpolation):
