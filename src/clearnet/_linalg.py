@@ -64,15 +64,6 @@ def lu_factor_checked(A: NDArray, context: str):
     return lu, piv
 
 
-def solve_checked(A: NDArray, b: NDArray, context: str) -> NDArray:
-    if A.shape[0] == 0:
-        return np.zeros_like(np.asarray(b, dtype=float))
-    import scipy.linalg
-
-    lu, piv = lu_factor_checked(A, context)
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-
-
 def attenuation_norm(C: scipy.sparse.csr_array, r: NDArray) -> float:
     """``||diag(r) C||_1``, the largest column sum of ``|r_i C_ij|``, for a
     length-n ``r``.
@@ -116,9 +107,9 @@ def solve_attenuated(C: scipy.sparse.csr_array, r, b: NDArray, context: str) -> 
     and goes on as at the cap, with the iterate of the cap's parity.
 
     Otherwise (``q >= 1``, a small or dense ``C``, or a failed certificate)
-    the dense ``I - diag(r) C`` is formed and solved by
-    :func:`solve_checked`, which raises ``SingularSystem`` on a pivot below
-    ``1e-14``.
+    the dense ``I - diag(r) C`` is formed and solved through
+    :func:`lu_factor_checked`, which raises ``SingularSystem`` on a pivot
+    below ``1e-14``.
     """
     n = C.shape[0]
     b = np.asarray(b, dtype=float)
@@ -166,4 +157,6 @@ def solve_attenuated(C: scipy.sparse.csr_array, r, b: NDArray, context: str) -> 
     A = C.toarray()
     A *= -r[:, None]
     A[np.diag_indices(n)] += 1.0
-    return solve_checked(A, b, context)
+    import scipy.linalg
+
+    return scipy.linalg.lu_solve(lu_factor_checked(A, context), b, check_finite=False)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,9 @@ from .errors import (
     PreconditionViolated,
     ValidationError,
 )
-from .net_model import ROW_BLOCK, ClearingParams, FinancialSystem, build_system, row_sums
+from .net_model import (
+    ROW_BLOCK, ClearingParams, FinancialSystem, _validated_assets, build_system,
+)
 from .centrality import beta_vector, generalized_katz
 from .shocks import (
     full_default_shock,
@@ -404,11 +406,15 @@ def generate_random_system(
         ),
         shape=(N, N),
     )
-    l = row_sums(L)
+    # the assets are drawn from l, so the system is built first and its l,
+    # the one row-sum pass, reused
+    system = build_system(L, np.ones(N))
+    l = system.total_liabilities
     o = np.empty(N)
     o[:n] = (l[:n] - claims) + rng.uniform(0.0, 1.0, size=n) * l[:n]
     o[N - 1] = 1.0
-    return build_system(L, o)
+    o = _validated_assets(o, "pre_shock_assets", N)
+    return replace(system, external_assets=o, pre_shock_assets=o)
 
 
 # --------------------------------------------------------------------------

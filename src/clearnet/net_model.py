@@ -176,24 +176,27 @@ class DefaultIndicator:
 
 
 def broadcast_rate(value, n: int, name: str) -> NDArray:
-    """Expand a scalar-or-vector rate (recovery, interpolation) to length n."""
+    """Expand a scalar-or-vector recovery rate to length n; every entry
+    must lie in [0, 1]."""
     vec = np.asarray(value, dtype=float)
     if vec.ndim == 0:
         vec = np.full(n, float(vec))
     if vec.shape != (n,):
         raise DimensionMismatch(f"{name} must be a scalar or length-{n} vector")
+    if not (vec.min(initial=0.0) >= 0.0 and vec.max(initial=1.0) <= 1.0):   # NaN fails too
+        raise ValidationError(f"recovery rate {name} must lie in [0, 1], got {value}")
     return vec
 
 
 def validate_interpolation(m, n: int) -> NDArray:
     """Expand an interpolation coefficient ``m`` to length n; every entry
     must lie strictly inside (0, 1)."""
-    vec = broadcast_rate(m, n, "m")
-    if np.any(vec <= 0) or np.any(vec >= 1):
+    vec = np.asarray(m, dtype=float)
+    if not np.all((vec > 0) & (vec < 1)):   # NaN fails too
         raise InvalidInterpolation(
             f"interpolation coefficient must lie strictly inside (0, 1), got {m}"
         )
-    return vec
+    return broadcast_rate(m, n, "m")
 
 
 @dataclass(frozen=True)
@@ -209,11 +212,9 @@ class ClearingParams:
     r_a: float = 1.0
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        if not np.all((r >= 0) & (r <= 1)):   # NaN fails too
-            raise ValidationError(f"recovery rate r must lie in [0, 1], got {self.r}")
-        if not 0.0 <= self.r_a <= 1.0:
-            raise ValidationError(f"recovery rate r_a must lie in [0, 1], got {self.r_a}")
+        # the range check of broadcast_rate, at each rate's own length
+        broadcast_rate(self.r, np.size(self.r), "r")
+        broadcast_rate(self.r_a, 1, "r_a")
 
     def recovery_vector(self, node_count: int) -> NDArray:
         return broadcast_rate(self.r, node_count, "r")

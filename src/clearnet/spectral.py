@@ -22,7 +22,6 @@ from .net_model import DefaultIndicator
 RADIUS_TOL = 1e-10
 RADIUS_MAX_ITER = 100_000
 INVERTIBILITY_MARGIN = 1e-12
-_START_PERTURBATION = 1e-9
 
 __all__ = [
     "SpectralReport",
@@ -99,82 +98,61 @@ def _lasting_support(C) -> NDArray:
         support = nxt
 
 
-def _is_nilpotent(C) -> bool:
-    """Exact check: for nonnegative ``C``, ``C^k 1 = 0`` iff ``C^k = 0``,
-    so the radius is exactly zero iff the lasting support is empty."""
-    return not _lasting_support(C).any()
+def _perron(C: scipy.sparse.csr_array) -> tuple[float, float]:
+    """Radius estimate and certified Collatz-Wielandt lower bound of a
+    checked ``C``, from one left power iteration.
 
-
-def spectral_radius(C: NDArray) -> float:
-    """Spectral radius of a nonnegative matrix.
-
-    Power iteration on the shifted matrix ``C + I`` (same eigenvectors,
-    radius shifted by exactly one), which restores geometric convergence
-    for periodic structures such as payment cycles where iterating ``C``
-    itself oscillates. The start vector is all-ones with a tiny seeded
-    perturbation; convergence requires both a small Rayleigh-quotient step
-    and a small eigen-residual. Exactly nilpotent matrices are detected up
-    front and return 0. ``C`` may be dense or sparse; the iteration runs
-    on its CSR form, so each step costs ``O(nnz)``. The tolerance is
-    ``RADIUS_TOL``; when ``RADIUS_MAX_ITER`` steps do not converge, a dense
-    eigenvalue computation gives the radius instead.
+    The iteration runs on the shifted ``C^T + I`` (same eigenvectors,
+    radius shifted by exactly one), which converges geometrically on
+    periodic structures such as payment cycles, where iterating ``C^T``
+    itself oscillates. It starts on the lasting support of ``C^T``, where
+    every ``(xC)_j`` is positive: a test vector with ``(xC)_j = 0`` on its
+    support (the sink's zero column, or a bank that owes only such nodes)
+    would certify 0. The support is empty exactly when ``C^k = 0`` for some
+    ``k``, and then both numbers are 0. It stops when the Rayleigh-quotient
+    step and the eigen-residual are both within ``RADIUS_TOL``; after
+    ``RADIUS_MAX_ITER`` steps a dense eigenvalue computation gives the
+    radius instead. ``lower`` is the better quotient of the final iterate
+    and of the banks (every node but the last); the estimate is never below
+    it.
     """
-    return _radius(_check_nonnegative(C))
-
-
-def _radius(C: scipy.sparse.csr_array) -> float:
-    """:func:`spectral_radius` of a checked ``C``."""
     n = C.shape[0]
-    if _is_nilpotent(C):   # also the empty matrix
-        return 0.0
-
-    rng = np.random.default_rng(0)
-    x = np.ones(n) + _START_PERTURBATION * rng.uniform(size=n)
+    Ct = C.T   # a CSC view of the CSR arrays, made once: no copy
+    x = _lasting_support(Ct)
+    if not x.any():   # also the empty matrix
+        return 0.0, 0.0
     x /= np.linalg.norm(x)
     lam_prev = np.inf
     for _ in range(RADIUS_MAX_ITER):
-        y = C @ x + x
+        y = Ct @ x + x
         lam = float(x @ y)
         scale = max(1.0, lam)
         if (
             np.abs(y - lam * x).max() <= RADIUS_TOL * scale
             and abs(lam - lam_prev) <= RADIUS_TOL * scale
         ):
-            return max(lam - 1.0, 0.0)
+            break
         lam_prev = lam
         x = y / np.linalg.norm(y)
-
-    return float(np.max(np.abs(np.linalg.eigvals(C.toarray()))))
-
-
-def _best_lower_bound(C: scipy.sparse.csr_array) -> float:
-    """Best Collatz-Wielandt bound of two test vectors: the banks (every
-    node but the last) and 50 steps toward the left Perron vector.
-
-    A test vector ``x`` certifies 0 if some ``j`` in its support has
-    ``(xC)_j = 0``: a zero column (the sink's, in a claims matrix), or a
-    bank that owes only such nodes. So the iterate starts on the lasting
-    support of ``C^T``, where every ``(xC)_j`` is positive, and
-    ``x -> xC + x`` keeps it there; the support is empty only when ``C`` is
-    nilpotent. Any nonnegative iterate is a valid certificate."""
-    n = C.shape[0]
-    y = _lasting_support(C.T)
-    if not y.any():
-        return 0.0
-    for _ in range(50):
-        y = C.T @ y + y
-        y /= y.max()
-    candidates = [y]
-    if n > 1:
-        banks_only = np.ones(n)
-        banks_only[-1] = 0.0
-        candidates.append(banks_only)
-    return max(_quotient(C, x) for x in candidates)
+    else:
+        lam = 1.0 + float(np.max(np.abs(np.linalg.eigvals(C.toarray()))))
+    banks = np.ones(n)
+    banks[-1] = 0.0
+    lower = max(_quotient(C, v) for v in (x, banks) if v.any())
+    return max(lam - 1.0, lower), lower
 
 
-def _below_one(r_max: float, bound: float) -> bool:
-    """The one comparison: ``r_max * bound < 1 - 1e-12``."""
-    return r_max * bound < 1.0 - INVERTIBILITY_MARGIN
+def spectral_radius(C: NDArray) -> float:
+    """Spectral radius of a nonnegative matrix, dense or sparse: the
+    estimate of the power iteration described in :func:`_perron`, which
+    runs on the CSR form of ``C``, so each step costs ``O(nnz)``. A matrix
+    with ``C^k = 0`` for some ``k`` gives exactly 0."""
+    return _perron(_check_nonnegative(C))[0]
+
+
+def _below_one(r_max: float, norm: float, estimate: float) -> bool:
+    """The one rule: ``max(r) * min(||C||_1, estimate) < 1 - 1e-12``."""
+    return r_max * min(norm, estimate) < 1.0 - INVERTIBILITY_MARGIN
 
 
 def _column_norm(C: scipy.sparse.csr_array) -> float:
@@ -186,18 +164,20 @@ def _column_norm(C: scipy.sparse.csr_array) -> float:
 def safely_invertible(C: scipy.sparse.csr_array, r) -> tuple[bool, float | None]:
     """The one rule: is ``I - diag(r) C`` safely invertible?
 
-    Yes if ``max(r) * ||C||_1 < 1 - 1e-12`` (the largest column sum bounds
-    the radius; it is at most 1 for a :func:`build_system` claims matrix);
-    else iff ``max(r) * radius < 1 - 1e-12``, ``radius`` being the larger of
-    the power-iteration estimate and the certified Collatz-Wielandt bound.
-    Returns the verdict and that radius (None when the norm decided). The
-    caller has run :func:`_check_nonnegative` on ``C``.
+    Yes iff ``max(r) * min(||C||_1, estimate) < 1 - 1e-12``: the largest
+    column sum bounds the radius (it is at most 1 for a
+    :func:`build_system` claims matrix), and ``estimate`` is the radius
+    estimate of :func:`_perron`, never below its certified lower bound. When
+    the norm alone decides, no radius is computed. Returns the verdict and
+    the estimate (None when the norm decided). The caller has run
+    :func:`_check_nonnegative` on ``C``.
     """
     r_max = float(np.max(r))
-    if _below_one(r_max, _column_norm(C)):
+    norm = _column_norm(C)
+    if _below_one(r_max, norm, np.inf):
         return True, None
-    radius = max(_radius(C), _best_lower_bound(C))
-    return _below_one(r_max, radius), radius
+    estimate = _perron(C)[0]
+    return _below_one(r_max, norm, estimate), estimate
 
 
 def check_invertibility(C: NDArray, r: float) -> tuple[bool, SpectralReport]:
@@ -205,19 +185,17 @@ def check_invertibility(C: NDArray, r: float) -> tuple[bool, SpectralReport]:
 
     ``C`` may be dense or sparse. Both the verdict and the report's
     interval (the verdict at ``r = 1``) apply the rule of
-    :func:`safely_invertible` to the radius estimate and certified lower
-    bound the report carries: the norm accepts, or else the radius does.
+    :func:`safely_invertible` to the radius estimate the report carries.
     """
     C = _check_nonnegative(C)
-    estimate = _radius(C)
-    lower = _best_lower_bound(C)
-    bound = min(_column_norm(C), max(estimate, lower))
+    norm = _column_norm(C)
+    estimate, lower = _perron(C)
     report = SpectralReport(
         radius_estimate=estimate,
         collatz_wielandt_lower=lower,
-        invertible_for_r="[0, 1]" if _below_one(1.0, bound) else "[0, 1)",
+        invertible_for_r="[0, 1]" if _below_one(1.0, norm, estimate) else "[0, 1)",
     )
-    return _below_one(float(r), bound), report
+    return _below_one(float(r), norm, estimate), report
 
 
 def corollary_radius_bound(C: NDArray, defaults: DefaultIndicator) -> bool:
@@ -231,4 +209,4 @@ def corollary_radius_bound(C: NDArray, defaults: DefaultIndicator) -> bool:
     mask = defaults.flags.astype(float)
     masked = C.copy()
     masked.data *= np.repeat(mask, np.diff(C.indptr)) * mask[C.indices]
-    return _radius(masked) <= _radius(C) + 1e-10
+    return _perron(masked)[0] <= _perron(C)[0] + 1e-10

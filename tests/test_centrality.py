@@ -125,6 +125,49 @@ class TestGeneralizedKatz:
         np.testing.assert_allclose(s12, s1 + s2, atol=1e-10)
 
 
+class TestRecoveryRatesValidated:
+    """A recovery rate outside [0, 1], or NaN, is rejected wherever it enters,
+    not only in ``ClearingParams``."""
+
+    BAD = [3.0, -1.0, np.nan, [0.5, 1.5, 0.5], [0.5, np.nan, 0.5]]
+
+    @pytest.fixture
+    def system(self):
+        return cn.build_system([[0, 1, 1], [1, 0, 1], [0, 0, 0]], [1, 1, 1])
+
+    @pytest.mark.parametrize("r", BAD)
+    def test_beta_vector(self, system, r):
+        with pytest.raises(cn.ValidationError, match="recovery rate r must lie in"):
+            cn.beta_vector(system, r, 0.5)
+
+    @pytest.mark.parametrize("r", BAD)
+    def test_generalized_katz(self, system, r):
+        with pytest.raises(cn.ValidationError, match="recovery rate r must lie in"):
+            cn.generalized_katz(system.claims, r, np.array([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("r", BAD)
+    def test_printed_relaxed_closed_form(self, system, r):
+        with pytest.raises(cn.ValidationError, match="recovery rate r must lie in"):
+            cn.printed_relaxed_closed_form(system, r, 0.5)
+
+    @pytest.mark.parametrize("r", [-1e-300, 1.0 + 1e-15, np.nan])
+    def test_clearing_params(self, r):
+        with pytest.raises(cn.ValidationError, match="recovery rate r must lie in"):
+            cn.ClearingParams(r=r)
+        with pytest.raises(cn.ValidationError, match="recovery rate r_a must lie in"):
+            cn.ClearingParams(r_a=r)
+
+    def test_interpolation_keeps_its_own_error(self, system):
+        for m in (0.0, 1.0, -0.2, 1.5, np.nan):
+            with pytest.raises(cn.InvalidInterpolation):
+                cn.beta_vector(system, 0.5, m)
+
+    def test_bounds_are_admitted(self, system):
+        for r in (0.0, 1.0, [0.0, 1.0, 0.5]):
+            cn.beta_vector(system, r, 0.5)
+            cn.ClearingParams(r=r)
+
+
 class TestStandardKatz:
     def test_empty_graph(self):
         np.testing.assert_array_equal(cn.standard_katz(np.zeros((3, 3)), 0.5), np.ones(3))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,6 @@ from clearnet._linalg import (
     as_csr,
     attenuation_norm,
     solve_attenuated,
-    solve_checked,
 )
 from conftest import exact_frozen_payments, fraction_solve
 
@@ -75,7 +75,7 @@ def test_solver_matches_dense_lu(
     x = solve_attenuated(system.claims[idx][:, idx], r_vec[idx], b, "block")
     block = system.claims.toarray()[np.ix_(idx, idx)]
     A = np.eye(idx.size) - r_vec[idx, None] * block
-    want = solve_checked(A, b, "dense block")
+    want = scipy.linalg.solve(A, b)
     assert np.abs(x - want).sum() <= 1e-13 * np.abs(want).sum()
 
 
@@ -191,7 +191,7 @@ def reference_solve(C, r, b) -> np.ndarray:
                     break
                 x = nxt
             return x
-    return solve_checked(np.eye(n) - r[:, None] * C.toarray(), b, "reference")
+    return scipy.linalg.solve(np.eye(n) - r[:, None] * C.toarray(), b)
 
 
 def pinned_cases():
@@ -345,7 +345,7 @@ class TestAcceleratedSweep:
         C = cn.generate_random_system(3, 300, 0.03).claims
         n = C.shape[0]
         r, b = rates(kind, n), right_hand_side(signs, n)
-        want = solve_checked(np.eye(n) - r[:, None] * C.toarray(), b, "dense")
+        want = scipy.linalg.solve(np.eye(n) - r[:, None] * C.toarray(), b)
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
         x = solve_attenuated(C, r, b, "network")
         assert np.abs(x - want).sum() <= 1e-14 * np.abs(want).sum()
@@ -369,7 +369,7 @@ class TestAcceleratedSweep:
         system = cn.generate_random_system(3, 300, 0.03)
         C, n = system.claims, system.node_count
         r, b = rates("per-node", n), right_hand_side("mixed", n)
-        want = solve_checked(np.eye(n) - r[:, None] * C.toarray(), b, "dense")
+        want = scipy.linalg.solve(np.eye(n) - r[:, None] * C.toarray(), b)
         x = solve_attenuated(C, r, np.ldexp(b, exponent), "scaled")
         assert np.abs(np.ldexp(x, -exponent) - want).sum() <= 1e-14 * np.abs(want).sum()
 
@@ -409,7 +409,7 @@ class TestAcceleratedSweep:
         C = CountingCsr(two_cycles(30))
         n = C.shape[0]
         b = right_hand_side("nonnegative", n)
-        want = solve_checked(np.eye(n) - 0.9 * C.toarray(), b, "dense")
+        want = scipy.linalg.solve(np.eye(n) - 0.9 * C.toarray(), b)
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
         x = solve_attenuated(C, 0.9, b, "2-cycles")
         assert 2 * C.products <= 368   # the cap at r = 0.9
@@ -435,7 +435,7 @@ class TestAcceleratedSweep:
         system = cn.generate_random_system(3, 300, 0.03)
         C, n = system.claims, system.node_count
         b = system.total_liabilities
-        want = solve_checked(np.eye(n) - 0.5 * C.toarray(), b, "dense")
+        want = scipy.linalg.solve(np.eye(n) - 0.5 * C.toarray(), b)
         q = attenuation_norm(C, np.full(n, 0.5))
         cap = math.ceil(math.log(EPS * (1.0 - q) / (1.0 + q)) / math.log(q))
         lu_sizes.clear()

@@ -6,6 +6,8 @@ import pytest
 import scipy.sparse
 
 import clearnet as cn
+import clearnet.io_cli
+import clearnet.net_model
 from clearnet._linalg import as_csr
 from conftest import partial_default_variant
 
@@ -356,6 +358,21 @@ class TestSparseLiabilities:
         for part in ("data", "indices", "indptr"):
             assert_same_bits(getattr(system.claims, part), getattr(want, part))
         assert_same_bits(system.total_claims, want @ l)
+
+    def test_generator_sums_the_rows_once(self, monkeypatch):
+        calls = []
+        real = clearnet.net_model.row_sums
+
+        def counting(L):
+            calls.append(L)
+            return real(L)
+
+        for module in (clearnet.net_model, clearnet.io_cli):
+            monkeypatch.setattr(module, "row_sums", counting, raising=False)
+        for seed, n_banks, density, scale in GENERATED:
+            calls.clear()
+            cn.generate_random_system(seed, n_banks, density, weight_scale=scale)
+            assert len(calls) == 1
 
     def test_dense_and_sparse_input_give_identical_systems(self, ensemble, sys_a, sys_0):
         systems = ensemble[:40] + [sys_a, sys_0, cn.generate_random_system(7, 300, 0.03)]

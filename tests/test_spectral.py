@@ -7,6 +7,7 @@ import scipy.sparse
 import clearnet as cn
 import clearnet.centrality
 import clearnet.spectral
+from conftest import ensemble_system
 
 
 def column_stochastic(seed: int, n: int) -> np.ndarray:
@@ -14,6 +15,13 @@ def column_stochastic(seed: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     M = rng.uniform(0.1, 1.0, size=(n, n))
     return M / M.sum(axis=0)
+
+
+def payment_chain(n_banks: int) -> scipy.sparse.csr_array:
+    """Claims matrix of bank i owing bank i + 1, the last bank owing the sink."""
+    L = np.zeros((n_banks + 1, n_banks + 1))
+    L[np.arange(n_banks), np.arange(1, n_banks + 1)] = 1.0
+    return cn.build_system(L, np.ones(n_banks + 1)).claims
 
 
 class TestCollatzWielandt:
@@ -71,12 +79,10 @@ class TestSpectralRadius:
 
     @pytest.mark.parametrize("n_banks", [300, 600])
     def test_long_payment_chain_is_nilpotent(self, n_banks):
-        # bank i owes bank i + 1, the last bank owes the sink: C^k vanishes
-        # only at k = n_banks + 1, past any fixed cap on the support sweep
-        L = np.zeros((n_banks + 1, n_banks + 1))
-        L[np.arange(n_banks), np.arange(1, n_banks + 1)] = 1.0
-        C = cn.build_system(L, np.ones(n_banks + 1)).claims
-        assert clearnet.spectral._is_nilpotent(C)
+        # C^k vanishes only at k = n_banks + 1, past any fixed cap on the
+        # support sweep: the lasting support is empty, and the radius exactly 0
+        C = payment_chain(n_banks)
+        assert clearnet.spectral._perron(C) == (0.0, 0.0)
         assert cn.spectral_radius(C) == 0.0
 
     def test_asymmetric_two_cycle(self):
@@ -163,6 +169,65 @@ class TestCheckInvertibility:
             sys_a.claims, r=0.0
         )
         assert ok
+
+
+def _max_abs_eig(C) -> float:
+    C = C.toarray() if scipy.sparse.issparse(C) else np.asarray(C)
+    return float(np.max(np.abs(np.linalg.eigvals(C)), initial=0.0))
+
+
+def assert_estimate_brackets(C):
+    """The reported estimate is within 1e-8 of max|eig| and not below the
+    certified bound reported beside it."""
+    _, report = cn.check_invertibility(C, 1.0)
+    assert abs(report.radius_estimate - _max_abs_eig(C)) <= 1e-8
+    assert report.radius_estimate >= report.collatz_wielandt_lower
+    assert cn.spectral_radius(C) == report.radius_estimate
+
+
+class TestEstimateAndBound:
+    """One power iteration yields the radius estimate and its certified
+    lower bound, so the estimate never falls below the bound."""
+
+    @pytest.mark.parametrize("index", [146, 193, 195])
+    def test_estimate_not_below_bound_on_small_ensemble_systems(self, index):
+        _, report = cn.check_invertibility(ensemble_system(index).claims, 1.0)
+        assert report.radius_estimate >= report.collatz_wielandt_lower
+
+    def test_estimate_not_below_bound_on_a_two_cycle_beside_a_zero(self):
+        C = np.array([[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0]])
+        _, report = cn.check_invertibility(C, 1.0)
+        assert report.radius_estimate >= report.collatz_wielandt_lower
+        assert report.collatz_wielandt_lower == pytest.approx(0.5, abs=1e-12)
+
+    def test_ensemble(self, ensemble):
+        for system in ensemble:
+            assert_estimate_brackets(system.claims)
+
+    def test_column_stochastic(self):
+        for seed in range(10):
+            assert_estimate_brackets(column_stochastic(seed, 6))
+
+    @pytest.mark.parametrize("n_banks", [300, 600])
+    def test_payment_chains(self, n_banks):
+        assert_estimate_brackets(payment_chain(n_banks))
+
+    def test_dense_fallback(self, ensemble, monkeypatch):
+        monkeypatch.setattr(clearnet.spectral, "RADIUS_MAX_ITER", 100)
+        for C in [np.array([[0.5, 1.0], [0.0, 0.5]])] + [s.claims for s in ensemble[:20]]:
+            assert_estimate_brackets(C)
+
+    def test_check_invertibility_takes_one_support_pass(self, sys_a, monkeypatch):
+        calls = []
+        real = clearnet.spectral._lasting_support
+
+        def counting(C):
+            calls.append(C)
+            return real(C)
+
+        monkeypatch.setattr(clearnet.spectral, "_lasting_support", counting)
+        cn.check_invertibility(sys_a.claims, 1.0)
+        assert len(calls) == 1
 
 
 class TestCorollaryBound:
@@ -315,14 +380,14 @@ class TestOneInvertibilityRule:
         self, ensemble, monkeypatch
     ):
         calls = []
-        real = clearnet.spectral._radius
+        real = clearnet.spectral._perron
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
         # the power iteration behind every radius, public or internal
-        monkeypatch.setattr(clearnet.spectral, "_radius", counting)
+        monkeypatch.setattr(clearnet.spectral, "_perron", counting)
         rng = np.random.default_rng(3)
         for system in ensemble[:60]:
             n = system.node_count
