@@ -56,7 +56,6 @@ from .io_cli import (
     dumps_canonical,
     generate_random_system,
     load_document,
-    load_system,
     save_document,
 )
 from .net_model import (

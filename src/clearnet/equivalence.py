@@ -9,6 +9,7 @@ node defaulted) the identity rests on.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,9 @@ def verify_full_shock_equivalence(
     Builds the shock, runs the default-set iteration on the shocked system,
     and checks ``l - p`` against ``(I - r C)^{-1} beta`` on bank entries.
     ``beta`` assumes full recovery of external assets, so ``params.r_a``
-    must be 1. Shock and solver errors propagate.
+    must be 1. ``tol`` defaults to :func:`default_tolerance`; a NaN,
+    infinite or negative ``tol`` raises :class:`ValidationError`, since the
+    verdict would not depend on the gap. Shock and solver errors propagate.
     """
     if params.r_a != 1.0:
         raise ValidationError(
@@ -74,6 +77,8 @@ def verify_full_shock_equivalence(
         )
     if tol is None:
         tol = default_tolerance(system)
+    elif not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
     scenario = full_default_shock(system, m)
     solution = fictitious_default_sequence(shocked_system(system, scenario), params)
 

@@ -28,7 +28,7 @@ from .clearing import (
     picard_clearing_oracle,
     systemic_loss,
 )
-from .equivalence import default_tolerance, verify_full_shock_equivalence
+from .equivalence import verify_full_shock_equivalence
 from .errors import (
     ClearnetError,
     InvalidInterpolation,
@@ -51,7 +51,6 @@ from .spectral import check_invertibility
 __all__ = [
     "SystemDocument",
     "dumps_canonical",
-    "load_system",
     "load_document",
     "save_document",
     "generate_random_system",
@@ -156,8 +155,10 @@ class SystemDocument:
     ``liabilities`` is row-major with the sink last; ``names`` labels all
     nodes and always ends with ``"SINK"``. The numeric fields are read-only
     float arrays, compared by value, and a document is validated when it is
-    built. A document is always complete: ``external_assets`` defaults to
-    ``pre_shock_assets`` (no shock yet) and ``names`` to ``B1 ... Bn, SINK``.
+    built: it holds at least the sink row and one label per node, the last
+    ``"SINK"``. A document is always complete: ``external_assets`` defaults
+    to ``pre_shock_assets`` (no shock yet) and ``names`` to ``B1 ... Bn,
+    SINK``.
     Documents round-trip losslessly through JSON (floats keep 17
     significant digits).
     """
@@ -176,7 +177,13 @@ class SystemDocument:
         if names is None:
             names = [f"B{i}" for i in range(1, len(self.liabilities))] + [SINK_LABEL]
         object.__setattr__(self, "names", tuple(str(x) for x in names))
-        self.validate()
+        n = len(self.liabilities)
+        if n == 0:
+            raise ValidationError("liabilities must hold at least the sink row")
+        if len(self.names) != n:
+            raise ValidationError(f"names has {len(self.names)} entries for {n} nodes")
+        if self.names[-1] != SINK_LABEL:
+            raise ValidationError(f'last label must be "{SINK_LABEL}", got "{self.names[-1]}"')
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SystemDocument):
@@ -190,15 +197,6 @@ class SystemDocument:
         """The document of ``system``, referring to its asset arrays; the
         liability matrix is the dense copy of the system's sparse ``L``."""
         return cls(system.liabilities, system.pre_shock_assets, system.external_assets)
-
-    def validate(self) -> None:
-        n = len(self.liabilities)
-        if n == 0:
-            raise ValidationError("liabilities must hold at least the sink row")
-        if len(self.names) != n:
-            raise ValidationError(f"names has {len(self.names)} entries for {n} nodes")
-        if self.names[-1] != SINK_LABEL:
-            raise ValidationError(f'last label must be "{SINK_LABEL}", got "{self.names[-1]}"')
 
     def to_system(self) -> FinancialSystem:
         return build_system(self.liabilities, self.pre_shock_assets, self.external_assets)
@@ -247,10 +245,6 @@ def parse_document(text: str) -> SystemDocument:
 
 def serialize_document(doc: SystemDocument) -> str:
     return dumps_canonical(doc.to_dict())
-
-
-def load_document(path) -> SystemDocument:
-    return parse_document(Path(path).read_text())
 
 
 def save_document(doc: SystemDocument, path) -> None:
@@ -302,24 +296,19 @@ def _read_csv(path, sidecar: bool = False) -> NDArray:
     return matrix.ravel() if sidecar else matrix
 
 
-def load_system(path, format: str | None = None, assets_path=None) -> FinancialSystem:
-    """Load a :class:`FinancialSystem` from a JSON document or CSV matrix.
+def load_document(path, format: str | None = None, assets_path=None) -> SystemDocument:
+    """The document a JSON file holds, or the one a CSV matrix and its
+    asset sidecar (one value per line, ``assets_path``) make; a report
+    echoes it as read, and ``.to_system()`` builds its system.
 
-    CSV requires the asset sidecar (one value per line); JSON documents are
-    self-contained. ``format`` is inferred from the file suffix when not
+    ``format`` ("json" or "csv") is inferred from the file suffix when not
     given. Parse failures raise :class:`ParseError` with the offending
     location; semantic failures raise :class:`ValidationError`, of which the
     model-validation errors from :func:`build_system` are subclasses.
     """
-    return _read_input(path, format, assets_path).to_system()
-
-
-def _read_input(path, format, assets_path) -> SystemDocument:
-    """The document a JSON file holds, or the one a CSV matrix and its
-    asset sidecar make; a report echoes it as read."""
     fmt = format or ("csv" if str(path).lower().endswith(".csv") else "json")
     if fmt == "json":
-        return load_document(path)
+        return parse_document(Path(path).read_text())
     if fmt == "csv":
         matrix = _read_csv(path)
         if assets_path is None:
@@ -441,8 +430,7 @@ def _clearing_sections(system: FinancialSystem, params: ClearingParams) -> dict:
 
 
 def _spectral_dict(system: FinancialSystem, r: float | None) -> dict:
-    params = ClearingParams(r=1.0 if r is None else r)
-    ok, report = check_invertibility(system.claims, params.r)
+    ok, report = check_invertibility(system.claims, 1.0 if r is None else r)
     return {
         "radius_estimate": report.radius_estimate,
         "collatz_wielandt_lower": report.collatz_wielandt_lower,
@@ -485,9 +473,8 @@ def _shock_sections(args, system: FinancialSystem) -> dict:
 
 
 def _katz_sections(args, system: FinancialSystem) -> dict:
-    params = ClearingParams(r=args.r)
-    beta = beta_vector(system, params.r, args.m)
-    result = generalized_katz(system.claims, params.r, beta, m=args.m)
+    beta = beta_vector(system, args.r, args.m)
+    result = generalized_katz(system.claims, args.r, beta, m=args.m)
     return {
         "parameters": {"r": args.r, "m": args.m},
         "beta": beta,
@@ -498,10 +485,7 @@ def _katz_sections(args, system: FinancialSystem) -> dict:
 
 def _verify_sections(args, system: FinancialSystem) -> dict:
     params = ClearingParams(r=args.r)
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
-        raise ValidationError(f"--tol must be finite and nonnegative, got {args.tol}")
-    tol = args.tol if args.tol is not None else default_tolerance(system)
-    full = verify_full_shock_equivalence(system, params, args.m, tol=tol)
+    full = verify_full_shock_equivalence(system, params, args.m, tol=args.tol)
     # the construction raises unless its candidate is certified, so the
     # section carries the two gaps or the error
     try:
@@ -510,14 +494,14 @@ def _verify_sections(args, system: FinancialSystem) -> dict:
         relaxed = {"error": f"{type(exc).__name__}: {exc}"}
     else:
         relaxed = {"max_abs_gap": cert.candidate_gap, "printed_form_gap": cert.printed_gap}
-        if cert.printed_gap > tol:
+        if cert.printed_gap > full.tolerance:
             print(
                 "warning: alternative relaxed closed form differs from the "
                 f"certified solution by {cert.printed_gap:.6g} (informational)",
                 file=sys.stderr,
             )
     return {
-        "parameters": {"r": args.r, "m": args.m, "tol": tol},
+        "parameters": {"r": args.r, "m": args.m, "tol": full.tolerance},
         "full_shock": {
             "max_abs_gap": full.max_abs_gap,
             "one_step": full.one_step,
@@ -649,7 +633,7 @@ def _cmd_report(args) -> int:
     --pretty view. A report that carries ``passed`` exits 2 when it is
     false."""
     build, pretty = _REPORTS[args.command]
-    doc = _read_input(args.input, args.format, args.assets)
+    doc = load_document(args.input, args.format, args.assets)
     report = {"command": args.command, "input": {"path": str(args.input), **doc.to_dict()}}
     report.update(build(args, doc.to_system()))
     print(pretty(report) if args.pretty else dumps_canonical(report))

@@ -272,14 +272,16 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
     ------
     DimensionMismatch, NegativeEntry, NonzeroDiagonal, NonzeroSinkRow
         Each names the offending index, the first in row-major order, the
-        same for dense and sparse input. A non-finite entry, or a row whose
-        entries are finite but whose sum overflows, raises
-        ``DimensionMismatch``.
+        same for dense and sparse input. A non-finite entry, a row whose
+        entries are finite but whose sum overflows, or a 0 x 0 matrix (no
+        sink) raises ``DimensionMismatch``.
     """
     L = _liability_csr(liabilities)
     if L.shape[0] != L.shape[1]:
         raise DimensionMismatch(f"liability matrix must be square, got shape {L.shape}")
     N = L.shape[0]
+    if N == 0:
+        raise DimensionMismatch("liability matrix must hold at least the sink row and column")
     o = _validated_assets(pre_shock_assets, "pre_shock_assets", N)
     a = o
     if external_assets is not None:

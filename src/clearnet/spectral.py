@@ -17,10 +17,13 @@ from numpy.typing import NDArray
 
 from ._linalg import as_csr, attenuation_norm
 from .errors import ZeroVector
-from .net_model import DefaultIndicator
+from .net_model import DefaultIndicator, broadcast_rate
 
 RADIUS_TOL = 1e-10
 RADIUS_MAX_ITER = 100_000
+# Power-iteration steps per node of the matrix, below RADIUS_MAX_ITER: a
+# small matrix that has not converged by then goes to the dense fallback.
+RADIUS_STEPS_PER_NODE = 100
 INVERTIBILITY_MARGIN = 1e-12
 
 __all__ = [
@@ -111,10 +114,10 @@ def _perron(C: scipy.sparse.csr_array) -> tuple[float, float]:
     would certify 0. The support is empty exactly when ``C^k = 0`` for some
     ``k``, and then both numbers are 0. It stops when the Rayleigh-quotient
     step and the eigen-residual are both within ``RADIUS_TOL``; after
-    ``RADIUS_MAX_ITER`` steps a dense eigenvalue computation gives the
-    radius instead. ``lower`` is the better quotient of the final iterate
-    and of the banks (every node but the last); the estimate is never below
-    it.
+    ``min(RADIUS_MAX_ITER, RADIUS_STEPS_PER_NODE * n)`` steps a dense
+    eigenvalue computation gives the radius instead. ``lower`` is the
+    better quotient of the final iterate and of the banks (every node but
+    the last); the estimate is never below it.
     """
     n = C.shape[0]
     Ct = C.T   # a CSC view of the CSR arrays, made once: no copy
@@ -123,7 +126,7 @@ def _perron(C: scipy.sparse.csr_array) -> tuple[float, float]:
         return 0.0, 0.0
     x /= np.linalg.norm(x)
     lam_prev = np.inf
-    for _ in range(RADIUS_MAX_ITER):
+    for _ in range(min(RADIUS_MAX_ITER, RADIUS_STEPS_PER_NODE * n)):
         y = Ct @ x + x
         lam = float(x @ y)
         scale = max(1.0, lam)
@@ -151,7 +154,7 @@ def spectral_radius(C: NDArray) -> float:
 
 
 def _below_one(r_max: float, norm: float, estimate: float) -> bool:
-    """The one rule: ``max(r) * min(||C||_1, estimate) < 1 - 1e-12``."""
+    """The one rule: ``max|r| * min(||C||_1, estimate) < 1 - 1e-12``."""
     return r_max * min(norm, estimate) < 1.0 - INVERTIBILITY_MARGIN
 
 
@@ -164,15 +167,17 @@ def _column_norm(C: scipy.sparse.csr_array) -> float:
 def safely_invertible(C: scipy.sparse.csr_array, r) -> tuple[bool, float | None]:
     """The one rule: is ``I - diag(r) C`` safely invertible?
 
-    Yes iff ``max(r) * min(||C||_1, estimate) < 1 - 1e-12``: the largest
+    Yes iff ``max|r| * min(||C||_1, estimate) < 1 - 1e-12``: the largest
     column sum bounds the radius (it is at most 1 for a
     :func:`build_system` claims matrix), and ``estimate`` is the radius
-    estimate of :func:`_perron`, never below its certified lower bound. When
-    the norm alone decides, no radius is computed. Returns the verdict and
-    the estimate (None when the norm decided). The caller has run
+    estimate of :func:`_perron`, never below its certified lower bound.
+    Taking ``|r|`` keeps the rule sound for a negative attenuation, since
+    ``rho(diag(r) C) <= max|r| * rho(C)`` for a nonnegative ``C``. When the
+    norm alone decides, no radius is computed. Returns the verdict and the
+    estimate (None when the norm decided). The caller has run
     :func:`_check_nonnegative` on ``C``.
     """
-    r_max = float(np.max(r))
+    r_max = float(np.max(np.abs(r)))
     norm = _column_norm(C)
     if _below_one(r_max, norm, np.inf):
         return True, None
@@ -183,11 +188,14 @@ def safely_invertible(C: scipy.sparse.csr_array, r) -> tuple[bool, float | None]
 def check_invertibility(C: NDArray, r: float) -> tuple[bool, SpectralReport]:
     """Is ``I - r C`` safely invertible at recovery rate ``r``?
 
-    ``C`` may be dense or sparse. Both the verdict and the report's
-    interval (the verdict at ``r = 1``) apply the rule of
-    :func:`safely_invertible` to the radius estimate the report carries.
+    ``C`` may be dense or sparse. ``r`` is expanded by
+    :func:`clearnet.net_model.broadcast_rate`, so a rate outside [0, 1]
+    raises ``ValidationError``. Both the verdict and the report's interval
+    (the verdict at ``r = 1``) apply the rule of :func:`safely_invertible`
+    to the radius estimate the report carries.
     """
     C = _check_nonnegative(C)
+    r_max = float(broadcast_rate(r, C.shape[0], "r").max(initial=0.0))
     norm = _column_norm(C)
     estimate, lower = _perron(C)
     report = SpectralReport(
@@ -195,7 +203,7 @@ def check_invertibility(C: NDArray, r: float) -> tuple[bool, SpectralReport]:
         collatz_wielandt_lower=lower,
         invertible_for_r="[0, 1]" if _below_one(1.0, norm, estimate) else "[0, 1)",
     )
-    return _below_one(float(r), norm, estimate), report
+    return _below_one(r_max, norm, estimate), report
 
 
 def corollary_radius_bound(C: NDArray, defaults: DefaultIndicator) -> bool:

@@ -175,6 +175,8 @@ class TestStandardKatz:
     def test_two_cycle(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(cn.standard_katz(A, 0.5), [2.0, 2.0], atol=1e-12)
+        # a negative attenuation: (I + 0.5 A) x = 1
+        np.testing.assert_allclose(cn.standard_katz(A, -0.5), [2 / 3, 2 / 3], atol=1e-12)
 
     def test_star_graph(self):
         # three leaves feeding the hub (entry [hub, leaf] = 1)
@@ -188,6 +190,9 @@ class TestStandardKatz:
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(cn.SingularSystem):
             cn.standard_katz(A, 1.0)
+        # I + 2A is invertible, but the Katz series of alpha = -2 diverges
+        with pytest.raises(cn.SingularSystem):
+            cn.standard_katz(A, -2.0)
 
 
 class TestClosedFormFullShock:

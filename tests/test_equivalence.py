@@ -49,6 +49,18 @@ class TestFullShockEquivalence:
                 system, cn.ClearingParams(r=0.7, r_a=r_a), 0.5
             )
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_invalid_tolerance_rejected(self, sys_a, tol):
+        # NaN would fail every comparison and inf pass every one
+        with pytest.raises(cn.ValidationError, match="tol must be finite and nonnegative"):
+            cn.verify_full_shock_equivalence(sys_a, cn.ClearingParams(r=0.8), 0.5, tol=tol)
+
+    def test_report_carries_the_tolerance_it_used(self, sys_a):
+        params = cn.ClearingParams(r=0.8)
+        report = cn.verify_full_shock_equivalence(sys_a, params, 0.5)
+        assert report.tolerance == cn.default_tolerance(sys_a)
+        assert cn.verify_full_shock_equivalence(sys_a, params, 0.5, tol=0.0).tolerance == 0.0
+
     def test_ranking_agreement_on_ensemble(self, ensemble):
         params = cn.ClearingParams(r=0.7)
         for system in ensemble[:15]:

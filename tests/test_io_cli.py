@@ -53,7 +53,7 @@ class TestDocuments:
         assert again == doc
 
     def test_loaded_system_matches_source(self, sys_a, sys_a_path):
-        loaded = cn.load_system(sys_a_path)
+        loaded = cn.load_document(sys_a_path).to_system()
         np.testing.assert_array_equal(loaded.liabilities, sys_a.liabilities)
         np.testing.assert_array_equal(loaded.external_assets, sys_a.external_assets)
 
@@ -87,7 +87,7 @@ class TestDocuments:
                 liabilities=((0.0, 1.0), (0.0, 0.0)),
                 pre_shock_assets=(1.0, 1.0),
                 names=("B1", "B2"),
-            ).validate()
+            )
 
     def test_non_numeric_entry(self):
         with pytest.raises(cn.ValidationError, match="non-numeric"):
@@ -102,7 +102,7 @@ class TestCsv:
         matrix.write_text("b1,b2,SINK\n0,2,8\n3,0,7\n0,0,0\n")
         assets = tmp_path / "assets.csv"
         assets.write_text("assets\n8\n9\n1\n")
-        system = cn.load_system(matrix, assets_path=assets)
+        system = cn.load_document(matrix, assets_path=assets).to_system()
         np.testing.assert_array_equal(
             system.liabilities, [[0, 2, 8], [3, 0, 7], [0, 0, 0]]
         )
@@ -112,13 +112,13 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("0,2,8\n3,0\n0,0,0\n")
         with pytest.raises(cn.ParseError, match="line 2"):
-            cn.load_system(path, assets_path=path)
+            cn.load_document(path, assets_path=path)
 
     def test_non_numeric_cell_names_position(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,2,8\n3,zero,7\n0,0,0\n")
         with pytest.raises(cn.ParseError, match="line 2, column 2"):
-            cn.load_system(path, assets_path=path)
+            cn.load_document(path, assets_path=path)
 
     def test_nan_cell_exits_1(self, tmp_path, capsys):
         matrix = tmp_path / "net.csv"
@@ -152,11 +152,18 @@ class TestCsv:
             reports.append(capsys.readouterr().out.replace(json.dumps(inputs[1]), '"PATH"'))
         assert reports[0] == reports[1]
 
+    def test_format_overrides_the_suffix(self, tmp_path, sys_a):
+        path = tmp_path / "net.data"
+        cn.save_document(SystemDocument.from_system(sys_a), path)
+        assert cn.load_document(path, format="json") == SystemDocument.from_system(sys_a)
+        with pytest.raises(cn.ValidationError, match="unknown format"):
+            cn.load_document(path, format="xml")
+
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "net.csv"
         path.write_text("0,1\n0,0\n")
         with pytest.raises(cn.ValidationError, match="pre_shock_assets required"):
-            cn.load_system(path)
+            cn.load_document(path)
 
 
 class TestGenerator:
@@ -337,7 +344,7 @@ class TestCli:
     def test_gen_output_satisfies_invariants(self, tmp_path):
         out = tmp_path / "gen.json"
         cli_main(["gen", "--seed", "2", "--n", "9", "--density", "0.7", "--out", str(out)])
-        system = cn.load_system(out)
+        system = cn.load_document(out).to_system()
         l = system.total_liabilities
         cl = system.claims @ l
         assert np.all(cl[system.banks] < l[system.banks])
@@ -462,6 +469,16 @@ class TestReportPipeline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_is_checked_by_the_library(self, tol, sys_a_path, capsys):
+        argv = ["verify", "--input", str(sys_a_path), "--r", "0.8", "--m", "0.5", "--tol", tol]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: tol must be finite and nonnegative, got {float(tol)}\n"
+        )
 
     @pytest.mark.parametrize(
         "document",

@@ -45,6 +45,10 @@ class TestBuildSystem:
             cn.build_system([[0, 1], [0, 0]], [1, 2, 3])
         with pytest.raises(cn.DimensionMismatch):
             cn.build_system([[0, 1, 0], [0, 0, 0]], [1, 2])
+        # no sink: rejected before any entry is indexed
+        for empty in (np.zeros((0, 0)), scipy.sparse.csr_array((0, 0))):
+            with pytest.raises(cn.DimensionMismatch, match="sink"):
+                cn.build_system(empty, [])
 
     def test_non_finite_rejected(self):
         with pytest.raises(cn.DimensionMismatch, match="finite"):

@@ -104,6 +104,57 @@ class TestSpectralRadius:
             cn.spectral_radius(np.array([[0.0, -1.0], [0.0, 0.0]]))
 
 
+class ProductCounter:
+    """Counts the products of every counting matrix, shared by a CSR
+    array and the CSC view its transpose returns."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        ProductCounter.products += 1
+        return super().__matmul__(other)
+
+
+class CountingCsc(ProductCounter, scipy.sparse.csc_array):
+    pass
+
+
+class CountingCsr(ProductCounter, scipy.sparse.csr_array):
+    def transpose(self, axes=None, copy=False):
+        return CountingCsc(super().transpose(axes, copy))
+
+
+def cli_report_claims(seed: int) -> scipy.sparse.csr_array:
+    """Claims matrix of the benchmark's 400-bank CLI document for ``seed``."""
+    derived = int(np.random.SeedSequence([seed, 0]).generate_state(1)[0])
+    return cn.generate_random_system(derived, 400, 8 / 400).claims
+
+
+class TestStepCap:
+    """The power iteration stops after a number of steps set by the matrix
+    size, so a small matrix that never converges reaches the dense
+    fallback at once."""
+
+    def test_defective_matrix_reaches_the_fallback_in_a_few_hundred_products(self):
+        C = CountingCsr(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        ProductCounter.products = 0
+        assert cn.spectral_radius(C) == pytest.approx(0.5, abs=1e-10)
+        assert 0 < ProductCounter.products <= 300
+
+    def test_converging_matrices_are_unchanged_bit_for_bit(self, ensemble, monkeypatch):
+        matrices = [system.claims for system in ensemble]
+        matrices += [column_stochastic(seed, 6) for seed in range(10)]
+        matrices += [payment_chain(300), payment_chain(600)]
+        matrices += [cli_report_claims(seed) for seed in (1, 2, 3)]
+        checked = [clearnet.spectral._check_nonnegative(C) for C in matrices]
+        capped = [clearnet.spectral._perron(C) for C in checked]
+        # without the size cap: RADIUS_MAX_ITER steps for every matrix
+        monkeypatch.setattr(
+            clearnet.spectral, "RADIUS_STEPS_PER_NODE", clearnet.spectral.RADIUS_MAX_ITER
+        )
+        assert capped == [clearnet.spectral._perron(C) for C in checked]
+
+
 class TestSparseInput:
     def test_matches_dense_on_ensemble(self, ensemble):
         for system in ensemble[:20]:
@@ -169,6 +220,12 @@ class TestCheckInvertibility:
             sys_a.claims, r=0.0
         )
         assert ok
+
+    @pytest.mark.parametrize("r", [-2.0, 1.5, np.nan, [0.5, 1.5]])
+    def test_rate_outside_unit_interval_rejected(self, r):
+        # a negative rate would pass the rule max(r) * ... < 1 - 1e-12
+        with pytest.raises(cn.ValidationError, match="recovery rate r must lie in"):
+            cn.check_invertibility(np.array([[0.0, 1.0], [1.0, 0.0]]), r)
 
 
 def _max_abs_eig(C) -> float:
