@@ -64,9 +64,8 @@ def lu_factor_checked(A: NDArray, context: str):
     return lu, piv
 
 
-def attenuation_norm(C: scipy.sparse.csr_array, r: NDArray) -> float:
-    """``||diag(r) C||_1``, the largest column sum of ``|r_i C_ij|``, for a
-    length-n ``r``.
+def column_weights(C: scipy.sparse.csr_array, r: NDArray) -> NDArray:
+    """``|r|^T |C|``, the column sums of ``|r_i C_ij|``, for a length-n ``r``.
 
     The arrays of ``C``, with ``|C.data|``, are read as the compressed
     columns of ``|C|^T``, sharing the index arrays: the product is the one
@@ -75,7 +74,12 @@ def attenuation_norm(C: scipy.sparse.csr_array, r: NDArray) -> float:
     abs_t = scipy.sparse.csc_array(
         (np.abs(C.data), C.indices, C.indptr), shape=C.shape[::-1]
     )
-    return float((abs_t @ np.abs(r)).max(initial=0.0))
+    return abs_t @ np.abs(r)
+
+
+def attenuation_norm(C: scipy.sparse.csr_array, r: NDArray) -> float:
+    """``||diag(r) C||_1``, the largest of the :func:`column_weights`."""
+    return float(column_weights(C, r).max(initial=0.0))
 
 
 def solve_attenuated(C: scipy.sparse.csr_array, r, b: NDArray, context: str) -> NDArray:
@@ -85,29 +89,30 @@ def solve_attenuated(C: scipy.sparse.csr_array, r, b: NDArray, context: str) -> 
     Neumann sweep ``x <- b + r * (C @ x)`` from ``x = b`` is a contraction,
     and ``k = ceil(log(eps (1 - q) / (1 + q)) / log q)`` sweeps of it bound
     its relative 1-norm error by machine epsilon. The sweep runs when,
-    besides, ``k * nnz(C) < n**3 / 3``, the flop count of a dense LU, and
-    it returns as soon as a sweep returns its input bit for bit, so ``x``
-    is a floating-point fixed point of ``b + r * (C @ x)``: the step
-    ``d = y - x`` is zero exactly when ``y == x``, and its squared norm,
-    which the ratios below need anyway, is tested first.
+    besides, ``k * nnz(C) < n**3 / 3``, the flop count of a dense LU.
+
+    It returns the first sweep's output ``y`` whose step from its input
+    ``x`` is at the rounding floor: ``||y - x||_1 <= eps S``, with
+    ``S = ||b||_1 + c . |x|`` and ``c`` the :func:`column_weights`. One
+    sweep rounds by at most ``gamma_{K+2} S`` in the 1-norm, ``K`` the most
+    stored entries in a row (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 3.1), so ``y`` is within ``(q eps + gamma_{K+2}) S / (1 - q)``
+    of the solution: under twice the bound of an exact fixed point of the
+    sweep. Only a squared step of at most ``(2 eps ||b||_1 / (1 - q))^2``
+    is tested, which any step at the floor is, since ``S`` is then below
+    ``2 ||b||_1 / (1 - q)``. On the seed-3 300-bank test network this takes
+    15 sweeps at ``r = 0.5`` and 23 at ``r = 0.9``.
 
     Each sweep keeps its step ``d = y - x`` and the ratio
     ``lam = (d . d_prev) / (d_prev . d_prev)`` to the step before. When two
     successive ratios agree within ``RATIO_SETTLE`` relative and
     ``0 < lam <= q``, the error is close to one geometric mode of ratio
     ``lam``, and Aitken's step ``y + d lam / (1 - lam)`` jumps to its limit;
-    the ratios then start afresh. A jump voids the a-priori count ``k``, so
-    a sweep that reaches ``k`` without a bit-stable step returns its last
-    iterate ``y`` only under the certificate
-    ``||y - x||_1 <= eps (1 - q) ||y||_1``, which bounds the error of ``y``
-    by ``eps ||y||_1`` since ``||(I - diag(r) C)^-1||_1 <= 1 / (1 - q)``.
-    A sweep that returns the iterate of two sweeps back bit for bit (screened
-    by ``lam == -1`` and equal squared steps) has entered a period-2
-    floating-point cycle, which no later sweep leaves; the loop stops there
-    and goes on as at the cap, with the iterate of the cap's parity.
+    the ratios then start afresh.
 
-    Otherwise (``q >= 1``, a small or dense ``C``, or a failed certificate)
-    the dense ``I - diag(r) C`` is formed and solved through
+    Otherwise (``q >= 1``, a non-finite ``||b||_1``, a small or dense ``C``,
+    or ``k`` sweeps that do not reach the floor, as in a floating-point
+    cycle above it) the dense ``I - diag(r) C`` is solved through
     :func:`lu_factor_checked`, which raises ``SingularSystem`` on a pivot
     below ``1e-14``.
     """
@@ -116,44 +121,39 @@ def solve_attenuated(C: scipy.sparse.csr_array, r, b: NDArray, context: str) -> 
     r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
     if n == 0:
         return np.zeros_like(b)
-    q = attenuation_norm(C, r)
-    if q < 1.0:
+    c = column_weights(C, r)
+    q = float(c.max())
+    b_norm = float(np.abs(b).sum())
+    if q < 1.0 and math.isfinite(b_norm):   # an infinite S would pass any step
         bound = EPS * (1.0 - q) / (1.0 + q)
         sweeps = 1 if q == 0.0 else math.ceil(math.log(bound) / math.log(q))
         if sweeps * C.nnz < n**3 / 3:
+            screen = (2.0 * EPS * b_norm / (1.0 - q)) ** 2
             x = b.copy()
             prev = lam = None  # the last step and the ratio it gave
             # a step whose square overflows gives a ratio of inf or nan, which
             # never jumps; a solution beyond the float range comes back
             # non-finite without a warning, as from the dense LU
             with np.errstate(over="ignore", invalid="ignore"):
-                for sweep in range(sweeps):
+                for _ in range(sweeps):
                     y = C @ x
                     y *= r
                     y += b
                     d = y - x
                     d_sq = d.dot(d)
-                    if d_sq == 0.0 and not d.any():   # y == x bit for bit
-                        return x
-                    x_in, x = x, y
+                    if not d_sq > screen and (np.abs(d).sum()
+                                              <= EPS * (b_norm + c.dot(np.abs(x)))):
+                        return y
+                    x = y
                     lam_prev, lam = lam, None
                     if prev is not None and prev_sq > 0.0:   # the square may underflow
                         lam = d.dot(prev) / prev_sq
-                        if lam == -1.0 and d_sq == prev_sq and np.array_equal(y, x_in_prev):
-                            # a period-2 cycle: the sweeps left alternate
-                            # between x_in and y, so the cap's iterate is the
-                            # one of its parity, and its step is +-d
-                            if (sweeps - 1 - sweep) % 2:
-                                y = x_in
-                            break
                         if (lam_prev is not None and 0.0 < lam <= q
                                 and abs(lam - lam_prev) <= RATIO_SETTLE * lam):
                             x = y + d * (lam / (1.0 - lam))
                             prev = lam = None
                             continue
-                    prev, prev_sq, x_in_prev = d, d_sq, x_in
-            if np.abs(d).sum() <= EPS * (1.0 - q) * np.abs(y).sum():
-                return y
+                    prev, prev_sq = d, d_sq
     A = C.toarray()
     A *= -r[:, None]
     A[np.diag_indices(n)] += 1.0

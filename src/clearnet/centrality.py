@@ -90,7 +90,7 @@ def generalized_katz(C, r, beta: NDArray, m=None) -> CentralityResult:
             f"r * rho(C) = {float(np.max(r_vec)) * rho:.6f} is not safely below 1"
         )
     sigma = solve_attenuated(C, r_vec, beta, "centrality solve")
-    sigma[-1] = 0.0
+    sigma[-1:] = 0.0   # the sink, if any: an empty C has none
     defect = np.abs(sigma - r_vec * (C @ sigma) - beta)[:-1]
     return CentralityResult(
         sigma=sigma,

@@ -71,19 +71,34 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _fmt_floats(row) -> str:
-    """A row of floats in one pass. A non-finite item makes the sum
-    non-finite, so only then (or on an overflowing sum) are items checked
-    one by one, and the first non-finite one raises."""
-    if not math.isfinite(sum(row)):
-        for x in row:
+def _fmt_floats(row: NDArray) -> str:
+    """A 1-D float array in one pass. Only its nonzero entries are
+    formatted; a zero prints as ``0``, or ``-0`` with its sign bit set, as
+    ``%.17g`` prints it. A non-finite entry fails the one check of the row,
+    and then the entries are checked one by one and the first non-finite
+    one raises."""
+    if not np.isfinite(row).all():
+        for x in row.tolist():
             _fmt_float(x)
-    return ", ".join(["%.17g" % x for x in row])
+    zero = row == 0.0
+    out = ["0"] * row.size
+    for i in np.flatnonzero(zero & np.signbit(row)).tolist():
+        out[i] = "-0"
+    nonzero = np.flatnonzero(~zero)
+    for i, x in zip(nonzero.tolist(), row[nonzero].tolist()):
+        out[i] = "%.17g" % x
+    return ", ".join(out)
 
 
 def _emit(value, out: list) -> None:
     if isinstance(value, np.ndarray):
-        value = value.tolist()
+        if value.ndim == 0 or value.dtype.kind != "f":
+            value = value.tolist()
+        elif value.ndim == 1:
+            out.append("[" + _fmt_floats(np.asarray(value, dtype=float)) + "]")
+            return
+        else:
+            value = list(value)   # its rows, each a 1-D array
     if isinstance(value, dict):
         out.append("{")
         for i, (k, v) in enumerate(value.items()):
@@ -96,7 +111,7 @@ def _emit(value, out: list) -> None:
     elif isinstance(value, (list, tuple)):
         out.append("[")
         if value and set(map(type, value)) == {float}:
-            out.append(_fmt_floats(value))
+            out.append(_fmt_floats(np.array(value)))
         else:
             for i, v in enumerate(value):
                 if i:

@@ -179,13 +179,12 @@ def broadcast_rate(value, n: int, name: str) -> NDArray:
     """Expand a scalar-or-vector recovery rate to length n; every entry
     must lie in [0, 1]."""
     vec = np.asarray(value, dtype=float)
-    if vec.ndim == 0:
-        vec = np.full(n, float(vec))
-    if vec.shape != (n,):
+    if vec.ndim and vec.shape != (n,):
         raise DimensionMismatch(f"{name} must be a scalar or length-{n} vector")
+    # the rate as given, so that a scalar is checked even for n = 0
     if not (vec.min(initial=0.0) >= 0.0 and vec.max(initial=1.0) <= 1.0):   # NaN fails too
         raise ValidationError(f"recovery rate {name} must lie in [0, 1], got {value}")
-    return vec
+    return vec if vec.ndim else np.full(n, float(vec))
 
 
 def validate_interpolation(m, n: int) -> NDArray:

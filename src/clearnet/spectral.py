@@ -177,7 +177,7 @@ def safely_invertible(C: scipy.sparse.csr_array, r) -> tuple[bool, float | None]
     estimate (None when the norm decided). The caller has run
     :func:`_check_nonnegative` on ``C``.
     """
-    r_max = float(np.max(np.abs(r)))
+    r_max = float(np.abs(r).max(initial=0.0))
     norm = _column_norm(C)
     if _below_one(r_max, norm, np.inf):
         return True, None

@@ -96,6 +96,24 @@ def test_overflowing_row_sum_is_not_an_error():
     assert dumps_canonical(row) == "[1e+308, 1e+308, -0]"
 
 
+ZERO_HEAVY_ROWS = (
+    [0.0] * 5 + [-0.0] + [0.0] * 3,
+    [-0.0, 5e-324, 0.0, -5e-324, 1e308, -1e308, 0.0, 2.2250738585072014e-308],
+    [0.0] * 7,
+    [-0.0] * 3,
+    [1.0, -1e-310, 0.0, -0.0, 1e308],
+)
+
+
+@pytest.mark.parametrize("row", ZERO_HEAVY_ROWS)
+def test_zeros_print_as_percent_g_prints_them(row):
+    # only the nonzero entries are formatted; a zero is written as 0 or -0
+    want = "[" + ", ".join("%.17g" % x for x in row) + "]"
+    assert dumps_canonical(row) == want
+    assert dumps_canonical(np.array(row)) == want
+    assert dumps_canonical(np.array([row, row])) == "[" + want + ", " + want + "]"
+
+
 COMMANDS = (
     ("clear", "--r", "0.8"),
     ("shock", "--kind", "full", "--m", "0.5", "--r", "0.8"),

@@ -108,6 +108,12 @@ class TestGeneralizedKatz:
         result = cn.generalized_katz(np.zeros((3, 3)), 0.9, beta)
         np.testing.assert_array_equal(result.sigma, beta)
 
+    def test_empty_matrix_gives_an_empty_vector(self):
+        # no sink to zero and no rate to reduce over; nothing to solve
+        result = cn.generalized_katz(np.zeros((0, 0)), 0.5, np.zeros(0))
+        assert result.sigma.shape == (0,)
+        assert result.residual == 0.0
+
     def test_radius_precondition(self):
         stochastic = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(cn.SingularSystem):

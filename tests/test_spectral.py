@@ -227,6 +227,13 @@ class TestCheckInvertibility:
         with pytest.raises(cn.ValidationError, match="recovery rate r must lie in"):
             cn.check_invertibility(np.array([[0.0, 1.0], [1.0, 0.0]]), r)
 
+    def test_empty_matrix_still_checks_the_rate(self):
+        # a scalar rate is checked as given, not over its length-0 expansion
+        with pytest.raises(cn.ValidationError, match="recovery rate r must lie in"):
+            cn.check_invertibility(np.zeros((0, 0)), 5.0)
+        ok, _ = cn.check_invertibility(np.zeros((0, 0)), 0.5)
+        assert ok
+
 
 def _max_abs_eig(C) -> float:
     C = C.toarray() if scipy.sparse.issparse(C) else np.asarray(C)
