@@ -64,28 +64,29 @@ def lu_factor_checked(A: NDArray, context: str):
     return lu, piv
 
 
-def column_weights(C: scipy.sparse.csr_array, r: NDArray) -> NDArray:
+def column_weights(
+    C: scipy.sparse.csr_array, r: NDArray, nonnegative: bool = False
+) -> NDArray:
     """``|r|^T |C|``, the column sums of ``|r_i C_ij|``, for a length-n ``r``.
 
-    The arrays of ``C``, with ``|C.data|``, are read as the compressed
-    columns of ``|C|^T``, sharing the index arrays: the product is the one
-    ``abs(C).T @ abs(r)`` computes, term for term, without copying ``C``.
+    The arrays of ``C`` are read as the compressed columns of ``|C|^T``,
+    sharing the index arrays: the product is the one ``abs(C).T @ abs(r)``
+    computes, term for term. ``|C.data|`` is copied, except when the caller
+    has checked that ``C`` is nonnegative and says so with ``nonnegative``:
+    then the stored entries are read in place, and nothing of the size of
+    ``C`` is allocated.
     """
-    abs_t = scipy.sparse.csc_array(
-        (np.abs(C.data), C.indices, C.indptr), shape=C.shape[::-1]
-    )
+    data = C.data if nonnegative else np.abs(C.data)
+    abs_t = scipy.sparse.csc_array((data, C.indices, C.indptr), shape=C.shape[::-1])
     return abs_t @ np.abs(r)
 
 
-def attenuation_norm(C: scipy.sparse.csr_array, r: NDArray) -> float:
-    """``||diag(r) C||_1``, the largest of the :func:`column_weights`."""
-    return float(column_weights(C, r).max(initial=0.0))
-
-
-def solve_attenuated(C: scipy.sparse.csr_array, r, b: NDArray, context: str) -> NDArray:
+def solve_attenuated(
+    C: scipy.sparse.csr_array, r, b: NDArray, context: str, sums: NDArray | None = None
+) -> NDArray:
     """Solve ``(I - diag(r) C) x = b`` for a sparse square ``C``.
 
-    With ``q = ||diag(r) C||_1`` (:func:`attenuation_norm`) below one, the
+    With ``q = ||diag(r) C||_1``, the largest :func:`column_weights`, below one, the
     Neumann sweep ``x <- b + r * (C @ x)`` from ``x = b`` is a contraction,
     and ``k = ceil(log(eps (1 - q) / (1 + q)) / log q)`` sweeps of it bound
     its relative 1-norm error by machine epsilon. The sweep runs when,
@@ -115,15 +116,26 @@ def solve_attenuated(C: scipy.sparse.csr_array, r, b: NDArray, context: str) -> 
     cycle above it) the dense ``I - diag(r) C`` is solved through
     :func:`lu_factor_checked`, which raises ``SingularSystem`` on a pivot
     below ``1e-14``.
+
+    ``sums``, if given, are the column sums of ``|C|`` (a system's
+    ``claims_column_sums``). When every entry of ``r`` is the same
+    ``r_0 != 0`` the weights are then ``|r_0| * sums``, which differ from a
+    pass over ``C`` only in rounding, and ``C`` is not read for them;
+    otherwise the solver makes its own pass, whose weights at ``r = 0`` are
+    0 even where a sum of ``|C|`` overflows.
     """
     n = C.shape[0]
     b = np.asarray(b, dtype=float)
     r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
     if n == 0:
         return np.zeros_like(b)
-    c = column_weights(C, r)
+    if sums is not None and r.min() == r.max() != 0.0:
+        c = abs(float(r[0])) * sums
+    else:
+        c = column_weights(C, r)
     q = float(c.max())
-    b_norm = float(np.abs(b).sum())
+    with np.errstate(over="ignore"):
+        b_norm = float(np.abs(b).sum())
     if q < 1.0 and math.isfinite(b_norm):   # an infinite S would pass any step
         bound = EPS * (1.0 - q) / (1.0 + q)
         sweeps = 1 if q == 0.0 else math.ceil(math.log(bound) / math.log(q))

@@ -22,7 +22,7 @@ from .net_model import (
     broadcast_rate,
     validate_interpolation,
 )
-from .spectral import _check_nonnegative, safely_invertible
+from .spectral import _check_nonnegative, _column_sums, safely_invertible
 
 __all__ = [
     "CentralityResult",
@@ -74,22 +74,24 @@ def generalized_katz(C, r, beta: NDArray, m=None) -> CentralityResult:
     """Solve ``(I - r C) sigma = beta``.
 
     ``C`` is a full claims matrix with the sink stored last, dense or
-    sparse; it is converted to CSR and checked once per call, and the
-    :func:`clearnet.spectral.safely_invertible` gate and the solve
-    (:func:`clearnet._linalg.solve_attenuated`) run on that. The sink entry
-    of the result is zeroed by convention.
+    sparse; it is converted to CSR and checked once per call, and its
+    column sums are formed once, in one pass: the
+    :func:`clearnet.spectral.safely_invertible` gate takes ``||C||_1`` from
+    them and the solve (:func:`clearnet._linalg.solve_attenuated`) its
+    column weights. The sink entry of the result is zeroed by convention.
     """
     C = _check_nonnegative(C)
     n = C.shape[0]
     r_vec = broadcast_rate(r, n, "r")
     beta = np.asarray(beta, dtype=float)
 
-    ok, rho = safely_invertible(C, r_vec)
+    sums = _column_sums(C)
+    ok, rho = safely_invertible(C, r_vec, sums)
     if not ok:
         raise SingularSystem(
             f"r * rho(C) = {float(np.max(r_vec)) * rho:.6f} is not safely below 1"
         )
-    sigma = solve_attenuated(C, r_vec, beta, "centrality solve")
+    sigma = solve_attenuated(C, r_vec, beta, "centrality solve", sums=sums)
     sigma[-1:] = 0.0   # the sink, if any: an empty C has none
     defect = np.abs(sigma - r_vec * (C @ sigma) - beta)[:-1]
     return CentralityResult(
@@ -108,9 +110,10 @@ def standard_katz(adjacency: NDArray, alpha: float) -> NDArray:
     as the claims matrix: debtor in the column, creditor in the row).
     """
     A = _check_nonnegative(adjacency)
-    if not safely_invertible(A, float(alpha))[0]:
+    sums = _column_sums(A)
+    if not safely_invertible(A, float(alpha), sums)[0]:
         raise SingularSystem(f"alpha = {alpha} is not safely below 1 / rho(adjacency)")
-    return solve_attenuated(A, float(alpha), np.ones(A.shape[0]), "Katz solve")
+    return solve_attenuated(A, float(alpha), np.ones(A.shape[0]), "Katz solve", sums=sums)
 
 
 def closed_form_full_shock(system: FinancialSystem, params: ClearingParams, m) -> NDArray:
@@ -126,7 +129,8 @@ def closed_form_full_shock(system: FinancialSystem, params: ClearingParams, m) -
     r_vec = params.recovery_vector(n)
     m_vec = validate_interpolation(m, n)
     rhs = params.r_a * (m_vec * (system.total_liabilities - system.total_claims))
-    return solve_attenuated(system.claims, r_vec, rhs, "full-shock form")
+    return solve_attenuated(system.claims, r_vec, rhs, "full-shock form",
+                            sums=system.claims_column_sums)
 
 
 def printed_relaxed_closed_form(system: FinancialSystem, r, m) -> NDArray:
@@ -141,4 +145,5 @@ def printed_relaxed_closed_form(system: FinancialSystem, r, m) -> NDArray:
     r_vec = broadcast_rate(r, n, "r")
     m_vec = validate_interpolation(m, n)
     rhs = m_vec * (system.total_liabilities + r_vec * system.total_claims)
-    return solve_attenuated(system.claims, r_vec - m_vec, rhs, "relaxed closed form")
+    return solve_attenuated(system.claims, r_vec - m_vec, rhs, "relaxed closed form",
+                            sums=system.claims_column_sums)

@@ -28,7 +28,7 @@ from .net_model import (
     ClearingParams,
     DefaultIndicator,
     FinancialSystem,
-    default_indicator,
+    _indicator_from_equity,
     fundamental_defaults,
 )
 
@@ -76,11 +76,32 @@ def apply_clearing_map(
     and at ``l`` for solvent ones -- plus recovered external assets.
     """
     p = np.asarray(p, dtype=float)
+    return _clearing_map(system, params, p, system.claims @ p)
+
+
+def _default_test(system: FinancialSystem, cp: NDArray) -> DefaultIndicator:
+    """:func:`clearnet.net_model.default_indicator` of a ``p``, given ``cp = C p``."""
+    return _indicator_from_equity(
+        system, system.external_assets + cp - system.total_liabilities
+    )
+
+
+def _clearing_map(
+    system: FinancialSystem, params: ClearingParams, p: NDArray, cp: NDArray
+) -> NDArray:
+    """:func:`apply_clearing_map` of ``p``, given the product ``cp = C p``.
+
+    The claims are valued at ``mixed``, which equals ``p`` when every
+    solvent bank pays ``l``, as on the Picard oracle's path and at a
+    clearing vector; ``C mixed`` is then ``cp`` bit for bit (the sign of a
+    zero entry does not change a product), and no product is formed.
+    """
     l = system.total_liabilities
     r = params.recovery_vector(system.node_count)
-    flags = default_indicator(system, p).flags
+    flags = _default_test(system, cp).flags
     mixed = np.where(flags, p, l)
-    paid = r * (system.claims @ mixed) + params.r_a * system.external_assets
+    c_mixed = cp if np.array_equal(mixed, p) else system.claims @ mixed
+    paid = r * c_mixed + params.r_a * system.external_assets
     return np.where(flags, paid, l)
 
 
@@ -94,11 +115,13 @@ def solve_given_defaults(
     restricted to the defaulted block, which is what keeps the cost low
     when only a few banks fail; when every node is flagged the block is
     ``C`` itself, no copy is made and the empty sum ``C_DS l_S`` is not
-    formed. The right-hand side is nonnegative, so nothing cancels even
-    when payments are tiny next to liabilities. The
-    block goes to :func:`clearnet._linalg.solve_attenuated`: a Neumann
-    sweep on the sparse block where it contracts and beats a dense LU,
-    else a dense LU with partial pivoting.
+    formed, and the solver takes its column weights from the system's
+    stored ``claims_column_sums`` rather than a pass over ``C``. The
+    right-hand side is nonnegative, so nothing cancels even when payments
+    are tiny next to liabilities. The block goes to
+    :func:`clearnet._linalg.solve_attenuated`: a Neumann sweep on the
+    sparse block where it contracts and beats a dense LU, else a dense LU
+    with partial pivoting.
 
     Raises
     ------
@@ -114,13 +137,13 @@ def solve_given_defaults(
 
     b = params.r_a * system.external_assets + 0.0   # a -0.0 asset recovers +0.0
     if idx.size == system.node_count:   # no solvent node pays in
-        block = C
+        block, sums = C, system.claims_column_sums
     else:
         b = (r * (C @ np.where(defaults.flags, 0.0, l)) + b)[idx]
-        block = C[idx][:, idx]
+        block, sums = C[idx][:, idx], None
     p = l.copy()
     p[idx] = solve_attenuated(
-        block, r[idx], b, f"reduced system on {idx.size} defaulted node(s)"
+        block, r[idx], b, f"reduced system on {idx.size} defaulted node(s)", sums=sums
     )
     return p
 
@@ -133,7 +156,9 @@ def fictitious_default_sequence(
     Each round freezes the current default set, solves the reduced system,
     and re-evaluates defaults under the new payments; it stops as soon as
     the set is stable. The default set can only grow, so at most ``N``
-    rounds are needed; anything past that is a bug and raises loudly.
+    rounds are needed; anything past that is a bug and raises loudly. Each
+    round forms ``C p`` once, for its default test; the residual of the
+    last round reuses that product unless the final clip moved ``p``.
     """
     N = system.node_count
     l = system.total_liabilities
@@ -144,14 +169,19 @@ def fictitious_default_sequence(
     p = l
     for iteration in range(1, N + 2):
         p = solve_given_defaults(system, params, current)
-        nxt = default_indicator(system, p)
+        cp = system.claims @ p
+        nxt = _default_test(system, cp)
         history.append(nxt)
         if nxt == current:
             # rounding guard only: the converged vector is within [0, l]
             # on banks up to machine noise (p is the solver's own copy)
-            p[system.banks] = np.clip(p[system.banks], 0.0, l[system.banks])
+            clipped = np.clip(p[system.banks], 0.0, l[system.banks])
+            moved = not np.array_equal(clipped, p[system.banks])
+            p[system.banks] = clipped
             p.setflags(write=False)
-            gap = np.abs(apply_clearing_map(system, params, p) - p)[system.banks]
+            if moved:   # a zero's sign alone leaves C p as it is
+                cp = system.claims @ p
+            gap = np.abs(_clearing_map(system, params, p, cp) - p)[system.banks]
             return ClearingSolution(
                 payments=p,
                 defaults=nxt,

@@ -9,10 +9,10 @@ algebra well posed for any recovery rate.
 Everything in this module is immutable after construction and every
 operation is a pure function of its inputs. The liability matrix ``L`` is
 stored once, in compressed sparse rows; the total liabilities ``l``, the
-claims matrix ``C`` and the total claims ``C l`` are derived from it once,
-when the system is built, and every copy with new external assets shares
-them. No N x N array is formed on the way, except on request by the dense
-:attr:`FinancialSystem.liabilities`.
+claims matrix ``C``, its column sums ``1^T C`` and the total claims ``C l``
+are derived from it once, when the system is built, and every copy with
+new external assets shares them. No N x N array is formed on the way,
+except on request by the dense :attr:`FinancialSystem.liabilities`.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse
 from numpy.typing import NDArray
 
-from ._linalg import as_csr
+from ._linalg import as_csr, column_weights
 from .errors import (
     DimensionMismatch,
     InvalidInterpolation,
@@ -103,6 +103,11 @@ class FinancialSystem:
     total_claims : (N,) ndarray
         ``C l``, what each node is owed when every debtor pays in full;
         read-only.
+    claims_column_sums : (N,) ndarray
+        ``1^T C``, the column sums of ``C``, bit for bit
+        ``_linalg.column_weights(C, ones)``; read-only. Every solve on the
+        whole of ``C`` at one uniform rate ``r`` takes its column weights as
+        ``|r|`` times these instead of a pass over ``C``.
     """
 
     node_count: int
@@ -112,6 +117,7 @@ class FinancialSystem:
     total_liabilities: NDArray = field(repr=False, compare=False)
     claims: scipy.sparse.csr_array = field(repr=False, compare=False)
     total_claims: NDArray = field(repr=False, compare=False)
+    claims_column_sums: NDArray = field(repr=False, compare=False)
 
     @property
     def liabilities(self) -> NDArray:
@@ -137,7 +143,7 @@ class FinancialSystem:
 
     def with_external_assets(self, assets: NDArray) -> "FinancialSystem":
         """Copy of the system with a new external-asset vector ``a``; it
-        shares ``L``, ``l``, ``C`` and ``C l`` with this one."""
+        shares ``L``, ``l``, ``C``, ``1^T C`` and ``C l`` with this one."""
         return FinancialSystem(
             node_count=self.node_count,
             sparse_liabilities=self.sparse_liabilities,
@@ -146,6 +152,7 @@ class FinancialSystem:
             total_liabilities=self.total_liabilities,
             claims=self.claims,
             total_claims=self.total_claims,
+            claims_column_sums=self.claims_column_sums,
         )
 
 
@@ -203,8 +210,10 @@ class ClearingParams:
     """Recovery rates used by the clearing map.
 
     ``r`` applies to interbank claims on a defaulted bank and may be a
-    scalar or a per-node vector (applied as a diagonal matrix); ``r_a``
-    applies to external assets and defaults to 1.
+    scalar or a per-node vector (applied as a diagonal matrix); a vector is
+    kept as a read-only float copy, so changing the caller's array later
+    does not change the parameters. ``r_a`` applies to external assets and
+    defaults to 1.
     """
 
     r: float | NDArray = 1.0
@@ -214,9 +223,17 @@ class ClearingParams:
         # the range check of broadcast_rate, at each rate's own length
         broadcast_rate(self.r, np.size(self.r), "r")
         broadcast_rate(self.r_a, 1, "r_a")
+        if np.ndim(self.r):
+            object.__setattr__(self, "r", _readonly(self.r))
 
     def recovery_vector(self, node_count: int) -> NDArray:
-        return broadcast_rate(self.r, node_count, "r")
+        """``r`` at length ``node_count``; its range was checked once, at
+        construction, so only the length of a vector is checked here."""
+        if not np.ndim(self.r):
+            return np.full(node_count, float(self.r))
+        if self.r.shape != (node_count,):
+            raise DimensionMismatch(f"r must be a scalar or length-{node_count} vector")
+        return self.r
 
 
 def row_sums(L: scipy.sparse.csr_array) -> NDArray:
@@ -314,7 +331,9 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
     for part in (L.data, L.indices, L.indptr, C.data, C.indices, C.indptr):
         part.setflags(write=False)
     cl = C @ l
-    cl.setflags(write=False)
+    sums = column_weights(C, np.ones(N), nonnegative=True)
+    for vector in (cl, sums):
+        vector.setflags(write=False)
 
     return FinancialSystem(
         node_count=N,
@@ -324,6 +343,7 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
         total_liabilities=l,
         claims=C,
         total_claims=cl,
+        claims_column_sums=sums,
     )
 
 

@@ -233,7 +233,8 @@ def relaxed_interpolated_shock(
     l = system.total_liabilities
     C = system.claims
 
-    q = m_vec * solve_attenuated(C, r_vec - m_vec, l, "relaxed-shock candidate")
+    q = m_vec * solve_attenuated(C, r_vec - m_vec, l, "relaxed-shock candidate",
+                                 sums=system.claims_column_sums)
 
     a = system.pre_shock_assets.copy()
     b = system.banks

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 from numpy.typing import NDArray
 
-from ._linalg import as_csr, attenuation_norm
+from ._linalg import as_csr, column_weights
 from .errors import ZeroVector
 from .net_model import DefaultIndicator, broadcast_rate
 
@@ -158,13 +158,21 @@ def _below_one(r_max: float, norm: float, estimate: float) -> bool:
     return r_max * min(norm, estimate) < 1.0 - INVERTIBILITY_MARGIN
 
 
+def _column_sums(C: scipy.sparse.csr_array) -> NDArray:
+    """``1^T C``, the column sums of a checked (nonnegative) ``C``, read
+    from its stored entries in place: one pass over ``C`` and no copy."""
+    return column_weights(C, np.ones(C.shape[0]), nonnegative=True)
+
+
 def _column_norm(C: scipy.sparse.csr_array) -> float:
     """``||C||_1``, the largest column sum of the nonnegative ``C``: bit for
     bit ``C.sum(axis=0).max()``, which copies ``C``."""
-    return attenuation_norm(C, np.ones(C.shape[0]))
+    return float(_column_sums(C).max(initial=0.0))
 
 
-def safely_invertible(C: scipy.sparse.csr_array, r) -> tuple[bool, float | None]:
+def safely_invertible(
+    C: scipy.sparse.csr_array, r, sums: NDArray
+) -> tuple[bool, float | None]:
     """The one rule: is ``I - diag(r) C`` safely invertible?
 
     Yes iff ``max|r| * min(||C||_1, estimate) < 1 - 1e-12``: the largest
@@ -175,10 +183,12 @@ def safely_invertible(C: scipy.sparse.csr_array, r) -> tuple[bool, float | None]
     ``rho(diag(r) C) <= max|r| * rho(C)`` for a nonnegative ``C``. When the
     norm alone decides, no radius is computed. Returns the verdict and the
     estimate (None when the norm decided). The caller has run
-    :func:`_check_nonnegative` on ``C``.
+    :func:`_check_nonnegative` on ``C`` and passes its column sums
+    ``sums`` (:func:`_column_sums`), which it also hands to the solve, so
+    that ``C`` is read for them once; ``||C||_1`` is their largest entry.
     """
     r_max = float(np.abs(r).max(initial=0.0))
-    norm = _column_norm(C)
+    norm = float(sums.max(initial=0.0))
     if _below_one(r_max, norm, np.inf):
         return True, None
     estimate = _perron(C)[0]

@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import clearnet as cn
 import clearnet.clearing
@@ -229,6 +231,68 @@ class TestPicardOracle:
         shocked = sys_a.with_external_assets([3.5, 4.0, 1.0])
         with pytest.raises(cn.OracleNoConvergence):
             cn.picard_clearing_oracle(shocked, cn.ClearingParams(r=0.8))
+
+
+class CountingCsr(scipy.sparse.csr_array):
+    """A CSR array that counts its products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+def counting(system):
+    """The system with a claims matrix that counts its products."""
+    return dataclasses.replace(system, claims=CountingCsr(system.claims))
+
+
+def plain_clearing_map(system, params, p):
+    """The clearing map written out plainly, with its two products."""
+    l = system.total_liabilities
+    flags = cn.default_indicator(system, p).flags
+    paid = (params.recovery_vector(system.node_count) * (system.claims @ np.where(flags, p, l))
+            + params.r_a * system.external_assets)
+    return np.where(flags, paid, l)
+
+
+class TestProductsOfTheMap:
+    """``apply_clearing_map`` forms ``C p`` once and reuses it as
+    ``C mixed`` when every solvent bank pays ``l``; its outputs are those of
+    the plain map bit for bit."""
+
+    def test_map_matches_the_plain_map_bit_for_bit(self, ensemble):
+        rng = np.random.default_rng(3)
+        for i, system in enumerate(ensemble[:40]):
+            system = counting(partial_default_variant(system, seed=i))
+            params = cn.ClearingParams(r=rng.uniform(0.1, 1.0), r_a=0.8)
+            l, n = system.total_liabilities, system.node_count
+            for p in (l, rng.uniform(0.0, 1.0, n) * l,
+                      np.where(rng.random(n) < 0.5, l, rng.uniform(0.0, 1.0, n) * l)):
+                before = system.claims.products
+                got = cn.apply_clearing_map(system, params, p)
+                made = system.claims.products - before
+                flags = cn.default_indicator(system, p).flags
+                assert made == (1 if np.array_equal(np.where(flags, p, l), p) else 2)
+                assert got.tobytes() == plain_clearing_map(system, params, p).tobytes()
+
+    def test_oracle_makes_one_product_per_step(self, ensemble, monkeypatch):
+        steps = []
+        real = clearnet.clearing.apply_clearing_map
+        monkeypatch.setattr(clearnet.clearing, "apply_clearing_map",
+                            lambda *args: steps.append(1) or real(*args))
+        for i in range(0, 80, 8):
+            system = counting(partial_default_variant(ensemble[i], seed=i))
+            params = cn.ClearingParams(r=0.1 + 0.8 * ((i * 0.37) % 1.0))
+            steps.clear()
+            got = cn.picard_clearing_oracle(system, params)
+            assert system.claims.products == len(steps) > 1
+            p = system.total_liabilities
+            for _ in steps:   # the oracle's loop on the plain map
+                f = plain_clearing_map(system, params, p)
+                p = f
+            assert got.tobytes() == f.tobytes()
 
 
 class TestLossMeasures:

@@ -1,9 +1,11 @@
 """The solver of ``(I - diag(r) C) x = b`` against dense LU and exact
 arithmetic, and each side of its choice between a Neumann sweep and LU."""
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import unittest.mock
 from fractions import Fraction
 from pathlib import Path
@@ -17,11 +19,14 @@ from hypothesis import strategies as st
 
 import clearnet as cn
 import clearnet._linalg
+import clearnet.centrality
+import clearnet.clearing
+import clearnet.spectral
 from clearnet._linalg import (
     EPS,
     RATIO_SETTLE,
     as_csr,
-    attenuation_norm,
+    column_weights,
     solve_attenuated,
 )
 from conftest import exact_frozen_payments, fraction_solve
@@ -159,8 +164,8 @@ class TestSelection:
         n = system.node_count
         b = np.full(n, 1e308)
         b[-1] = entry
+        x = solve_attenuated(system.claims, 0.5, b, "huge")   # warns of nothing
         with np.errstate(over="ignore", invalid="ignore"):
-            x = solve_attenuated(system.claims, 0.5, b, "huge")
             A = np.eye(n) - 0.5 * system.claims.toarray()
             want = scipy.linalg.solve(A, b, check_finite=False)
         assert lu_sizes == [n]
@@ -250,7 +255,7 @@ class TestBitPins:
     def test_q_from_the_stored_entries_matches_scipys_product(self):
         for C, r, _ in pinned_cases():
             r = np.broadcast_to(np.asarray(r, dtype=float), (C.shape[0],))
-            assert attenuation_norm(C, r) == float((abs(C).T @ np.abs(r)).max())
+            assert column_weights(C, r).max() == (abs(C).T @ np.abs(r)).max()
 
     def test_solutions_match_the_reference_bit_for_bit(self):
         for C, r, b in pinned_cases():
@@ -501,6 +506,95 @@ class TestAcceleratedSweep:
             assert 2 * jittered.products < cap
             assert lu_sizes == []
             assert np.abs(x - want).sum() <= 2 * EPS * np.abs(want).sum()
+
+
+class TestColumnSums:
+    """The column sums ``1^T C`` are formed once per system, at build time.
+    A full-default clear and a Katz solve on the same ``C`` then read it
+    four times outside their sweeps: the clear's one product, and the Katz
+    call's sign scan, one column pass and its defect product."""
+
+    @staticmethod
+    def full_shock_op(system, r=0.9, m=0.5):
+        shocked = cn.shocked_system(system, cn.full_default_shock(system, m))
+        beta = cn.beta_vector(system, r, m)
+        return (lambda: cn.fictitious_default_sequence(shocked, cn.ClearingParams(r=r)),
+                lambda: cn.generalized_katz(system.claims, r, beta, m=m))
+
+    def test_column_passes_and_products_per_full_shock_op(self, monkeypatch):
+        system = cn.generate_random_system(seed=3, n_banks=300, density=0.03)
+        system = dataclasses.replace(system, claims=CountingCsr(system.claims))
+        C = system.claims
+        passes, in_solves = [], []
+        weights = clearnet._linalg.column_weights
+        for module in (clearnet._linalg, clearnet.spectral):
+            monkeypatch.setattr(module, "column_weights",
+                                lambda *a, **k: passes.append(1) or weights(*a, **k))
+
+        def counted(A, *args, **kwargs):
+            before = A.products
+            out = solve_attenuated(A, *args, **kwargs)
+            in_solves.append(A.products - before)
+            return out
+
+        for module in (clearnet.clearing, clearnet.centrality):
+            monkeypatch.setattr(module, "solve_attenuated", counted)
+        clear, katz = self.full_shock_op(system)
+        for step, want_passes, want_products in ((clear, 0, 1), (katz, 1, 1)):
+            passes.clear()
+            in_solves.clear()
+            before = C.products
+            step()
+            assert len(in_solves) == 1 and in_solves[0] > 1   # one solve, by sweeps
+            assert len(passes) == want_passes
+            assert C.products - before - in_solves[0] == want_products
+
+    def test_full_shock_op_copies_nothing_of_the_size_of_c(self):
+        # 11.2k stored entries: a copy of C.data alone is 75 kB, while the
+        # solves' vectors of 301 entries take about 30 kB at their peak
+        system = cn.generate_random_system(seed=3, n_banks=300, density=0.1)
+        for step in self.full_shock_op(system):
+            step()   # warm every import and cache up first
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                step()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * system.claims.nnz
+
+    def test_uniform_weights_from_the_sums_agree_with_a_pass(self, ensemble):
+        # both round the exact column weights by at most (K + 1) eps relative,
+        # K the column's stored entries (Higham 3.1)
+        for system in ensemble:
+            C, n = system.claims, system.node_count
+            K = np.bincount(C.indices, minlength=n)
+            for r in (0.1, 0.5, 0.9, 1.0, 0.3 - 0.7):
+                from_sums = abs(r) * system.claims_column_sums
+                by_pass = column_weights(C, np.full(n, r))
+                assert np.all(np.abs(from_sums - by_pass) <= 2 * (K + 1) * EPS * by_pass)
+
+    def test_zero_rate_with_an_overflowing_column_sum(self):
+        # 0 * inf would make q nan: a zero rate takes its own pass, as before
+        C = scipy.sparse.csr_array(np.array([[0, 1e308, 0], [0, 0, 0], [0, 1e308, 0.0]]))
+        b = np.ones(3)
+        sums = C.T @ b
+        assert np.isinf(sums[1])
+        np.testing.assert_array_equal(solve_attenuated(C, 0.0, b, "r = 0", sums=sums), b)
+        np.testing.assert_array_equal(cn.generalized_katz(C, 0.0, b).sigma, [1.0, 1.0, 0.0])
+
+    def test_solve_with_the_sums_matches_its_own_pass(self, ensemble, monkeypatch):
+        # the plain reference's answer to 1e-13 in relative 1-norm, on every
+        # whole-C solve tried, and without a column pass
+        monkeypatch.setattr(clearnet._linalg, "column_weights", None)
+        for system in ensemble[::10] + [cn.generate_random_system(3, 300, 0.03)]:
+            C, n = system.claims, system.node_count
+            b = np.random.default_rng(n).uniform(0.0, 1.0, n)
+            for r in (0.5, 0.9, 0.3 - 0.7):
+                got = solve_attenuated(C, r, b, "sums", sums=system.claims_column_sums)
+                want = reference_solve(C, r, b)
+                assert np.abs(got - want).sum() <= 1e-13 * np.abs(want).sum()
 
 
 class TookLU(Exception):

@@ -8,7 +8,7 @@ import scipy.sparse
 import clearnet as cn
 import clearnet.io_cli
 import clearnet.net_model
-from clearnet._linalg import as_csr
+from clearnet._linalg import as_csr, column_weights
 from conftest import partial_default_variant
 
 
@@ -102,11 +102,60 @@ class TestBuildSystem:
             with pytest.raises(ValueError):
                 part[0] = 0
 
+    def test_stored_column_sums(self, ensemble, sys_a, sys_0):
+        # bit for bit the per-call pass, read-only, shared by shocked copies
+        systems = [sys_a, sys_0, *ensemble[:50], cn.generate_random_system(7, 1500, 0.03)]
+        for system in systems:
+            sums = system.claims_column_sums
+            ones = np.ones(system.node_count)
+            assert sums.tobytes() == column_weights(system.claims, ones).tobytes()
+            with pytest.raises(ValueError):
+                sums[0] = 5.0
+        shocked = cn.shocked_system(sys_a, cn.full_default_shock(sys_a, 0.5))
+        assert shocked.claims_column_sums is sys_a.claims_column_sums
+        assert "claims_column_sums" not in repr(sys_a)
+
     def test_arrays_are_immutable(self, sys_a):
         with pytest.raises(ValueError):
             sys_a.liabilities[0, 1] = 5.0
         with pytest.raises(ValueError):
             sys_a.external_assets[0] = 5.0
+
+
+class TestClearingParams:
+    def test_vector_rate_is_a_read_only_copy(self):
+        r = np.array([0.5, 0.6, 0.7])
+        params = cn.ClearingParams(r=r)
+        r[0] = 0.9   # the caller's array changes after construction
+        np.testing.assert_array_equal(params.r, [0.5, 0.6, 0.7])
+        np.testing.assert_array_equal(params.recovery_vector(3), [0.5, 0.6, 0.7])
+        with pytest.raises(ValueError):
+            params.r[0] = 0.9
+        assert params.recovery_vector(3).dtype == float
+
+    def test_mutating_the_callers_rates_leaves_the_clear_unchanged(self, sys_a):
+        shocked = sys_a.with_external_assets([3.5, 4.0, 1.0])
+        r = np.array([0.8, 0.6, 0.5])
+        params = cn.ClearingParams(r=r)
+        want = cn.fictitious_default_sequence(shocked, cn.ClearingParams(r=r.copy()))
+        r[:] = 0.0
+        got = cn.fictitious_default_sequence(shocked, params)
+        np.testing.assert_array_equal(got.payments, want.payments)
+
+    def test_list_rate_is_stored_as_an_array(self):
+        params = cn.ClearingParams(r=[0.5, 1, 0])
+        assert isinstance(params.r, np.ndarray) and params.r.dtype == float
+
+    def test_wrong_length_raises(self):
+        params = cn.ClearingParams(r=[0.5, 0.6, 0.7])
+        for n in (2, 4):
+            with pytest.raises(cn.DimensionMismatch):
+                params.recovery_vector(n)
+
+    def test_scalar_rate_is_kept_as_given(self):
+        params = cn.ClearingParams(r=0.5)
+        assert params.r == 0.5
+        np.testing.assert_array_equal(params.recovery_vector(3), [0.5, 0.5, 0.5])
 
 
 class TestTotalLiabilities:
