@@ -1,6 +1,6 @@
-"""The one solver of ``(I - diag(r) C) x = b``, plus the dense LU it falls
-back on, which keeps an explicit pivot check. ``scipy.linalg`` is imported
-by that fallback only, so a run that never takes it never loads it.
+"""The one solver of ``(I - diag(r) C) x = b``, ``C >= 0``, plus the dense
+LU it falls back on, which keeps an explicit pivot check. ``scipy.linalg``
+is imported by that fallback only, so a run that never takes it never loads it.
 
 The solver's Neumann sweep takes one Aitken step along the dominant mode
 whenever the ratio of successive sweep steps has settled: on claims
@@ -64,27 +64,24 @@ def lu_factor_checked(A: NDArray, context: str):
     return lu, piv
 
 
-def column_weights(
-    C: scipy.sparse.csr_array, r: NDArray, nonnegative: bool = False
-) -> NDArray:
-    """``|r|^T |C|``, the column sums of ``|r_i C_ij|``, for a length-n ``r``.
+def column_weights(C: scipy.sparse.csr_array, r: NDArray) -> NDArray:
+    """``|r|^T C``, the column sums of ``|r_i| C_ij``, for a length-n ``r``
+    and a ``C >= 0``: :func:`clearnet.net_model.build_system` makes every
+    claims matrix so, and each public entry checks a matrix it is given.
 
-    The arrays of ``C`` are read as the compressed columns of ``|C|^T``,
-    sharing the index arrays: the product is the one ``abs(C).T @ abs(r)``
-    computes, term for term. ``|C.data|`` is copied, except when the caller
-    has checked that ``C`` is nonnegative and says so with ``nonnegative``:
-    then the stored entries are read in place, and nothing of the size of
+    The stored entries of ``C`` are read in place as the compressed columns
+    of ``C^T``, sharing the index arrays: the product is the one
+    ``C.T @ abs(r)`` computes, term for term, and nothing of the size of
     ``C`` is allocated.
     """
-    data = C.data if nonnegative else np.abs(C.data)
-    abs_t = scipy.sparse.csc_array((data, C.indices, C.indptr), shape=C.shape[::-1])
-    return abs_t @ np.abs(r)
+    c_t = scipy.sparse.csc_array((C.data, C.indices, C.indptr), shape=C.shape[::-1])
+    return c_t @ np.abs(r)
 
 
 def solve_attenuated(
     C: scipy.sparse.csr_array, r, b: NDArray, context: str, sums: NDArray | None = None
 ) -> NDArray:
-    """Solve ``(I - diag(r) C) x = b`` for a sparse square ``C``.
+    """Solve ``(I - diag(r) C) x = b`` for a sparse square ``C >= 0``.
 
     With ``q = ||diag(r) C||_1``, the largest :func:`column_weights`, below one, the
     Neumann sweep ``x <- b + r * (C @ x)`` from ``x = b`` is a contraction,
@@ -117,12 +114,12 @@ def solve_attenuated(
     :func:`lu_factor_checked`, which raises ``SingularSystem`` on a pivot
     below ``1e-14``.
 
-    ``sums``, if given, are the column sums of ``|C|`` (a system's
+    ``sums``, if given, are the column sums of ``C`` (a system's
     ``claims_column_sums``). When every entry of ``r`` is the same
     ``r_0 != 0`` the weights are then ``|r_0| * sums``, which differ from a
     pass over ``C`` only in rounding, and ``C`` is not read for them;
     otherwise the solver makes its own pass, whose weights at ``r = 0`` are
-    0 even where a sum of ``|C|`` overflows.
+    0 even where a sum of ``C`` overflows.
     """
     n = C.shape[0]
     b = np.asarray(b, dtype=float)

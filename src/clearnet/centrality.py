@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import solve_attenuated
+from ._linalg import column_weights, solve_attenuated
 from .errors import SingularSystem
 from .net_model import (
     ClearingParams,
@@ -22,7 +22,7 @@ from .net_model import (
     broadcast_rate,
     validate_interpolation,
 )
-from .spectral import _check_nonnegative, _column_sums, safely_invertible
+from .spectral import _check_nonnegative, safely_invertible
 
 __all__ = [
     "CentralityResult",
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralityResult:
     """Centrality vector ``sigma`` solving ``(I - r C) sigma = beta``.
 
@@ -75,17 +75,17 @@ def generalized_katz(C, r, beta: NDArray, m=None) -> CentralityResult:
 
     ``C`` is a full claims matrix with the sink stored last, dense or
     sparse; it is converted to CSR and checked once per call, and its
-    column sums are formed once, in one pass: the
-    :func:`clearnet.spectral.safely_invertible` gate takes ``||C||_1`` from
-    them and the solve (:func:`clearnet._linalg.solve_attenuated`) its
-    column weights. The sink entry of the result is zeroed by convention.
+    column sums are formed once, in one pass, for the
+    :func:`clearnet.spectral.safely_invertible` gate (``||C||_1``) and the
+    solve (:func:`clearnet._linalg.solve_attenuated`, at a uniform rate).
+    The sink entry of the result is zeroed by convention.
     """
     C = _check_nonnegative(C)
     n = C.shape[0]
     r_vec = broadcast_rate(r, n, "r")
     beta = np.asarray(beta, dtype=float)
 
-    sums = _column_sums(C)
+    sums = column_weights(C, np.ones(n))
     ok, rho = safely_invertible(C, r_vec, sums)
     if not ok:
         raise SingularSystem(
@@ -110,7 +110,7 @@ def standard_katz(adjacency: NDArray, alpha: float) -> NDArray:
     as the claims matrix: debtor in the column, creditor in the row).
     """
     A = _check_nonnegative(adjacency)
-    sums = _column_sums(A)
+    sums = column_weights(A, np.ones(A.shape[0]))
     if not safely_invertible(A, float(alpha), sums)[0]:
         raise SingularSystem(f"alpha = {alpha} is not safely below 1 / rho(adjacency)")
     return solve_attenuated(A, float(alpha), np.ones(A.shape[0]), "Katz solve", sums=sums)

@@ -28,7 +28,7 @@ from .net_model import (
     ClearingParams,
     DefaultIndicator,
     FinancialSystem,
-    _indicator_from_equity,
+    _defaults_from_claims,
     fundamental_defaults,
 )
 
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClearingSolution:
     """Converged clearing vector plus the trail the solver took.
 
@@ -79,13 +79,6 @@ def apply_clearing_map(
     return _clearing_map(system, params, p, system.claims @ p)
 
 
-def _default_test(system: FinancialSystem, cp: NDArray) -> DefaultIndicator:
-    """:func:`clearnet.net_model.default_indicator` of a ``p``, given ``cp = C p``."""
-    return _indicator_from_equity(
-        system, system.external_assets + cp - system.total_liabilities
-    )
-
-
 def _clearing_map(
     system: FinancialSystem, params: ClearingParams, p: NDArray, cp: NDArray
 ) -> NDArray:
@@ -98,7 +91,7 @@ def _clearing_map(
     """
     l = system.total_liabilities
     r = params.recovery_vector(system.node_count)
-    flags = _default_test(system, cp).flags
+    flags = _defaults_from_claims(system, cp).flags
     mixed = np.where(flags, p, l)
     c_mixed = cp if np.array_equal(mixed, p) else system.claims @ mixed
     paid = r * c_mixed + params.r_a * system.external_assets
@@ -170,7 +163,7 @@ def fictitious_default_sequence(
     for iteration in range(1, N + 2):
         p = solve_given_defaults(system, params, current)
         cp = system.claims @ p
-        nxt = _default_test(system, cp)
+        nxt = _defaults_from_claims(system, cp)
         history.append(nxt)
         if nxt == current:
             # rounding guard only: the converged vector is within [0, l]

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceReport:
     """Per-bank gaps between the clearing route and the centrality route
     under the full-default shock.

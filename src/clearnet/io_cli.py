@@ -110,13 +110,10 @@ def _emit(value, out: list) -> None:
         out.append("}")
     elif isinstance(value, (list, tuple)):
         out.append("[")
-        if value and set(map(type, value)) == {float}:
-            out.append(_fmt_floats(np.array(value)))
-        else:
-            for i, v in enumerate(value):
-                if i:
-                    out.append(", ")
-                _emit(v, out)
+        for i, v in enumerate(value):
+            if i:
+                out.append(", ")
+            _emit(v, out)
         out.append("]")
     elif isinstance(value, (bool, np.bool_)):
         out.append("true" if value else "false")

@@ -16,7 +16,7 @@ except on request by the dense :attr:`FinancialSystem.liabilities`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
@@ -75,7 +75,7 @@ def _validated_assets(values, name: str, n: int) -> NDArray:
     return _readonly(a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinancialSystem:
     """Liability network plus asset endowments.
 
@@ -104,20 +104,22 @@ class FinancialSystem:
         ``C l``, what each node is owed when every debtor pays in full;
         read-only.
     claims_column_sums : (N,) ndarray
-        ``1^T C``, the column sums of ``C``, bit for bit
-        ``_linalg.column_weights(C, ones)``; read-only. Every solve on the
-        whole of ``C`` at one uniform rate ``r`` takes its column weights as
-        ``|r|`` times these instead of a pass over ``C``.
+        ``1^T C``, ``_linalg.column_weights(C, ones)`` of the nonnegative
+        ``C``, read in place; read-only. Every solve on the whole of ``C``
+        at one uniform rate ``r`` takes its column weights as ``|r|`` times
+        these instead of a pass over ``C``.
+
+    A system compares and hashes by identity.
     """
 
     node_count: int
     sparse_liabilities: scipy.sparse.csr_array
     external_assets: NDArray
     pre_shock_assets: NDArray
-    total_liabilities: NDArray = field(repr=False, compare=False)
-    claims: scipy.sparse.csr_array = field(repr=False, compare=False)
-    total_claims: NDArray = field(repr=False, compare=False)
-    claims_column_sums: NDArray = field(repr=False, compare=False)
+    total_liabilities: NDArray = field(repr=False)
+    claims: scipy.sparse.csr_array = field(repr=False)
+    total_claims: NDArray = field(repr=False)
+    claims_column_sums: NDArray = field(repr=False)
 
     @property
     def liabilities(self) -> NDArray:
@@ -143,20 +145,13 @@ class FinancialSystem:
 
     def with_external_assets(self, assets: NDArray) -> "FinancialSystem":
         """Copy of the system with a new external-asset vector ``a``; it
-        shares ``L``, ``l``, ``C``, ``1^T C`` and ``C l`` with this one."""
-        return FinancialSystem(
-            node_count=self.node_count,
-            sparse_liabilities=self.sparse_liabilities,
-            external_assets=_validated_assets(assets, "external_assets", self.node_count),
-            pre_shock_assets=self.pre_shock_assets,
-            total_liabilities=self.total_liabilities,
-            claims=self.claims,
-            total_claims=self.total_claims,
-            claims_column_sums=self.claims_column_sums,
-        )
+        shares every other field, each derived from ``L`` once by
+        :func:`build_system`, with this one."""
+        a = _validated_assets(assets, "external_assets", self.node_count)
+        return replace(self, external_assets=a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelativeClaims:
     """The claims matrix ``C`` of a system; ``matrix`` is ``system.claims``."""
 
@@ -205,7 +200,7 @@ def validate_interpolation(m, n: int) -> NDArray:
     return broadcast_rate(m, n, "m")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClearingParams:
     """Recovery rates used by the clearing map.
 
@@ -213,7 +208,7 @@ class ClearingParams:
     scalar or a per-node vector (applied as a diagonal matrix); a vector is
     kept as a read-only float copy, so changing the caller's array later
     does not change the parameters. ``r_a`` applies to external assets and
-    defaults to 1.
+    defaults to 1. Parameters compare and hash by value.
     """
 
     r: float | NDArray = 1.0
@@ -225,6 +220,14 @@ class ClearingParams:
         broadcast_rate(self.r_a, 1, "r_a")
         if np.ndim(self.r):
             object.__setattr__(self, "r", _readonly(self.r))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ClearingParams):
+            return NotImplemented
+        return self.r_a == other.r_a and bool(np.array_equal(self.r, other.r))
+
+    def __hash__(self) -> int:
+        return hash((self.r_a, *np.ravel(self.r).tolist()))
 
     def recovery_vector(self, node_count: int) -> NDArray:
         """``r`` at length ``node_count``; its range was checked once, at
@@ -331,7 +334,7 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
     for part in (L.data, L.indices, L.indptr, C.data, C.indices, C.indptr):
         part.setflags(write=False)
     cl = C @ l
-    sums = column_weights(C, np.ones(N), nonnegative=True)
+    sums = column_weights(C, np.ones(N))
     for vector in (cl, sums):
         vector.setflags(write=False)
 
@@ -358,10 +361,11 @@ def equity(system: FinancialSystem, payments: NDArray) -> NDArray:
     return system.external_assets + system.claims @ p - system.total_liabilities
 
 
-def _indicator_from_equity(system: FinancialSystem, eq: NDArray) -> DefaultIndicator:
-    """Default flags from equity: a bank defaults when its equity is below
-    the (tiny) tolerance band around zero, so exact boundary solvency
-    counts as solvent; the sink is flagged by convention."""
+def _defaults_from_claims(system: FinancialSystem, cp: NDArray) -> DefaultIndicator:
+    """Default flags when the nodes collect ``cp = C p``: a bank defaults when
+    its equity ``a + cp - l`` is below the (tiny) tolerance band around
+    zero, so exact boundary solvency counts as solvent; the sink is flagged."""
+    eq = system.external_assets + cp - system.total_liabilities
     flags = eq < -DEFAULT_BAND * np.maximum(1.0, system.total_liabilities)
     flags[system.sink] = True
     flags.setflags(write=False)
@@ -369,16 +373,14 @@ def _indicator_from_equity(system: FinancialSystem, eq: NDArray) -> DefaultIndic
 
 
 def default_indicator(system: FinancialSystem, payments: NDArray) -> DefaultIndicator:
-    """Default flags under a payment vector (see :func:`_indicator_from_equity`)."""
-    return _indicator_from_equity(system, equity(system, payments))
+    """Default flags under a payment vector (see :func:`_defaults_from_claims`)."""
+    return _defaults_from_claims(system, system.claims @ np.asarray(payments, dtype=float))
 
 
 def fundamental_defaults(system: FinancialSystem) -> DefaultIndicator:
     """Banks insolvent even when every counterparty pays in full (p = l).
 
-    Equity is formed from the stored ``total_claims``, the product ``C l``
-    that :func:`default_indicator` would form again, so the flags are the
-    same bit for bit."""
-    return _indicator_from_equity(
-        system, system.external_assets + system.total_claims - system.total_liabilities
-    )
+    The claims collected are the stored ``total_claims``, the product
+    ``C l`` that :func:`default_indicator` would form again, so the flags
+    are the same bit for bit."""
+    return _defaults_from_claims(system, system.total_claims)

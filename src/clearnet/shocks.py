@@ -48,7 +48,7 @@ class ShockKind(Enum):
     RELAXED = "relaxed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShockScenario:
     """A shock vector ``s`` and the asset vector ``a = o + s`` it produces.
 
@@ -73,7 +73,7 @@ class ShockScenario:
         return bool(np.all(self.post_shock_assets > 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelaxedShockCertificate:
     """Outcome of the self-referential relaxed construction.
 

@@ -158,18 +158,6 @@ def _below_one(r_max: float, norm: float, estimate: float) -> bool:
     return r_max * min(norm, estimate) < 1.0 - INVERTIBILITY_MARGIN
 
 
-def _column_sums(C: scipy.sparse.csr_array) -> NDArray:
-    """``1^T C``, the column sums of a checked (nonnegative) ``C``, read
-    from its stored entries in place: one pass over ``C`` and no copy."""
-    return column_weights(C, np.ones(C.shape[0]), nonnegative=True)
-
-
-def _column_norm(C: scipy.sparse.csr_array) -> float:
-    """``||C||_1``, the largest column sum of the nonnegative ``C``: bit for
-    bit ``C.sum(axis=0).max()``, which copies ``C``."""
-    return float(_column_sums(C).max(initial=0.0))
-
-
 def safely_invertible(
     C: scipy.sparse.csr_array, r, sums: NDArray
 ) -> tuple[bool, float | None]:
@@ -184,8 +172,8 @@ def safely_invertible(
     norm alone decides, no radius is computed. Returns the verdict and the
     estimate (None when the norm decided). The caller has run
     :func:`_check_nonnegative` on ``C`` and passes its column sums
-    ``sums`` (:func:`_column_sums`), which it also hands to the solve, so
-    that ``C`` is read for them once; ``||C||_1`` is their largest entry.
+    ``sums``, ``column_weights(C, ones)``, which it also hands to the solve,
+    so that ``C`` is read for them once; ``||C||_1`` is their largest entry.
     """
     r_max = float(np.abs(r).max(initial=0.0))
     norm = float(sums.max(initial=0.0))
@@ -206,7 +194,7 @@ def check_invertibility(C: NDArray, r: float) -> tuple[bool, SpectralReport]:
     """
     C = _check_nonnegative(C)
     r_max = float(broadcast_rate(r, C.shape[0], "r").max(initial=0.0))
-    norm = _column_norm(C)
+    norm = float(column_weights(C, np.ones(C.shape[0])).max(initial=0.0))
     estimate, lower = _perron(C)
     report = SpectralReport(
         radius_estimate=estimate,

@@ -157,6 +157,51 @@ class TestClearingParams:
         assert params.r == 0.5
         np.testing.assert_array_equal(params.recovery_vector(3), [0.5, 0.5, 0.5])
 
+    def test_equal_rates_compare_and_hash_equal(self):
+        r = np.array([0.5, 0.6, 0.7])
+        for same, other in (
+            (cn.ClearingParams(r=r), cn.ClearingParams(r=r.copy())),
+            (cn.ClearingParams(r=[0.5, 0.6, 0.7], r_a=0.9),
+             cn.ClearingParams(r=r, r_a=0.9)),
+            (cn.ClearingParams(r=0.5), cn.ClearingParams(r=0.5)),
+            (cn.ClearingParams(r=1), cn.ClearingParams(r=1.0)),
+        ):
+            assert same == other and hash(same) == hash(other)
+        for one, other in (
+            (cn.ClearingParams(r=r), cn.ClearingParams(r=[0.5, 0.6, 0.8])),
+            (cn.ClearingParams(r=r), cn.ClearingParams(r=r, r_a=0.9)),
+            (cn.ClearingParams(r=r), cn.ClearingParams(r=0.5)),
+            (cn.ClearingParams(r=0.5), cn.ClearingParams(r=0.4)),
+        ):
+            assert one != other
+        assert cn.ClearingParams() != 1.0
+
+
+class TestRecordsHoldingArrays:
+    """Records that hold arrays compare and hash by identity, without
+    raising: two equal builds are distinct records."""
+
+    def test_equal_builds_compare_and_hash_by_identity(self):
+        def records():
+            system = cn.build_system([[0, 2, 8], [3, 0, 7], [0, 0, 0]], [8.0, 9.0, 1.0])
+            params = cn.ClearingParams(r=np.array([0.9, 0.8, 0.7]))
+            scenario = cn.full_default_shock(system, 0.5)
+            return (
+                system,
+                cn.relative_claims(system),
+                scenario,
+                cn.fictitious_default_sequence(cn.shocked_system(system, scenario), params),
+                cn.generalized_katz(system.claims, 0.5, cn.beta_vector(system, 0.5, 0.5)),
+                cn.verify_full_shock_equivalence(system, params, 0.5),
+                cn.relaxed_interpolated_shock(system, params, 0.5),
+            )
+
+        for one, other in zip(records(), records()):
+            assert one == one and not one != one
+            assert one != other and not one == other
+            assert hash(one) == hash(one)
+            assert len({one, other}) == 2
+
 
 class TestTotalLiabilities:
     def test_sys_a(self, sys_a):
