@@ -1,6 +1,8 @@
-"""The one solver of ``(I - diag(r) C) x = b``, ``C >= 0``, plus the dense
-LU it falls back on, which keeps an explicit pivot check. ``scipy.linalg``
-is imported by that fallback only, so a run that never takes it never loads it.
+"""The one solver of ``(I - diag(r) C) x = b``, ``C >= 0``, on the square
+``C`` or, in place, on the rows of ``C`` that belong to the unknowns, plus
+the dense LU it falls back on, which keeps an explicit pivot check.
+``scipy.linalg`` is imported by that fallback only, so a run that never
+takes it never loads it.
 
 The solver's Neumann sweep takes one Aitken step along the dominant mode
 whenever the ratio of successive sweep steps has settled: on claims
@@ -130,22 +132,80 @@ def solve_attenuated(
         c = abs(float(r[0])) * sums
     else:
         c = column_weights(C, r)
+    return _sweep_or_lu(C, r, b, b.copy(), None, c, 0.0, C.nnz, context)
+
+
+def solve_rows(
+    R: scipy.sparse.csr_array, free: NDArray, r: NDArray, b: NDArray, p: NDArray, context: str
+) -> None:
+    """Solve ``x = b + r * (R p)`` for the entries ``x = p[free]`` of ``p``,
+    in place, with the other entries of ``p`` held: ``R`` is the rows
+    ``free`` of an n x n ``C >= 0``, so this is
+    ``(I - diag(r) C_FF) x = b + r * (C_FH p_H)``, ``H`` the held entries.
+
+    The sweep is :func:`solve_attenuated`'s, on the rows: each sweep is the
+    one product ``R @ p``, which forms the held entries' term with the rest,
+    and writes its output into ``p[free]``; it starts from ``p[free]`` as
+    given, with one sweep more than the cap from ``b``, since ``b`` is itself
+    one sweep from zero. Its certificate is restated for the rows. ``q`` is
+    the largest :func:`column_weights` of ``diag(r) R`` over the free
+    columns; the floor is ``S = ||b||_1 + c . |p|``, with ``c`` the weights
+    of every column, so that ``c_H . |p_H|`` bounds the held term; and
+    ``K`` counts the stored entries of a row of ``R``, held columns
+    included. The output is then within ``(q eps + gamma_{K+2}) S / (1 - q)``
+    of the solution in the 1-norm. The flop rule counts the stored entries
+    of the square block ``C_FF``, as for a square solve: the held term adds
+    the same work to every sweep, but on the small blocks where that would
+    tip the rule, scipy's fixed cost per product and per call outweighs it,
+    and the dense LU would load ``scipy.linalg`` for nothing. The dense
+    fallback builds ``I - diag(r) C_FF`` from ``R``'s free columns, the one
+    gather of columns, and its right-hand side from one product with the
+    free entries at zero.
+    """
+    if len(free) == 0:
+        return
+    c = column_weights(R, r)
+    c_free = c[free]
+    c[free] = 0.0
+    with np.errstate(over="ignore"):
+        held = float(c.dot(np.abs(p)))
+    in_block = np.zeros(len(p), dtype=bool)
+    in_block[free] = True
+    block_nnz = np.count_nonzero(in_block[R.indices])
+    p[free] = _sweep_or_lu(R, r, b, p, free, c_free, held, block_nnz, context)
+
+
+def _sweep_or_lu(A, r, b, p, free, c, held, block_nnz, context) -> NDArray:
+    """The sweep of ``x = b + r * (A @ p)`` for ``x = p[free]``, where ``p``
+    is the iterate itself when ``free`` is None (a square ``A``, from
+    :func:`solve_attenuated`), else the vector whose entries ``free`` the
+    sweep writes (from :func:`solve_rows`); ``c`` holds the weights of the
+    free columns, ``held`` the held columns' share ``c_H . |p_H|`` of the
+    floor and ``block_nnz`` the stored entries in the free columns, which
+    the flop rule counts. Returns ``x``, by the sweep or by the dense LU."""
+    m = len(b)
     q = float(c.max())
     with np.errstate(over="ignore"):
-        b_norm = float(np.abs(b).sum())
+        b_norm = float(np.abs(b).sum()) + held
     if q < 1.0 and math.isfinite(b_norm):   # an infinite S would pass any step
         bound = EPS * (1.0 - q) / (1.0 + q)
         sweeps = 1 if q == 0.0 else math.ceil(math.log(bound) / math.log(q))
-        if sweeps * C.nnz < n**3 / 3:
+        if free is not None:   # from p[free], not from b
+            sweeps += 1
+        if sweeps * block_nnz < m**3 / 3:
             screen = (2.0 * EPS * b_norm / (1.0 - q)) ** 2
-            x = b.copy()
+            x = p if free is None else p[free]
             prev = lam = None  # the last step and the ratio it gave
             # a step whose square overflows gives a ratio of inf or nan, which
             # never jumps; a solution beyond the float range comes back
             # non-finite without a warning, as from the dense LU
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(sweeps):
-                    y = C @ x
+                    if free is None:
+                        p = x
+                    else:
+                        p[free] = x
+                    y = A @ p
                     y *= r
                     y += b
                     d = y - x
@@ -163,9 +223,15 @@ def solve_attenuated(
                             prev = lam = None
                             continue
                     prev, prev_sq = d, d_sq
-    A = C.toarray()
-    A *= -r[:, None]
-    A[np.diag_indices(n)] += 1.0
+    if free is None:
+        M = A.toarray()
+    else:
+        M = A[:, free].toarray()
+        p = p.copy()
+        p[free] = 0.0
+        b = A @ p * r + b
+    M *= -r[:, None]
+    M[np.diag_indices(m)] += 1.0
     import scipy.linalg
 
-    return scipy.linalg.lu_solve(lu_factor_checked(A, context), b, check_finite=False)
+    return scipy.linalg.lu_solve(lu_factor_checked(M, context), b, check_finite=False)

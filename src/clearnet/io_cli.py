@@ -166,11 +166,11 @@ class SystemDocument:
 
     ``liabilities`` is row-major with the sink last; ``names`` labels all
     nodes and always ends with ``"SINK"``. The numeric fields are read-only
-    float arrays, compared by value, and a document is validated when it is
-    built: it holds at least the sink row and one label per node, the last
-    ``"SINK"``. A document is always complete: ``external_assets`` defaults
-    to ``pre_shock_assets`` (no shock yet) and ``names`` to ``B1 ... Bn,
-    SINK``.
+    float arrays, compared and hashed by value, and a document is validated
+    when it is built: it holds at least the sink row and one label per node,
+    the last ``"SINK"``. A document is always complete: ``external_assets``
+    defaults to ``pre_shock_assets`` (no shock yet) and ``names`` to
+    ``B1 ... Bn, SINK``.
     Documents round-trip losslessly through JSON (floats keep 17
     significant digits).
     """
@@ -203,6 +203,11 @@ class SystemDocument:
         return self.names == other.names and all(
             np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAY_FIELDS
         )
+
+    def __hash__(self) -> int:
+        # adding 0.0 turns -0.0 into 0.0, which it equals; no field holds NaN
+        arrays = (getattr(self, f) + 0.0 for f in _ARRAY_FIELDS)
+        return hash((self.names, *((a.shape, a.tobytes()) for a in arrays)))
 
     @classmethod
     def from_system(cls, system: FinancialSystem) -> "SystemDocument":

@@ -160,7 +160,8 @@ class RelativeClaims:
 
 @dataclass(frozen=True, eq=False)
 class DefaultIndicator:
-    """Boolean default flags, one per node; the sink is always flagged."""
+    """Boolean default flags, one per node; the sink is always flagged.
+    Indicators compare and hash by the values of their flags."""
 
     flags: NDArray
 
@@ -168,6 +169,11 @@ class DefaultIndicator:
         if not isinstance(other, DefaultIndicator):
             return NotImplemented
         return bool(np.array_equal(self.flags, other.flags))
+
+    def __hash__(self) -> int:
+        # over the flags as booleans: flags that compare equal hash alike
+        flags = np.asarray(self.flags, dtype=bool)
+        return hash((flags.shape, flags.tobytes()))
 
     def issubset(self, other: "DefaultIndicator") -> bool:
         return bool(np.all(other.flags[self.flags]))

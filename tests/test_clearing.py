@@ -1,13 +1,19 @@
 import dataclasses
+import math
+import unittest.mock
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import clearnet as cn
+import clearnet._linalg
 import clearnet.clearing
-from clearnet._linalg import solve_attenuated
+import clearnet.net_model
+from clearnet._linalg import EPS, solve_attenuated
 from conftest import exact_frozen_payments, partial_default_variant
 
 # independently frozen via the fixed-point oracle (see picard tests below)
@@ -129,6 +135,12 @@ class TestSolveGivenDefaults:
         solution = cn.fictitious_default_sequence(system, params)
         assert solution.defaults == everyone
         assert not np.signbit(solution.payments).any()
+        # a partial round, with the last bank solvent: the rows sweep, except
+        # on 3 banks at r = 0.5, where the 2-bank block takes the LU
+        partial = everyone.flags.copy()
+        partial[n_banks - 1] = False
+        p = cn.solve_given_defaults(system, params, cn.DefaultIndicator(flags=partial))
+        assert p[0] == 0.0 and not np.signbit(p).any()
 
     def test_singular_reduced_system(self):
         # two banks owing only each other, full recovery: I - C is singular
@@ -136,6 +148,175 @@ class TestSolveGivenDefaults:
         defaults = cn.DefaultIndicator(flags=np.array([True, True, True]))
         with pytest.raises(cn.SingularSystem):
             cn.solve_given_defaults(system, cn.ClearingParams(r=1.0), defaults)
+
+
+class GatheringCsr(scipy.sparse.csr_array):
+    """A CSR array that counts its gathers of rows and of columns and its
+    products, keeping the vector of each product; a gather is one too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.row_gathers = self.column_gathers = 0
+        self.gathered, self.arguments = [], []
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple):
+            self.column_gathers += 1
+        else:
+            self.row_gathers += 1
+        out = GatheringCsr(super().__getitem__(key))
+        self.gathered.append(out)
+        return out
+
+    def __matmul__(self, other):
+        self.arguments.append(np.array(other))
+        return super().__matmul__(other)
+
+
+class TestDefaultedRows:
+    """A partial-default round sweeps on the defaulted banks' rows of ``C``
+    in place on the payment vector, with the solvent entries held at ``l``."""
+
+    @staticmethod
+    def half_defaulted(r=0.9):
+        system = cn.generate_random_system(seed=3, n_banks=300, density=0.03)
+        a = system.external_assets.copy()
+        a[:150] = 0.0
+        shocked = system.with_external_assets(a)
+        params = cn.ClearingParams(r=r, r_a=0.7)
+        return shocked, params, cn.fundamental_defaults(shocked)
+
+    def test_one_row_gather_and_one_product_per_sweep(self):
+        shocked, params, defaults = self.half_defaulted()
+        flags = defaults.flags
+        assert 1 < defaults.count < shocked.node_count
+        system = dataclasses.replace(shocked, claims=GatheringCsr(shocked.claims))
+        C = system.claims
+        p = cn.solve_given_defaults(system, params, defaults)
+        assert (C.row_gathers, C.column_gathers, len(C.arguments)) == (1, 0, 0)
+        (R,) = C.gathered
+        assert R.row_gathers == R.column_gathers == 0
+        free = np.flatnonzero(flags[system.banks])
+        assert R.shape == (free.size, system.node_count)
+        # each sweep multiplies a new iterate once, with the solvent entries
+        # at l; the last product gives the output
+        l = system.total_liabilities
+        assert len(R.arguments) > 2
+        for before, after in zip(R.arguments, R.arguments[1:]):
+            assert not np.array_equal(before[free], after[free])
+            np.testing.assert_array_equal(after[~flags], l[~flags])
+        r = params.recovery_vector(system.node_count)[free]
+        y = r * (shocked.claims[free] @ R.arguments[-1]) + 0.7 * system.external_assets[free]
+        assert y.tobytes() == p[free].tobytes()
+
+    def test_matches_the_square_block_solve(self):
+        # the same payments as the explicit solve of the square block with
+        # the solvent nodes' term on the right, within rounding
+        shocked, params, defaults = self.half_defaulted()
+        flags = defaults.flags
+        C, l = shocked.claims, shocked.total_liabilities
+        r = params.recovery_vector(shocked.node_count)
+        idx = np.flatnonzero(flags)
+        b = (r * (C @ np.where(flags, 0.0, l)) + 0.7 * shocked.external_assets)[idx]
+        want = solve_attenuated(C[idx][:, idx], r[idx], b, "block")
+        got = cn.solve_given_defaults(shocked, params, defaults)
+        assert np.abs(got[idx] - want).sum() <= 1e-14 * np.abs(want).sum()
+        np.testing.assert_array_equal(got[~flags], l[~flags])
+
+    def test_zero_rate_takes_two_sweeps_and_no_lu(self, monkeypatch):
+        # at r = 0 the payments are r_a a_D: the start l is one sweep from
+        # them, and the next sweep's step is zero
+        shocked, params, defaults = self.half_defaulted(r=0.0)
+        system = dataclasses.replace(shocked, claims=GatheringCsr(shocked.claims))
+        monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _took_lu)
+        p = cn.solve_given_defaults(system, params, defaults)
+        (R,) = system.claims.gathered
+        assert len(R.arguments) == 2
+        free = np.flatnonzero(defaults.flags[system.banks])
+        np.testing.assert_array_equal(p[free], 0.7 * system.external_assets[free])
+
+    def test_later_rounds_start_from_the_last_rounds_payments(self, monkeypatch):
+        shocked, params, _ = self.half_defaulted()
+        calls = []   # (start, payments returned)
+        real = cn.solve_given_defaults
+
+        def recorded(*args, start=None):
+            p = real(*args, start=start)
+            calls.append((start, p))
+            return p
+
+        monkeypatch.setattr(clearnet.clearing, "solve_given_defaults", recorded)
+        solution = cn.fictitious_default_sequence(shocked, params)
+        assert solution.iterations == len(calls) > 1
+        assert calls[0][0] is None   # round 1 starts from l
+        for (_, before), (start, _) in zip(calls, calls[1:]):
+            assert start is before
+
+
+class TookLU(Exception):
+    """The round left the sweep for the dense LU."""
+
+
+def _took_lu(A, context):
+    raise TookLU(context)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_banks=st.integers(30, 45),
+    density=st.floats(0.04, 0.12),
+    r=st.floats(0.1, 0.95),
+    per_node_r=st.booleans(),
+    r_a=st.floats(0.5, 1.0),
+    hit=st.floats(0.2, 0.8),
+)
+def test_multi_round_clear_is_within_its_bound_of_exact_arithmetic(
+    seed, n_banks, density, r, per_node_r, r_a, hit
+):
+    # the last round's sweep output is within (q eps + gamma_{K+2}) S / (1 - q)
+    # of the exact payments on the final default set, in the 1-norm over its
+    # banks D: q the largest column weight of diag(r_D) R over D's columns,
+    # K the most stored entries in a row of R, S = ||r_a a_D||_1 + c . |p|.
+    # S at the returned p rather than the sweep's input differs by a factor
+    # of at most 1 + q eps, inside the margin of 2, and the clip to [0, l]
+    # only moves p towards the exact payments, which lie in it
+    system = cn.generate_random_system(seed, n_banks, density)
+    rng = np.random.default_rng(seed)
+    n = system.node_count
+    a = system.external_assets.copy()
+    hit_banks = np.flatnonzero(rng.random(n_banks) < hit)
+    a[hit_banks] *= rng.uniform(0.0, 0.3, hit_banks.size)
+    shocked = system.with_external_assets(a)
+    r_vec = rng.uniform(0.0, r, n) if per_node_r else np.full(n, r)
+    params = cn.ClearingParams(r=r_vec, r_a=r_a)
+    rounds = []
+    real = clearnet.clearing.solve_rows
+
+    def recorded(R, free, *args):
+        rounds.append((R, free))
+        return real(R, free, *args)
+
+    with unittest.mock.patch.object(clearnet.clearing, "solve_rows", recorded), \
+            unittest.mock.patch.object(clearnet._linalg, "lu_factor_checked", _took_lu):
+        try:
+            solution = cn.fictitious_default_sequence(shocked, params)
+        except TookLU:
+            reject()   # no sweep to check
+    if solution.iterations < 2 or len(rounds) < solution.iterations:
+        reject()   # one round, or a last round on every node
+    R, free = rounds[-1]
+    p = solution.payments
+    exact = exact_frozen_payments(shocked, r_vec, r_a, solution.defaults.flags)
+    gap = sum(abs(Fraction(p[i]) - exact[i]) for i in free.tolist())
+    c = abs(R).T @ np.abs(r_vec[free])
+    q = Fraction(c[free].max())
+    u = Fraction(EPS) / 2
+    k = int(np.diff(R.indptr).max()) + 2
+    gamma = k * u / (1 - k * u)
+    S = Fraction(np.abs(r_a * a[free]).sum()) + sum(
+        Fraction(w) * abs(Fraction(v)) for w, v in zip(c.tolist(), p.tolist()))
+    assert gap <= 2 * gamma * S / (1 - q)
 
 
 class TestPaymentsFarBelowLiabilities:
@@ -207,6 +388,27 @@ class TestFictitiousDefaultSequence:
             scale = max(1.0, system.total_liabilities.max())
             assert np.abs(solution.payments - oracle)[shocked.banks].max() <= 1e-8 * scale
 
+    def test_one_default_test_per_round(self, ensemble, monkeypatch):
+        # fundamental_defaults, then one test per round; the residual reuses
+        # the last round's flags
+        calls = []
+        real = clearnet.net_model._defaults_from_claims
+        for module in (clearnet.net_model, clearnet.clearing):
+            monkeypatch.setattr(module, "_defaults_from_claims",
+                                lambda *args: calls.append(1) or real(*args))
+        rounds = []
+        for i in range(0, 80, 4):
+            system = partial_default_variant(ensemble[i], seed=i)
+            params = cn.ClearingParams(r=0.7)
+            calls.clear()
+            solution = cn.fictitious_default_sequence(system, params)
+            assert len(calls) == solution.iterations + 1
+            rounds.append(solution.iterations)
+            p = solution.payments
+            gap = np.abs(cn.apply_clearing_map(system, params, p) - p)[system.banks]
+            assert solution.residual == gap.max(initial=0.0)
+        assert max(rounds) > 1
+
 
 class TestPicardOracle:
     def test_fixed_point_at_full_payment(self, sys_a):
@@ -225,6 +427,38 @@ class TestPicardOracle:
         system = cn.build_system(np.zeros((2, 2)), [2.0, 1.0])
         oracle = cn.picard_clearing_oracle(system, cn.ClearingParams(r=0.5))
         np.testing.assert_array_equal(oracle[system.banks], [0.0])
+
+    @pytest.mark.parametrize("s", [0.1, 0.01, 1e-3, 1e-4])
+    def test_ring_paying_nothing_ends_in_bounded_steps(self, s, monkeypatch):
+        # each bank is paid only the other's payment, a share 1 / (1 + s) of
+        # it, and holds nothing else: p = 0 is exact, and the iterates fall
+        # by 1 + s a step. A relative step test alone waits for them to
+        # underflow; the iterates fall from l, so one within eps l of zero is
+        # within eps l of the fixed point
+        system = cn.build_system([[0, 1, s], [1, 0, s], [0, 0, 0]], [0.0, 0.0, 1.0])
+        params = cn.ClearingParams(r=1.0)
+        steps = []
+        real = clearnet.clearing.apply_clearing_map
+        monkeypatch.setattr(clearnet.clearing, "apply_clearing_map",
+                            lambda *args: steps.append(1) or real(*args))
+        oracle = cn.picard_clearing_oracle(system, params)
+        assert len(steps) <= math.ceil(math.log(1 / EPS) / math.log1p(s)) + 2
+        solution = cn.fictitious_default_sequence(system, params)
+        l = system.total_liabilities
+        assert np.abs(oracle - solution.payments)[system.banks].max() <= 1e-8 * max(1.0, l.max())
+
+    def test_stops_no_earlier_on_payments_that_are_not_zero(self, ensemble):
+        # the relative step test alone, as the loop's only exit
+        for i in range(0, 80, 8):
+            system = partial_default_variant(ensemble[i], seed=i)
+            params = cn.ClearingParams(r=0.1 + 0.8 * ((i * 0.37) % 1.0))
+            p = system.total_liabilities
+            while True:
+                f = cn.apply_clearing_map(system, params, p)
+                if np.all(np.abs(f - p)[system.banks] <= 1e-12 * np.abs(f[system.banks])):
+                    break
+                p = f
+            assert cn.picard_clearing_oracle(system, params).tobytes() == f.tobytes()
 
     def test_iteration_cap_raises(self, sys_a, monkeypatch):
         monkeypatch.setattr(clearnet.clearing, "ORACLE_MAX_ITER", 1)

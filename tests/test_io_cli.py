@@ -71,6 +71,17 @@ class TestDocuments:
         text = '{"liabilities": [[0, 2, 8], [3, 0, 7], [0, 0, 0]], "pre_shock_assets": [8, 9, 1]}'
         assert parse_document(text) == bare
 
+    def test_hash_agrees_with_equality(self, sys_a):
+        # a zero of either sign compares equal, so it must hash alike
+        doc = SystemDocument.from_system(sys_a)
+        L = sys_a.liabilities
+        signed = SystemDocument(liabilities=np.where(L == 0, -0.0, L), pre_shock_assets=(8.0, 9.0, 1.0))
+        assert np.signbit(signed.liabilities).any()
+        renamed = dataclasses.replace(doc, names=("A", "B", "SINK"))
+        assert doc == signed != renamed
+        assert hash(doc) == hash(signed)
+        assert len({doc, signed, renamed}) == 2
+
     def test_missing_assets_field(self):
         with pytest.raises(cn.ValidationError, match="pre_shock_assets required"):
             parse_document('{"liabilities": [[0]]}')

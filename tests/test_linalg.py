@@ -27,6 +27,7 @@ from clearnet._linalg import (
     as_csr,
     column_weights,
     solve_attenuated,
+    solve_rows,
 )
 from conftest import exact_frozen_payments, fraction_solve
 
@@ -566,31 +567,30 @@ class TestColumnSums:
                 tracemalloc.stop()
             assert peak < 8 * system.claims.nnz
 
-        # a partial-default clear: each block solve allocates less than one
-        # copy of its own block's stored entries
-        blocks = []   # (peak of one block solve, bytes of the block's C.data)
+        # a partial-default clear: each round's solve on its rows R of C
+        # allocates less than one copy of R's stored entries
+        rounds = []   # (peak of one solve, bytes of R.data)
 
-        def measured(A, *args, **kwargs):
+        def measured(R, *args):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            x = solve_attenuated(A, *args, **kwargs)
-            blocks.append((tracemalloc.get_traced_memory()[1] - base, A.data.nbytes))
-            return x
+            solve_rows(R, *args)
+            rounds.append((tracemalloc.get_traced_memory()[1] - base, R.data.nbytes))
 
-        monkeypatch.setattr(clearnet.clearing, "solve_attenuated", measured)
+        monkeypatch.setattr(clearnet.clearing, "solve_rows", measured)
         a = system.external_assets.copy()
         a[:n // 2] = 0.0   # half the banks lose every asset
         shocked = system.with_external_assets(a)
         clear = lambda: cn.fictitious_default_sequence(shocked, cn.ClearingParams(r=0.9))
         clear()
-        blocks.clear()
+        rounds.clear()
         tracemalloc.start()
         try:
             clear()
         finally:
             tracemalloc.stop()
-        assert len(blocks) > 1
-        for peak, size in blocks:
+        assert len(rounds) > 1
+        for peak, size in rounds:
             assert 0 < size < system.claims.data.nbytes   # a strict part of C
             assert peak < size
 
@@ -703,8 +703,11 @@ def test_import_loads_no_dense_linear_algebra():
 
 
 def test_sweep_path_loads_no_sparse_linear_algebra():
-    # the full-default clear and its Katz vector sweep; scipy.sparse.linalg
-    # would add its own import time to every command
+    # the full-default clear and its Katz vector sweep, a clear of several
+    # partial-default rounds at r = 0.9, and one whose first round leaves
+    # only three banks in default, where the flop rule counts the block's
+    # entries and not its rows'; scipy.sparse.linalg would add its own import
+    # time to every command, and scipy.linalg about 7 MB of memory
     script = (
         "import sys\n"
         "import clearnet as cn\n"
@@ -713,13 +716,23 @@ def test_sweep_path_loads_no_sparse_linear_algebra():
         "cn.fictitious_default_sequence(cn.shocked_system(system, scenario),\n"
         "                               cn.ClearingParams(r=0.8))\n"
         "cn.generalized_katz(system.claims, 0.8, cn.beta_vector(system, 0.8, 0.5))\n"
+        "a = system.external_assets.copy()\n"
+        "a[:150] = 0.0\n"
+        "partial = cn.fictitious_default_sequence(system.with_external_assets(a),\n"
+        "                                         cn.ClearingParams(r=0.9))\n"
+        "print(partial.iterations > 1, partial.defaults.count < system.node_count)\n"
+        "a = system.external_assets.copy()\n"
+        "a[:3] = 0.0\n"
+        "small = cn.fictitious_default_sequence(system.with_external_assets(a),\n"
+        "                                       cn.ClearingParams(r=0.5))\n"
+        "print(small.default_history[0].count == 4)\n"
         "print('scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    assert out == ["False", "False"]
+    assert out == ["True", "True", "True", "False", "False"]
 
 
 class TestAsCsr:

@@ -318,6 +318,16 @@ class TestDefaultIndicator:
         flags = cn.default_indicator(boundary, boundary.total_liabilities).flags
         assert not flags[0]
 
+    def test_hash_agrees_with_equality(self, sys_a):
+        # equal flags hash alike whatever their dtype, so a set keeps one
+        under_l = cn.default_indicator(sys_a, sys_a.total_liabilities)
+        same = cn.DefaultIndicator(flags=np.array([0, 0, 1]))
+        other = cn.fundamental_defaults(sys_a.with_external_assets([3.5, 4.0, 1.0]))
+        assert under_l == same != other
+        assert hash(under_l) == hash(same)
+        assert {under_l, same, other} == {under_l, other}
+        assert len({under_l, same, other}) == 2
+
     def test_monotone_in_payments(self, ensemble):
         rng = np.random.default_rng(4)
         for system in ensemble[:10]:
