@@ -536,110 +536,70 @@ def _spectral_sections(args, system: FinancialSystem) -> dict:
 
 
 # --------------------------------------------------------------------------
-# pretty views: each a function of the report dict alone, so the same
+# the --pretty view: a function of the report dict alone, so the same
 # rendering follows from the JSON a command prints
 # --------------------------------------------------------------------------
 
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    def render(cells):
-        return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
-    lines = [render(headers), render(["-" * w for w in widths])]
-    lines.extend(render(r) for r in rows)
-    return "\n".join(lines)
-
-
-def _num(x) -> str:
-    return f"{float(x):.6g}"
-
-
-def _pretty_kv(pairs: list[tuple[str, str]]) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs)
-
-
-def _pretty_clearing(report: dict, assets) -> str:
-    clearing = report["clearing"]
-    rows = [
-        [name, _num(owes), _num(a), _num(pays), "yes" if default else "no", _num(loss)]
-        for name, owes, a, pays, default, loss in zip(
-            report["input"]["names"],
-            report["total_liabilities"],
-            assets,
-            clearing["payments"],
-            clearing["defaults"],
-            report["systemic_loss"],
-        )
-    ]
-    head = _table(["node", "owes", "assets", "pays", "default", "loss"], rows)
-    tail = (
-        f"iterations={clearing['iterations']}  residual={clearing['residual']:.3e}  "
-        f"oracle_gap={clearing['oracle_gap']:.3e}"
-    )
-    return head + "\n" + tail
-
-
-def _pretty_katz(report: dict) -> str:
-    rows = [
-        [name, _num(b), _num(s)]
-        for name, b, s in zip(report["input"]["names"], report["beta"], report["sigma"])
-    ]
-    return _table(["node", "beta", "sigma"], rows)
-
-
-def _pretty_verify(report: dict) -> str:
-    full, relaxed = report["full_shock"], report["relaxed"]
-    pairs = [
-        ("full-shock max gap", _num(full["max_abs_gap"])),
-        ("one-step convergence", str(full["one_step"])),
-        ("all nodes defaulted", str(full["all_defaulted"])),
-        ("tolerance", _num(report["parameters"]["tol"])),
-        ("passed", str(full["passed"])),
-    ]
-    if "error" in relaxed:
-        pairs.append(("relaxed", relaxed["error"]))
+def _leaves(value, key: str = ""):
+    """The ``(dotted.key, value)`` pairs of a report's non-dict values, in
+    report order."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, f"{key}.{k}" if key else k)
     else:
-        pairs.append(("relaxed candidate gap", _num(relaxed["max_abs_gap"])))
-        pairs.append(("relaxed printed-form gap", _num(relaxed["printed_form_gap"])))
-    return _pretty_kv(pairs)
+        yield key, value
 
 
-def _pretty_spectral(report: dict) -> str:
-    section = report["spectral"]
-    pairs = [
-        ("radius estimate", _num(section["radius_estimate"])),
-        ("certified lower bound", _num(section["collatz_wielandt_lower"])),
-        ("invertible for r in", section["invertible_for_r"]),
+def _cell(x) -> str:
+    """A number to 6 significant digits (a zero of either sign as ``0``, as
+    the JSON reads back); any other scalar as the JSON writes it."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.number)):
+        return dumps_canonical(x)
+    return "%.6g" % (x + 0.0)
+
+
+def _pretty(report: dict) -> str:
+    """Every per-node list of the report as a column of one node table,
+    then every other value as a ``dotted.key  value`` line: a scalar as
+    itself and an array as its shape. A list is per node when it has N
+    entries, N the longest list, or N - 1 (the banks alone, their rows
+    first). Rows are labelled by ``input.names``, or by node index."""
+    leaves = list(_leaves(report))
+    lists = {k: v for k, v in leaves if np.ndim(v) == 1}
+    n = max(map(len, lists.values()), default=0)
+    columns = {k: v for k, v in lists.items() if len(v) >= n - 1}
+    labels = columns.pop("input.names", range(n))
+    rows = [
+        [str(label), *(_cell(c[i]) if i < len(c) else "" for c in columns.values())]
+        for i, label in enumerate(labels)
     ]
-    if section["checked_r"] is not None:
-        # float(): JSON prints 1.0 as 1, and the label shows the rate as parsed
-        pairs.append(
-            (f"invertible at r={float(section['checked_r'])}",
-             str(section["invertible_at_checked_r"]))
-        )
-    return _pretty_kv(pairs)
+    headers = ["node", *columns]
+    widths = [max([len(h), *(len(row[j]) for row in rows)]) for j, h in enumerate(headers)]
+    lines = [
+        "  ".join(cell.rjust(w) for cell, w in zip(cells, widths))
+        for cells in [headers, ["-" * w for w in widths], *rows]
+    ]
+    pairs = [
+        (k, _cell(v) if np.ndim(v) == 0 else str(np.shape(v)))
+        for k, v in leaves
+        if k not in columns and k != "input.names"
+    ]
+    width = max(len(k) for k, _ in pairs)
+    lines.extend(f"{k.ljust(width)}  {v}" for k, v in pairs)
+    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------
 # CLI commands
 # --------------------------------------------------------------------------
 
-# the section builder and the --pretty view of each report command
+# the section builder of each report command
 _REPORTS = {
-    "clear": (
-        _clear_sections,
-        lambda report: _pretty_clearing(report, report["input"]["external_assets"]),
-    ),
-    "shock": (
-        _shock_sections,
-        lambda report: _pretty_clearing(report, report["scenario"]["post_shock_assets"]),
-    ),
-    "katz": (_katz_sections, _pretty_katz),
-    "verify": (_verify_sections, _pretty_verify),
-    "spectral": (_spectral_sections, _pretty_spectral),
+    "clear": _clear_sections,
+    "shock": _shock_sections,
+    "katz": _katz_sections,
+    "verify": _verify_sections,
+    "spectral": _spectral_sections,
 }
 
 
@@ -649,11 +609,10 @@ def _cmd_report(args) -> int:
     command's sections and print the report as canonical JSON or its
     --pretty view. A report that carries ``passed`` exits 2 when it is
     false."""
-    build, pretty = _REPORTS[args.command]
     doc = load_document(args.input, args.format, args.assets)
     report = {"command": args.command, "input": {"path": str(args.input), **doc.to_dict()}}
-    report.update(build(args, doc.to_system()))
-    print(pretty(report) if args.pretty else dumps_canonical(report))
+    report.update(_REPORTS[args.command](args, doc.to_system()))
+    print(_pretty(report) if args.pretty else dumps_canonical(report))
     return 0 if report.get("passed", True) else 2
 
 

@@ -33,8 +33,10 @@ from .errors import (
 )
 
 # Relative half-width of the solvency boundary band: a bank whose equity is
-# within -DEFAULT_BAND * max(1, l_i) of zero still counts as solvent, so
-# floating-point noise cannot flip the default flag at the boundary.
+# within -DEFAULT_BAND * l_i of zero still counts as solvent, so
+# floating-point noise cannot flip the default flag at the boundary. The
+# band scales with l alone, so scaling a network by a power of two changes
+# no flag.
 DEFAULT_BAND = 1e-12
 # Rows densified at a time where a row sum must equal numpy's dense one.
 ROW_BLOCK = 64
@@ -369,10 +371,10 @@ def equity(system: FinancialSystem, payments: NDArray) -> NDArray:
 
 def _defaults_from_claims(system: FinancialSystem, cp: NDArray) -> DefaultIndicator:
     """Default flags when the nodes collect ``cp = C p``: a bank defaults when
-    its equity ``a + cp - l`` is below the (tiny) tolerance band around
-    zero, so exact boundary solvency counts as solvent; the sink is flagged."""
+    its equity ``a + cp - l`` is below ``-DEFAULT_BAND * l``, so exact
+    boundary solvency counts as solvent; the sink is flagged."""
     eq = system.external_assets + cp - system.total_liabilities
-    flags = eq < -DEFAULT_BAND * np.maximum(1.0, system.total_liabilities)
+    flags = eq < -DEFAULT_BAND * system.total_liabilities
     flags[system.sink] = True
     flags.setflags(write=False)
     return DefaultIndicator(flags=flags)

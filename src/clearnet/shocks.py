@@ -26,7 +26,9 @@ from .errors import (
     SelfConsistencyFailed,
     ValidationError,
 )
-from .net_model import ClearingParams, FinancialSystem, validate_interpolation
+from .net_model import (
+    ClearingParams, FinancialSystem, fundamental_defaults, validate_interpolation,
+)
 
 # Largest gap on banks between the relaxed-shock candidate and the clearing
 # vector that certifies it.
@@ -100,6 +102,15 @@ def full_default_shock(system: FinancialSystem, m) -> ShockScenario:
     per bank (the sink is untouched), so post-shock assets land at
     ``a_i = m (l_i - (C l)_i)``: positive, but too small to stay solvent
     even when every counterparty pays in full.
+
+    Raises
+    ------
+    PreconditionViolated
+        If some bank's claims cover its liabilities (``(C l)_i >= l_i``), or
+        if the shocked system leaves some bank unflagged by
+        :func:`fundamental_defaults`: its equity ``-(1 - m)(l_i - (C l)_i)``
+        lies within the solvency band ``-DEFAULT_BAND * l_i``, so the clear
+        could not see the default.
     """
     n = system.node_count
     m_vec = validate_interpolation(m, n)
@@ -118,16 +129,23 @@ def full_default_shock(system: FinancialSystem, m) -> ShockScenario:
     a[b] = m_vec[b] * (l[b] - cl[b])
     shock = a - system.pre_shock_assets
 
-    # both hold by construction; a violation means corrupted inputs
-    if np.any(a[b] <= 0) or np.any(a[b] + cl[b] >= l[b]):
+    if np.any(a[b] <= 0):   # holds by construction; a violation means corrupted inputs
         raise PreconditionViolated("shock left some bank outside the default interval")
 
-    return ShockScenario(
+    scenario = ShockScenario(
         shock=shock,
         interpolation=m if np.isscalar(m) else m_vec,
         kind=ShockKind.FULL_DEFAULT,
         post_shock_assets=a,
     )
+    solvent = np.flatnonzero(~fundamental_defaults(shocked_system(system, scenario)).flags)
+    if solvent.size:
+        raise PreconditionViolated(
+            "bank(s) %s stay within the solvency band after the shock; their "
+            "headroom l_i - (C l)_i is too small next to l_i for a fundamental "
+            "default" % solvent.tolist()
+        )
+    return scenario
 
 
 def shocked_system(system: FinancialSystem, scenario: ShockScenario) -> FinancialSystem:

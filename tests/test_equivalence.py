@@ -1,9 +1,27 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import clearnet as cn
+from conftest import partial_default_variant
 from test_centrality import single_creditor_chain
+
+
+def scaled(system: cn.FinancialSystem, e: int) -> cn.FinancialSystem:
+    """``system`` with its liabilities and both asset vectors times ``2**e``,
+    which every float operation of the model carries exactly."""
+    f = 2.0**e
+    return cn.build_system(
+        system.sparse_liabilities * f, system.pre_shock_assets * f, system.external_assets * f
+    )
+
+
+def ring(s: float) -> cn.FinancialSystem:
+    """Two banks owing each other ``s`` and the sink 1 each: every bank's
+    headroom ``l - C l`` is 1, against liabilities of ``s + 1``."""
+    return cn.build_system([[0, s, 1], [s, 0, 1], [0, 0, 0]], [1.0, 1.0, 1.0])
 
 
 class TestFullShockEquivalence:
@@ -78,11 +96,69 @@ class TestFullShockEquivalence:
                 np.argsort(-sigma_katz, kind="stable"),
             )
 
+    @pytest.mark.parametrize("e", [-50, -40, -30, 0, 30])
+    def test_scaled_network_passes(self, e):
+        # a band with an absolute floor flagged no bank at 2**-50 and left
+        # the clear two rounds at 2**-40
+        system = scaled(cn.generate_random_system(1, 50, 0.1), e)
+        report = cn.verify_full_shock_equivalence(system, cn.ClearingParams(r=0.9), 0.5)
+        assert report.passed
+        assert report.one_step
+        assert report.all_defaulted
+
+    def test_ring_outside_the_band_passes(self):
+        report = cn.verify_full_shock_equivalence(ring(1e11), cn.ClearingParams(r=0.7), 0.5)
+        assert report.passed
+
+    @pytest.mark.parametrize("s", [1e12, 1e14])
+    def test_ring_inside_the_band_raises(self, s):
+        # its equity of -0.5 is within the band of about -s * 1e-12, so the
+        # clear sees no default; the shock is refused rather than fail
+        with pytest.raises(cn.PreconditionViolated, match="solvency band"):
+            cn.verify_full_shock_equivalence(ring(s), cn.ClearingParams(r=0.7), 0.5)
+
     def test_vector_rates_equivalence(self, sys_a):
         r = np.array([0.8, 0.6, 0.7])
         m = np.array([0.5, 0.3, 0.5])
         report = cn.verify_full_shock_equivalence(sys_a, cn.ClearingParams(r=r), m)
         assert report.passed
+
+
+def assert_scaled(got, want, f):
+    assert got.tobytes() == (want * f).tobytes()
+
+
+class TestScaleEquivariance:
+    """Scaling ``L`` and the assets by ``2**e`` scales every payment, loss
+    and shock by ``2**e`` exactly and changes no flag, round or verdict."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 199),
+        e=st.integers(-60, 60),
+        r=st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+        m=st.sampled_from([0.1, 0.5, 0.9]),
+    )
+    @example(seed=1, e=-50, r=0.9, m=0.5)
+    @example(seed=1, e=-40, r=0.9, m=0.5)
+    def test_clear_and_shock_are_equivariant(self, ensemble, seed, e, r, m):
+        base = ensemble[seed]
+        f = 2.0**e
+        params = cn.ClearingParams(r=r)
+        for system in (base, partial_default_variant(base, seed)):
+            want = cn.fictitious_default_sequence(system, params)
+            got = cn.fictitious_default_sequence(scaled(system, e), params)
+            assert_scaled(got.payments, want.payments, f)
+            assert got.iterations == want.iterations
+            assert got.default_history == want.default_history
+            l = system.total_liabilities
+            assert_scaled(cn.systemic_loss(got, l * f), cn.systemic_loss(want, l), f)
+        want = cn.full_default_shock(base, m)
+        got = cn.full_default_shock(scaled(base, e), m)
+        assert_scaled(got.shock, want.shock, f)
+        assert_scaled(got.post_shock_assets, want.post_shock_assets, f)
+        verdict = cn.verify_full_shock_equivalence(scaled(base, e), params, m)
+        assert verdict.passed
 
 
 def _relaxed_bank_gap(system, params, m):

@@ -30,6 +30,38 @@ REPORT_COMMANDS = [
 ]
 
 
+def report_leaves(value, key=""):
+    """The (dotted.key, value) pairs of a JSON report's non-object values."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from report_leaves(v, f"{key}.{k}" if key else k)
+    else:
+        yield key, value
+
+
+def pretty_value(x) -> str:
+    """A JSON scalar as --pretty prints it: a number to 6 significant
+    digits, anything else as JSON."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return "%.6g" % x
+    return json.dumps(x)
+
+
+def parse_pretty(out: str, n: int):
+    """The node table of an ``n``-node --pretty report, one dict per row
+    keyed by its header, and its ``key  value`` lines as a dict."""
+    lines = out.splitlines()
+    header, rule, rows, pairs = lines[0], lines[1], lines[2:2 + n], lines[2 + n:]
+    # the rule line's dashes mark each column's extent
+    spans, start = [], 0
+    for dashes in rule.split("  "):
+        spans.append(slice(start, start + len(dashes)))
+        start += len(dashes) + 2
+    keys = [header[span].strip() for span in spans]
+    table = [{k: row[span].strip() for k, span in zip(keys, spans)} for row in rows]
+    return table, dict(line.split(None, 1) for line in pairs)
+
+
 @pytest.fixture
 def sys_a_path(tmp_path, sys_a):
     path = tmp_path / "sys_a.json"
@@ -342,6 +374,24 @@ class TestCli:
         code = cli_main(["verify", "--input", str(path), "--r", "0.5", "--m", "0.5"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "command", [["shock", "--kind", "full"], ["verify", "--r", "0.7"]], ids=" ".join
+    )
+    def test_shock_inside_the_band_exits_3(self, command, tmp_path, capsys):
+        # each bank's equity of -0.5 after the shock is within the band
+        # around zero at liabilities of 1e12 + 1, so the clear would see no
+        # default
+        doc = SystemDocument(
+            liabilities=((0.0, 1e12, 1.0), (1e12, 0.0, 1.0), (0.0, 0.0, 0.0)),
+            pre_shock_assets=(1.0, 1.0, 1.0),
+        )
+        path = tmp_path / "ring.json"
+        cn.save_document(doc, path)
+        assert cli_main(command + ["--m", "0.5", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "solvency band" in captured.err
+
     def test_gen_then_verify_pipeline(self, tmp_path, capsys):
         out = tmp_path / "gen.json"
         code = cli_main(
@@ -579,8 +629,45 @@ class TestReportPipeline:
         report = json.loads(capsys.readouterr().out)
         assert cli_main(argv + ["--pretty"]) == 0
         pretty = capsys.readouterr().out
-        render = clearnet.io_cli._REPORTS[argv[0]][1]
-        assert render(report) + "\n" == pretty
+        assert clearnet.io_cli._pretty(report) + "\n" == pretty
+
+    @pytest.mark.parametrize("document", ["sys_a", "named", "gen"])
+    @pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=" ".join)
+    def test_pretty_shows_every_field_of_the_report(
+        self, argv, document, tmp_path, sys_a, capsys
+    ):
+        path = tmp_path / "net.json"
+        if document == "gen":
+            assert cli_main(["gen", "--seed", "5", "--n", "30", "--density", "0.2",
+                             "--out", str(path)]) == 0
+        else:
+            names = ["Alpha", "Beta", "SINK"] if document == "named" else None
+            cn.save_document(
+                SystemDocument(sys_a.liabilities, sys_a.pre_shock_assets, names=names), path
+            )
+        argv = argv + ["--input", str(path)]
+        capsys.readouterr()
+        assert cli_main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert cli_main(argv + ["--pretty"]) == 0
+        names = report["input"]["names"]
+        n = len(names)
+        table, lines = parse_pretty(capsys.readouterr().out, n)
+        assert [row["node"] for row in table] == names
+        for key, value in report_leaves(report):
+            if key == "input.names":
+                continue
+            if isinstance(value, list) and isinstance(value[0], list):
+                assert lines.pop(key) == str(np.shape(value)), key
+            elif isinstance(value, list):
+                # a per-node list: N entries, or N - 1 for the banks alone
+                assert len(value) in (n, n - 1), key
+                assert [row[key] for row in table] == (
+                    [pretty_value(x) for x in value] + [""] * (n - len(value))
+                ), key
+            else:
+                assert lines.pop(key) == pretty_value(value), key
+        assert lines == {}
 
     @pytest.mark.parametrize(
         "argv, code",
