@@ -4,6 +4,12 @@ the dense LU it falls back on, which keeps an explicit pivot check.
 ``scipy.linalg`` is imported by that fallback only, so a run that never
 takes it never loads it.
 
+Every product of the clear and of the power iteration goes through the
+seam :func:`matvec` and :func:`rmatvec`, the one import site of scipy's
+private ``csr_matvec`` and ``csc_matvec``: called as ``A @ x`` calls them
+(``_compressed._matmul_vector``), they give the same product bit for bit,
+without a sparse object or the operator's dispatch per product.
+
 The solver's Neumann sweep takes one Aitken step along the dominant mode
 whenever the ratio of successive sweep steps has settled: on claims
 matrices the Perron root stands well clear of the rest of the spectrum, so
@@ -14,10 +20,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import scipy.sparse
 from numpy.typing import NDArray
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .errors import SingularSystem
 
@@ -52,6 +60,37 @@ def as_csr(C) -> scipy.sparse.csr_array:
     return scipy.sparse.csr_array((C.ravel()[flat], flat % n_cols, starts), shape=C.shape)
 
 
+Rows = namedtuple("Rows", "indptr indices data shape")
+
+
+def gather_rows(C: scipy.sparse.csr_array, idx: NDArray) -> Rows:
+    """The rows ``idx`` of ``C`` as :class:`Rows`, ``C[idx]`` entry for entry."""
+    starts, counts = C.indptr[idx], np.diff(C.indptr)[idx]
+    indptr = np.cumsum(np.append(0, counts), dtype=C.indptr.dtype)
+    at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+    return Rows(indptr, C.indices[at], C.data[at], (len(idx), C.shape[1]))
+
+
+def matvec(A, x: NDArray) -> NDArray:
+    """``A @ x`` for a float ``csr_array`` or :class:`Rows` ``A``; the shape
+    of ``x`` is checked here, since the kernel reads ``x`` unchecked."""
+    if x.shape != A.shape[1:]:
+        raise ValueError(f"dimension mismatch: {A.shape} matrix and {x.shape} vector")
+    y = np.zeros(A.shape[0])
+    csr_matvec(*A.shape, A.indptr, A.indices, A.data, x, y)
+    return y
+
+
+def rmatvec(A, x: NDArray) -> NDArray:
+    """``A.T @ x`` as :func:`matvec` forms ``A @ x``, the CSR arrays of ``A``
+    read in place as the compressed columns of ``A.T``."""
+    if x.shape != A.shape[:1]:
+        raise ValueError(f"dimension mismatch: {A.shape} matrix and {x.shape} vector")
+    y = np.zeros(A.shape[1])
+    csc_matvec(*A.shape[::-1], A.indptr, A.indices, A.data, x, y)
+    return y
+
+
 def lu_factor_checked(A: NDArray, context: str):
     """LU factorization with partial pivoting; raises ``SingularSystem``
     when a pivot falls below ``1e-14`` (scipy's own warning is silenced
@@ -66,18 +105,12 @@ def lu_factor_checked(A: NDArray, context: str):
     return lu, piv
 
 
-def column_weights(C: scipy.sparse.csr_array, r: NDArray) -> NDArray:
-    """``|r|^T C``, the column sums of ``|r_i| C_ij``, for a length-n ``r``
-    and a ``C >= 0``: :func:`clearnet.net_model.build_system` makes every
-    claims matrix so, and each public entry checks a matrix it is given.
-
-    The stored entries of ``C`` are read in place as the compressed columns
-    of ``C^T``, sharing the index arrays: the product is the one
-    ``C.T @ abs(r)`` computes, term for term, and nothing of the size of
-    ``C`` is allocated.
-    """
-    c_t = scipy.sparse.csc_array((C.data, C.indices, C.indptr), shape=C.shape[::-1])
-    return c_t @ np.abs(r)
+def column_weights(C, r: NDArray) -> NDArray:
+    """``|r|^T C``, the column sums of ``|r_i| C_ij``, by one :func:`rmatvec`
+    that allocates nothing of the size of ``C``, for an ``r`` with one entry
+    per row and a ``C >= 0``: :func:`clearnet.net_model.build_system` makes
+    every claims matrix so, and each public entry checks a matrix it is given."""
+    return rmatvec(C, np.abs(r))
 
 
 def solve_attenuated(
@@ -135,17 +168,15 @@ def solve_attenuated(
     return _sweep_or_lu(C, r, b, b.copy(), None, c, 0.0, C.nnz, context)
 
 
-def solve_rows(
-    R: scipy.sparse.csr_array, free: NDArray, r: NDArray, b: NDArray, p: NDArray, context: str
-) -> None:
+def solve_rows(R: Rows, free: NDArray, r: NDArray, b: NDArray, p: NDArray, context: str):
     """Solve ``x = b + r * (R p)`` for the entries ``x = p[free]`` of ``p``,
     in place, with the other entries of ``p`` held: ``R`` is the rows
-    ``free`` of an n x n ``C >= 0``, so this is
+    ``free`` of an n x n ``C >= 0`` (:func:`gather_rows`), so this is
     ``(I - diag(r) C_FF) x = b + r * (C_FH p_H)``, ``H`` the held entries.
 
     The sweep is :func:`solve_attenuated`'s, on the rows: each sweep is the
-    one product ``R @ p``, which forms the held entries' term with the rest,
-    and writes its output into ``p[free]``; it starts from ``p[free]`` as
+    one :func:`matvec` ``R p``, which forms the held entries' term with the
+    rest, and writes its output into ``p[free]``; it starts from ``p[free]`` as
     given, with one sweep more than the cap from ``b``, since ``b`` is itself
     one sweep from zero. Its certificate is restated for the rows. ``q`` is
     the largest :func:`column_weights` of ``diag(r) R`` over the free
@@ -156,7 +187,7 @@ def solve_rows(
     of the solution in the 1-norm. The flop rule counts the stored entries
     of the square block ``C_FF``, as for a square solve: the held term adds
     the same work to every sweep, but on the small blocks where that would
-    tip the rule, scipy's fixed cost per product and per call outweighs it,
+    tip the rule, the fixed cost per product and per call outweighs it,
     and the dense LU would load ``scipy.linalg`` for nothing. The dense
     fallback builds ``I - diag(r) C_FF`` from ``R``'s free columns, the one
     gather of columns, and its right-hand side from one product with the
@@ -205,7 +236,7 @@ def _sweep_or_lu(A, r, b, p, free, c, held, block_nnz, context) -> NDArray:
                         p = x
                     else:
                         p[free] = x
-                    y = A @ p
+                    y = matvec(A, p)
                     y *= r
                     y += b
                     d = y - x
@@ -223,15 +254,15 @@ def _sweep_or_lu(A, r, b, p, free, c, held, block_nnz, context) -> NDArray:
                             prev = lam = None
                             continue
                     prev, prev_sq = d, d_sq
-    if free is None:
-        M = A.toarray()
-    else:
-        M = A[:, free].toarray()
+    M = scipy.sparse.csr_array((A.data, A.indices, A.indptr), shape=A.shape)
+    if free is not None:
+        M = M[:, free]
         p = p.copy()
         p[free] = 0.0
-        b = A @ p * r + b
+        b = matvec(A, p) * r + b
+    M = M.toarray()
     M *= -r[:, None]
     M[np.diag_indices(m)] += 1.0
-    import scipy.linalg
+    from scipy.linalg import lu_solve
 
-    return scipy.linalg.lu_solve(lu_factor_checked(M, context), b, check_finite=False)
+    return lu_solve(lu_factor_checked(M, context), b, check_finite=False)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import column_weights, solve_attenuated
+from ._linalg import column_weights, matvec, solve_attenuated
 from .errors import SingularSystem
 from .net_model import (
     ClearingParams,
@@ -93,7 +93,7 @@ def generalized_katz(C, r, beta: NDArray, m=None) -> CentralityResult:
         )
     sigma = solve_attenuated(C, r_vec, beta, "centrality solve", sums=sums)
     sigma[-1:] = 0.0   # the sink, if any: an empty C has none
-    defect = np.abs(sigma - r_vec * (C @ sigma) - beta)[:-1]
+    defect = np.abs(sigma - r_vec * matvec(C, sigma) - beta)[:-1]
     return CentralityResult(
         sigma=sigma,
         beta=beta,

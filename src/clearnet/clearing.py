@@ -23,7 +23,7 @@ from .errors import (
     NoConvergence,
     OracleNoConvergence,
 )
-from ._linalg import EPS, solve_attenuated, solve_rows
+from ._linalg import EPS, gather_rows, matvec, solve_attenuated, solve_rows
 from .net_model import (
     ClearingParams,
     DefaultIndicator,
@@ -76,7 +76,7 @@ def apply_clearing_map(
     and at ``l`` for solvent ones -- plus recovered external assets.
     """
     p = np.asarray(p, dtype=float)
-    return _clearing_map(system, params, p, system.claims @ p)
+    return _clearing_map(system, params, p, matvec(system.claims, p))
 
 
 def _clearing_map(
@@ -96,7 +96,7 @@ def _clearing_map(
     if flags is None:
         flags = _defaults_from_claims(system, cp).flags
     mixed = np.where(flags, p, l)
-    c_mixed = cp if np.array_equal(mixed, p) else system.claims @ mixed
+    c_mixed = cp if np.array_equal(mixed, p) else matvec(system.claims, mixed)
     paid = r * c_mixed + params.r_a * system.external_assets
     return np.where(flags, paid, l)
 
@@ -150,7 +150,7 @@ def solve_given_defaults(
     l = system.total_liabilities
     p = l.copy() if start is None else np.where(flags, start, l)
     idx = np.flatnonzero(flags[system.banks])
-    solve_rows(C[idx], idx, r[idx], b[idx], p, context)
+    solve_rows(gather_rows(C, idx), idx, r[idx], b[idx], p, context)
     if flags[system.sink]:   # its column of C is empty, so no other payment reads it
         row = slice(C.indptr[system.sink], C.indptr[system.sink + 1])
         p[system.sink] = r[system.sink] * C.data[row].dot(p[C.indices[row]]) + b[system.sink]
@@ -180,7 +180,7 @@ def fictitious_default_sequence(
     p = None   # round 1 starts from l
     for iteration in range(1, N + 2):
         p = solve_given_defaults(system, params, current, start=p)
-        cp = system.claims @ p
+        cp = matvec(system.claims, p)
         nxt = _defaults_from_claims(system, cp)
         history.append(nxt)
         if nxt == current:
@@ -192,7 +192,7 @@ def fictitious_default_sequence(
             p.setflags(write=False)
             flags = nxt.flags
             if moved:   # a zero's sign alone leaves C p as it is
-                cp = system.claims @ p
+                cp = matvec(system.claims, p)
                 flags = None
             gap = np.abs(_clearing_map(system, params, p, cp, flags) - p)[system.banks]
             return ClearingSolution(

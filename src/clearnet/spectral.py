@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 from numpy.typing import NDArray
 
-from ._linalg import as_csr, column_weights
+from ._linalg import as_csr, column_weights, rmatvec
 from .errors import ZeroVector
 from .net_model import DefaultIndicator, broadcast_rate
 
@@ -79,23 +79,23 @@ def collatz_wielandt_value(C: NDArray, x: NDArray) -> float:
 def _quotient(C: scipy.sparse.csr_array, x: NDArray) -> float:
     """:func:`collatz_wielandt_value` of a checked ``C`` and ``x``."""
     support = x > 0
-    xC = C.T @ x
+    xC = rmatvec(C, x)
     return float(np.min(xC[support] / x[support]))
 
 
-def _lasting_support(C) -> NDArray:
-    """0/1 indicator of the nodes ``i`` with ``(C^k 1)_i > 0`` for every
-    ``k``, of a nonnegative ``C``: those from which a path of nonzero
-    entries reaches a cycle.
+def _lasting_support(C: scipy.sparse.csr_array) -> NDArray:
+    """0/1 indicator of the nodes ``j`` with ``(1^T C^k)_j > 0`` for every
+    ``k``, of a nonnegative ``C``: those that a path of nonzero entries
+    reaches from a cycle.
 
-    Node ``i`` is in the support of ``C^{k+1} 1`` iff some ``C_ij > 0`` has
-    ``j`` in that of ``C^k 1``; propagating the 0/1 indicator keeps every
+    Node ``j`` is in the support of ``1^T C^{k+1}`` iff some ``C_ij > 0`` has
+    ``i`` in that of ``1^T C^k``; propagating the 0/1 indicator keeps every
     product exact. Starting from full support the sequence only shrinks,
     so within ``n + 1`` steps it repeats, possibly as the empty set.
     """
     support = np.ones(C.shape[0])
     while True:
-        nxt = (C @ support > 0).astype(float)
+        nxt = (rmatvec(C, support) > 0).astype(float)
         if np.array_equal(nxt, support):
             return support
         support = nxt
@@ -120,14 +120,13 @@ def _perron(C: scipy.sparse.csr_array) -> tuple[float, float]:
     the last); the estimate is never below it.
     """
     n = C.shape[0]
-    Ct = C.T   # a CSC view of the CSR arrays, made once: no copy
-    x = _lasting_support(Ct)
+    x = _lasting_support(C)
     if not x.any():   # also the empty matrix
         return 0.0, 0.0
     x /= np.linalg.norm(x)
     lam_prev = np.inf
     for _ in range(min(RADIUS_MAX_ITER, RADIUS_STEPS_PER_NODE * n)):
-        y = Ct @ x + x
+        y = rmatvec(C, x) + x
         lam = float(x @ y)
         scale = max(1.0, lam)
         if (

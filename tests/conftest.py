@@ -1,10 +1,12 @@
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import clearnet as cn
+import clearnet._linalg
 
 # (r, m) grid used by the ensemble checks
 R_VALUES = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -153,3 +155,48 @@ def sys_0() -> cn.FinancialSystem:
 @pytest.fixture(scope="session")
 def ensemble() -> list:
     return [ensemble_system(i) for i in range(ENSEMBLE_SIZE)]
+
+
+class Seam:
+    """Every product through the seam of ``clearnet._linalg``, in call
+    order: ``products`` holds ``(A, x)`` for each ``matvec`` ``A @ x`` and
+    ``column_products`` for each ``rmatvec`` ``A.T @ x``, ``x`` copied.
+    ``jitter``, if set, is called with each ``matvec`` output and the number
+    of products so far, and may change the output in place."""
+
+    def __init__(self) -> None:
+        self.products: list = []
+        self.column_products: list = []
+        self.jitter = None
+
+    def clear(self) -> None:
+        """Forget the products so far, say those of building the system."""
+        self.products.clear()
+        self.column_products.clear()
+
+
+@pytest.fixture
+def seam(monkeypatch) -> Seam:
+    """A :class:`Seam` that records the products of this test, bound in every
+    ``clearnet`` module that imported the seam's functions."""
+    record = Seam()
+    matvec, rmatvec = clearnet._linalg.matvec, clearnet._linalg.rmatvec
+
+    def counted_matvec(A, x):
+        record.products.append((A, np.array(x)))
+        y = matvec(A, x)
+        if record.jitter is not None:
+            record.jitter(y, len(record.products))
+        return y
+
+    def counted_rmatvec(A, x):
+        record.column_products.append((A, np.array(x)))
+        return rmatvec(A, x)
+
+    for name, module in list(sys.modules.items()):
+        if name == "clearnet" or name.startswith("clearnet."):
+            for attr, real, counted in (("matvec", matvec, counted_matvec),
+                                        ("rmatvec", rmatvec, counted_rmatvec)):
+                if getattr(module, attr, None) is real:
+                    monkeypatch.setattr(module, attr, counted)
+    return record

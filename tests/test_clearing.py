@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import unittest.mock
 from fractions import Fraction
@@ -150,27 +149,18 @@ class TestSolveGivenDefaults:
             cn.solve_given_defaults(system, cn.ClearingParams(r=1.0), defaults)
 
 
-class GatheringCsr(scipy.sparse.csr_array):
-    """A CSR array that counts its gathers of rows and of columns and its
-    products, keeping the vector of each product; a gather is one too."""
+@pytest.fixture
+def gathered(monkeypatch) -> list:
+    """The rows each ``gather_rows`` of the clear returns, in call order."""
+    out = []
+    real = clearnet.clearing.gather_rows
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.row_gathers = self.column_gathers = 0
-        self.gathered, self.arguments = [], []
+    def recorded(C, idx):
+        out.append(real(C, idx))
+        return out[-1]
 
-    def __getitem__(self, key):
-        if isinstance(key, tuple):
-            self.column_gathers += 1
-        else:
-            self.row_gathers += 1
-        out = GatheringCsr(super().__getitem__(key))
-        self.gathered.append(out)
-        return out
-
-    def __matmul__(self, other):
-        self.arguments.append(np.array(other))
-        return super().__matmul__(other)
+    monkeypatch.setattr(clearnet.clearing, "gather_rows", recorded)
+    return out
 
 
 class TestDefaultedRows:
@@ -186,27 +176,27 @@ class TestDefaultedRows:
         params = cn.ClearingParams(r=r, r_a=0.7)
         return shocked, params, cn.fundamental_defaults(shocked)
 
-    def test_one_row_gather_and_one_product_per_sweep(self):
+    def test_one_row_gather_and_one_product_per_sweep(self, seam, gathered):
         shocked, params, defaults = self.half_defaulted()
         flags = defaults.flags
         assert 1 < defaults.count < shocked.node_count
-        system = dataclasses.replace(shocked, claims=GatheringCsr(shocked.claims))
-        C = system.claims
-        p = cn.solve_given_defaults(system, params, defaults)
-        assert (C.row_gathers, C.column_gathers, len(C.arguments)) == (1, 0, 0)
-        (R,) = C.gathered
-        assert R.row_gathers == R.column_gathers == 0
-        free = np.flatnonzero(flags[system.banks])
-        assert R.shape == (free.size, system.node_count)
-        # each sweep multiplies a new iterate once, with the solvent entries
+        seam.clear()
+        p = cn.solve_given_defaults(shocked, params, defaults)
+        (R,) = gathered
+        free = np.flatnonzero(flags[shocked.banks])
+        assert R.shape == (free.size, shocked.node_count)
+        # every product is with R: one column pass for the weights, then one
+        # product per sweep, each of a new iterate with the solvent entries
         # at l; the last product gives the output
-        l = system.total_liabilities
-        assert len(R.arguments) > 2
-        for before, after in zip(R.arguments, R.arguments[1:]):
+        assert [A is R for A, _ in seam.column_products + seam.products] == [True] * 20
+        arguments = [x for _, x in seam.products]
+        assert len(arguments) == 19
+        l = shocked.total_liabilities
+        for before, after in zip(arguments, arguments[1:]):
             assert not np.array_equal(before[free], after[free])
             np.testing.assert_array_equal(after[~flags], l[~flags])
-        r = params.recovery_vector(system.node_count)[free]
-        y = r * (shocked.claims[free] @ R.arguments[-1]) + 0.7 * system.external_assets[free]
+        r = params.recovery_vector(shocked.node_count)[free]
+        y = r * (shocked.claims[free] @ arguments[-1]) + 0.7 * shocked.external_assets[free]
         assert y.tobytes() == p[free].tobytes()
 
     def test_matches_the_square_block_solve(self):
@@ -223,17 +213,17 @@ class TestDefaultedRows:
         assert np.abs(got[idx] - want).sum() <= 1e-14 * np.abs(want).sum()
         np.testing.assert_array_equal(got[~flags], l[~flags])
 
-    def test_zero_rate_takes_two_sweeps_and_no_lu(self, monkeypatch):
+    def test_zero_rate_takes_two_sweeps_and_no_lu(self, monkeypatch, seam, gathered):
         # at r = 0 the payments are r_a a_D: the start l is one sweep from
         # them, and the next sweep's step is zero
         shocked, params, defaults = self.half_defaulted(r=0.0)
-        system = dataclasses.replace(shocked, claims=GatheringCsr(shocked.claims))
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _took_lu)
-        p = cn.solve_given_defaults(system, params, defaults)
-        (R,) = system.claims.gathered
-        assert len(R.arguments) == 2
-        free = np.flatnonzero(defaults.flags[system.banks])
-        np.testing.assert_array_equal(p[free], 0.7 * system.external_assets[free])
+        seam.clear()
+        p = cn.solve_given_defaults(shocked, params, defaults)
+        (R,) = gathered
+        assert [A is R for A, _ in seam.products] == [True, True]
+        free = np.flatnonzero(defaults.flags[shocked.banks])
+        np.testing.assert_array_equal(p[free], 0.7 * shocked.external_assets[free])
 
     def test_later_rounds_start_from_the_last_rounds_payments(self, monkeypatch):
         shocked, params, _ = self.half_defaulted()
@@ -251,6 +241,58 @@ class TestDefaultedRows:
         assert calls[0][0] is None   # round 1 starts from l
         for (_, before), (start, _) in zip(calls, calls[1:]):
             assert start is before
+
+
+class TestCascadeOnTheSeam:
+    """A partial-default clear forms every product through the seam of
+    ``clearnet._linalg`` on the arrays of ``C`` and of its gathered rows,
+    and builds no sparse array unless a round takes the dense LU."""
+
+    def test_products_per_pass_of_a_2000_bank_cascade(self, seam):
+        # the 16 partial shocks of the contagion-clear benchmark at seed 1:
+        # 480 sweeps on the defaulted rows plus one default test per round,
+        # the last round's residual reusing its test's product; one column
+        # pass per round
+        derived = int(np.random.SeedSequence([1, 0]).generate_state(1)[0])
+        system = cn.generate_random_system(derived, 2000, 8 / 2000)
+        seam.clear()
+        rounds = 0
+        for i, fraction in enumerate(np.linspace(0.005, 0.30, 16)):
+            rng = np.random.default_rng([1, 1, i])
+            hit = rng.choice(2000, size=max(1, round(float(fraction) * 2000)), replace=False)
+            a = system.external_assets.copy()
+            a[hit] *= rng.uniform(0.0, 0.3, size=hit.size)
+            params = cn.ClearingParams(r=(0.5, 0.9)[i % 2])
+            rounds += cn.fictitious_default_sequence(system.with_external_assets(a),
+                                                     params).iterations
+        on_rows = sum(isinstance(A, clearnet._linalg.Rows) for A, _ in seam.products)
+        assert (rounds, on_rows, len(seam.products)) == (47, 480, 527)
+        assert len(seam.column_products) == rounds
+
+    def test_three_round_clear_builds_no_sparse_array(self, monkeypatch):
+        system = cn.generate_random_system(seed=3, n_banks=300, density=0.03)
+        a = system.external_assets.copy()
+        a[:10] = 0.0
+        shocked = system.with_external_assets(a)
+        built = []
+        # the base every sparse array's constructor runs (its name differs
+        # between scipy versions)
+        base = next(c for c in scipy.sparse.csr_array.__mro__
+                    if c.__module__ == "scipy.sparse._base")
+        real = base.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(base, "__init__", counted)
+        monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _took_lu)
+        system.claims[np.arange(3)]   # the count sees scipy's own row gather
+        assert built
+        built.clear()
+        solution = cn.fictitious_default_sequence(shocked, cn.ClearingParams(r=0.9))
+        assert solution.iterations == 3
+        assert built == []
 
 
 class TookLU(Exception):
@@ -306,6 +348,7 @@ def test_multi_round_clear_is_within_its_bound_of_exact_arithmetic(
     if solution.iterations < 2 or len(rounds) < solution.iterations:
         reject()   # one round, or a last round on every node
     R, free = rounds[-1]
+    R = scipy.sparse.csr_array((R.data, R.indices, R.indptr), shape=R.shape)
     p = solution.payments
     exact = exact_frozen_payments(shocked, r_vec, r_a, solution.defaults.flags)
     gap = sum(abs(Fraction(p[i]) - exact[i]) for i in free.tolist())
@@ -467,21 +510,6 @@ class TestPicardOracle:
             cn.picard_clearing_oracle(shocked, cn.ClearingParams(r=0.8))
 
 
-class CountingCsr(scipy.sparse.csr_array):
-    """A CSR array that counts its products."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        self.products += 1
-        return super().__matmul__(other)
-
-
-def counting(system):
-    """The system with a claims matrix that counts its products."""
-    return dataclasses.replace(system, claims=CountingCsr(system.claims))
-
-
 def plain_clearing_map(system, params, p):
     """The clearing map written out plainly, with its two products."""
     l = system.total_liabilities
@@ -496,32 +524,34 @@ class TestProductsOfTheMap:
     ``C mixed`` when every solvent bank pays ``l``; its outputs are those of
     the plain map bit for bit."""
 
-    def test_map_matches_the_plain_map_bit_for_bit(self, ensemble):
+    def test_map_matches_the_plain_map_bit_for_bit(self, ensemble, seam):
+        # the plain map's products are scipy's own, not the seam's
         rng = np.random.default_rng(3)
         for i, system in enumerate(ensemble[:40]):
-            system = counting(partial_default_variant(system, seed=i))
+            system = partial_default_variant(system, seed=i)
             params = cn.ClearingParams(r=rng.uniform(0.1, 1.0), r_a=0.8)
             l, n = system.total_liabilities, system.node_count
             for p in (l, rng.uniform(0.0, 1.0, n) * l,
                       np.where(rng.random(n) < 0.5, l, rng.uniform(0.0, 1.0, n) * l)):
-                before = system.claims.products
+                before = len(seam.products)
                 got = cn.apply_clearing_map(system, params, p)
-                made = system.claims.products - before
+                made = len(seam.products) - before
                 flags = cn.default_indicator(system, p).flags
                 assert made == (1 if np.array_equal(np.where(flags, p, l), p) else 2)
                 assert got.tobytes() == plain_clearing_map(system, params, p).tobytes()
 
-    def test_oracle_makes_one_product_per_step(self, ensemble, monkeypatch):
+    def test_oracle_makes_one_product_per_step(self, ensemble, monkeypatch, seam):
         steps = []
         real = clearnet.clearing.apply_clearing_map
         monkeypatch.setattr(clearnet.clearing, "apply_clearing_map",
                             lambda *args: steps.append(1) or real(*args))
         for i in range(0, 80, 8):
-            system = counting(partial_default_variant(ensemble[i], seed=i))
+            system = partial_default_variant(ensemble[i], seed=i)
             params = cn.ClearingParams(r=0.1 + 0.8 * ((i * 0.37) % 1.0))
             steps.clear()
+            seam.clear()
             got = cn.picard_clearing_oracle(system, params)
-            assert system.claims.products == len(steps) > 1
+            assert len(seam.products) == len(steps) > 1
             p = system.total_liabilities
             for _ in steps:   # the oracle's loop on the plain map
                 f = plain_clearing_map(system, params, p)

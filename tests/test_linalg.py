@@ -1,6 +1,5 @@
 """The solver of ``(I - diag(r) C) x = b`` against dense LU and exact
 arithmetic, and each side of its choice between a Neumann sweep and LU."""
-import dataclasses
 import math
 import os
 import subprocess
@@ -26,6 +25,9 @@ from clearnet._linalg import (
     RATIO_SETTLE,
     as_csr,
     column_weights,
+    gather_rows,
+    matvec,
+    rmatvec,
     solve_attenuated,
     solve_rows,
 )
@@ -261,28 +263,15 @@ class TestBitPins:
 
 
 class CountingCsr(scipy.sparse.csr_array):
-    """A CSR array that counts its products, one per sweep."""
+    """A CSR array that counts its ``@`` products: one per sweep of
+    :func:`reference_solve`. The solver's own products go through the seam
+    of ``clearnet._linalg`` and are counted by the ``seam`` fixture."""
 
     products = 0
 
     def __matmul__(self, other):
         self.products += 1
         return super().__matmul__(other)
-
-
-class JitteredCsr(CountingCsr):
-    """Products off in entry 0 by ``jitter`` times the next factor of
-    ``pattern``, taken in turn, so that every step is at least about as
-    large as the jitter. An alternating sign alone leads the iterates into
-    a period-2 cycle; a pattern of period 4 does not."""
-
-    jitter = 0.0
-    pattern = (-1.0, 1.0)
-
-    def __matmul__(self, other):
-        out = super().__matmul__(other)
-        out[0] += self.jitter * self.pattern[(self.products - 1) % len(self.pattern)]
-        return out
 
 
 def two_cycles(pairs: int) -> scipy.sparse.csr_array:
@@ -356,16 +345,16 @@ class TestAcceleratedSweep:
         gap = sum(abs(Fraction(got) - want) for got, want in zip(x.tolist(), exact))
         assert gap <= Fraction(1e-14) * sum(abs(want) for want in exact)
 
-    def test_jumping_sweep_matches_exact_arithmetic(self):
+    def test_jumping_sweep_matches_exact_arithmetic(self, seam):
         # a 41-node network is small enough for an exact solve and large
         # enough to sweep; its Perron mode dominates, so the sweep jumps
         C = CountingCsr(cn.generate_random_system(4, 40, 0.1).claims)
         n = C.shape[0]
         r, b = np.full(n, 0.5), right_hand_side("mixed", n)
+        seam.clear()
         x = solve_attenuated(C, r, b, "network")
-        sweeps, C.products = C.products, 0
         reference_solve(C, r, b)
-        assert sweeps < C.products
+        assert (len(seam.products), C.products) == (17, 19)
         exact = fraction_reference(C, r, b)
         gap = sum(abs(Fraction(got) - want) for got, want in zip(x.tolist(), exact))
         assert gap <= Fraction(1e-14) * sum(abs(want) for want in exact)
@@ -404,45 +393,48 @@ class TestAcceleratedSweep:
         x = solve_attenuated(C, r, np.ldexp(b, exponent), "scaled")
         assert np.abs(np.ldexp(x, -exponent) - want).sum() <= 1e-14 * np.abs(want).sum()
 
-    def test_fewer_sweeps_than_the_plain_loop(self):
+    def test_fewer_sweeps_than_the_plain_loop(self, seam):
         system = cn.generate_random_system(3, 300, 0.03)
         C = CountingCsr(system.claims)
         b = cn.beta_vector(system, 0.9, 0.3)
         want = scipy.linalg.solve(np.eye(C.shape[0]) - 0.9 * C.toarray(), b)
+        seam.clear()
         x = solve_attenuated(C, 0.9, b, "accelerated")
-        sweeps, C.products = C.products, 0
         plain = reference_solve(C, 0.9, b)
         # 23 sweeps against the plain loop's 32, both to the rounding floor;
         # a jump by half the Aitken step, or one taken before the ratio
         # settles, saves less
-        assert 5 * sweeps <= 4 * C.products
+        assert (len(seam.products), C.products) == (23, 32)
         for got in (x, plain):
             assert np.abs(got - want).sum() <= 1e-14 * np.abs(want).sum()
 
-    @pytest.mark.parametrize("r, limit", [(0.5, 15), (0.9, 23)])
-    def test_sweeps_to_the_floor_on_a_network(self, r, limit, monkeypatch):
+    @pytest.mark.parametrize("r, sweeps", [(0.5, 15), (0.9, 23)])
+    def test_sweeps_to_the_floor_on_a_network(self, r, sweeps, monkeypatch, seam):
         # waiting for a bit-for-bit repeat instead takes 19 and 28 sweeps
         system = cn.generate_random_system(3, 300, 0.03)
-        C = CountingCsr(system.claims)
+        C = system.claims
         b = cn.beta_vector(system, r, 0.3)
         want = scipy.linalg.solve(np.eye(C.shape[0]) - r * C.toarray(), b)
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
+        seam.clear()
         x = solve_attenuated(C, r, b, "network")
-        assert C.products <= limit
+        assert len(seam.products) == sweeps
         assert np.abs(x - want).sum() <= 1e-15 * np.abs(want).sum()
 
-    @pytest.mark.parametrize("r", [0.7, 0.9])
-    def test_floor_comes_before_a_period_two_cycle(self, r, monkeypatch):
+    @pytest.mark.parametrize("r, floor", [pytest.param(0.7, 69, id="0.7"),
+                                          pytest.param(0.9, 149, id="0.9")])
+    def test_floor_comes_before_a_period_two_cycle(self, r, floor, monkeypatch, seam):
         # with a mixed-sign b the sweep on disjoint 2-cycles never jumps, and
         # without an exit its iterates fall into a period-2 floating-point
         # cycle, which a test for a bit-for-bit repeat never sees; its steps
         # reach the rounding floor sweeps before that
-        C = CountingCsr(two_cycles(30))
+        C = two_cycles(30)
         n = C.shape[0]
         b = right_hand_side("mixed", n)
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
         x = solve_attenuated(C, r, b, "2-cycles")
-        sweeps = C.products
+        sweeps = len(seam.products)
+        assert sweeps == floor
         np.testing.assert_array_equal(x, reference_solve(C, r, b))
         iterates = [b]
         while len(iterates) < 3 or not np.array_equal(iterates[-1], iterates[-3]):
@@ -452,15 +444,15 @@ class TestAcceleratedSweep:
         want = scipy.linalg.solve(np.eye(n) - r * C.toarray(), b)
         assert np.abs(x - want).sum() <= 1e-14 * np.abs(want).sum()
 
-    def test_period_two_cycle_after_a_jump(self, monkeypatch):
+    def test_period_two_cycle_after_a_jump(self, monkeypatch, seam):
         # with a nonnegative b an early jump lands the sweep on such a cycle
-        C = CountingCsr(two_cycles(30))
+        C = two_cycles(30)
         n = C.shape[0]
         b = right_hand_side("nonnegative", n)
         want = scipy.linalg.solve(np.eye(n) - 0.9 * C.toarray(), b)
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
         x = solve_attenuated(C, 0.9, b, "2-cycles")
-        assert 2 * C.products <= 368   # the cap at r = 0.9
+        assert len(seam.products) == 150   # under half the cap of 368 at r = 0.9
         assert np.abs(x - want).sum() <= 1e-14 * np.abs(want).sum()
 
     @pytest.mark.parametrize(
@@ -473,7 +465,7 @@ class TestAcceleratedSweep:
         ],
     )
     def test_sweep_cap_returns_a_certified_iterate_or_takes_lu(
-        self, jitter, lu_expected, pattern, lu_sizes
+        self, jitter, lu_expected, pattern, lu_sizes, seam
     ):
         # at r = 0.5 a jitter J of the products moves each step by at most
         # r |dJ| / (1 - q) = |dJ|, dJ the change of J between sweeps, at most
@@ -482,7 +474,10 @@ class TestAcceleratedSweep:
         # this network J at the floor already does it) no step reaches it,
         # and the period-2 pattern keeps each step above
         # 2 r J / (1 + q) = 2 J / 3: the sweeps run to the cap and the dense
-        # LU takes over
+        # LU takes over. The jitter puts each product off in entry 0 by J
+        # times the next factor of the pattern, taken in turn, so that every
+        # step is at least about as large as J; an alternating sign alone
+        # leads the iterates into a period-2 cycle, a pattern of period 4 not
         system = cn.generate_random_system(3, 300, 0.03)
         C, n = system.claims, system.node_count
         b = system.total_liabilities
@@ -491,16 +486,20 @@ class TestAcceleratedSweep:
         q = c.max()
         cap = math.ceil(math.log(EPS * (1.0 - q) / (1.0 + q)) / math.log(q))
         lu_sizes.clear()
-        jittered = JitteredCsr(C)
-        jittered.jitter = jitter * EPS * (np.abs(b).sum() + c @ np.abs(want))
-        jittered.pattern = pattern
-        x = solve_attenuated(jittered, 0.5, b, "jittered")
+        J = jitter * EPS * (np.abs(b).sum() + c @ np.abs(want))
+
+        def jittered(y, k):
+            y[0] += J * pattern[(k - 1) % len(pattern)]
+
+        seam.clear()
+        seam.jitter = jittered
+        x = solve_attenuated(C, 0.5, b, "jittered")
         if lu_expected:
-            assert jittered.products == cap
+            assert cap == len(seam.products) == 54
             assert lu_sizes == [n]
             np.testing.assert_array_equal(x, want)
         else:
-            assert 2 * jittered.products < cap
+            assert len(seam.products) == 15   # under half the cap
             assert lu_sizes == []
             assert np.abs(x - want).sum() <= 2 * EPS * np.abs(want).sum()
 
@@ -518,33 +517,29 @@ class TestColumnSums:
         return (lambda: cn.fictitious_default_sequence(shocked, cn.ClearingParams(r=r)),
                 lambda: cn.generalized_katz(system.claims, r, beta, m=m))
 
-    def test_column_passes_and_products_per_full_shock_op(self, monkeypatch):
+    def test_column_passes_and_products_per_full_shock_op(self, monkeypatch, seam):
         system = cn.generate_random_system(seed=3, n_banks=300, density=0.03)
-        system = dataclasses.replace(system, claims=CountingCsr(system.claims))
         C = system.claims
-        passes, in_solves = [], []
-        weights = clearnet._linalg.column_weights
-        for module in (clearnet._linalg, clearnet.centrality):
-            monkeypatch.setattr(module, "column_weights",
-                                lambda *a, **k: passes.append(1) or weights(*a, **k))
+        in_solves = []
 
         def counted(A, *args, **kwargs):
-            before = A.products
+            before = len(seam.products)
             out = solve_attenuated(A, *args, **kwargs)
-            in_solves.append(A.products - before)
+            in_solves.append(len(seam.products) - before)
             return out
 
         for module in (clearnet.clearing, clearnet.centrality):
             monkeypatch.setattr(module, "solve_attenuated", counted)
         clear, katz = self.full_shock_op(system)
-        for step, want_passes, want_products in ((clear, 0, 1), (katz, 1, 1)):
-            passes.clear()
+        for step, want_sweeps, want_passes, want_products in ((clear, 23, 0, 1),
+                                                              (katz, 23, 1, 1)):
             in_solves.clear()
-            before = C.products
+            seam.clear()
             step()
-            assert len(in_solves) == 1 and in_solves[0] > 1   # one solve, by sweeps
-            assert len(passes) == want_passes
-            assert C.products - before - in_solves[0] == want_products
+            assert in_solves == [want_sweeps]   # one solve, by sweeps
+            assert len(seam.column_products) == want_passes
+            assert len(seam.products) - in_solves[0] == want_products
+            assert all(A is C for A, _ in seam.column_products + seam.products)
 
     def test_full_shock_op_copies_nothing_of_the_size_of_c(self, monkeypatch):
         # 9.4k stored entries: a copy of C.data alone is 75 kB, while the
@@ -704,10 +699,13 @@ def test_import_loads_no_dense_linear_algebra():
 
 def test_sweep_path_loads_no_sparse_linear_algebra():
     # the full-default clear and its Katz vector sweep, a clear of several
-    # partial-default rounds at r = 0.9, and one whose first round leaves
-    # only three banks in default, where the flop rule counts the block's
-    # entries and not its rows'; scipy.sparse.linalg would add its own import
-    # time to every command, and scipy.linalg about 7 MB of memory
+    # partial-default rounds at r = 0.9, one whose first round leaves only
+    # three banks in default, where the flop rule counts the block's entries
+    # and not its rows', and a 2000-bank network at density 8/2000 with 10
+    # banks keeping U(0, 0.3) of their assets, cleared at r = 0.5 and 0.9 (the
+    # contagion-clear benchmark's warm-up op at seed 1); scipy.sparse.linalg
+    # would add its own import time to every command, and scipy.linalg about
+    # 7 MB of memory and the time of its import
     script = (
         "import sys\n"
         "import clearnet as cn\n"
@@ -726,6 +724,15 @@ def test_sweep_path_loads_no_sparse_linear_algebra():
         "small = cn.fictitious_default_sequence(system.with_external_assets(a),\n"
         "                                       cn.ClearingParams(r=0.5))\n"
         "print(small.default_history[0].count == 4)\n"
+        "import numpy as np\n"
+        "seed = int(np.random.SeedSequence([1, 0]).generate_state(1)[0])\n"
+        "big = cn.generate_random_system(seed, 2000, 8 / 2000)\n"
+        "rng = np.random.default_rng([1, 1, 0])\n"
+        "hit = rng.choice(2000, size=10, replace=False)\n"
+        "a = big.external_assets.copy()\n"
+        "a[hit] *= rng.uniform(0.0, 0.3, size=10)\n"
+        "for r in (0.5, 0.9):\n"
+        "    cn.fictitious_default_sequence(big.with_external_assets(a), cn.ClearingParams(r=r))\n"
         "print('scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules)\n"
     )
     env = dict(os.environ)
@@ -753,3 +760,49 @@ class TestAsCsr:
     def test_rejects_vectors(self):
         with pytest.raises(ValueError):
             as_csr(np.ones(3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(0, 7),
+    n=st.integers(0, 7),
+    index_dtype=st.sampled_from([np.int32, np.int64]),
+    read_only=st.booleans(),
+)
+def test_seam_matches_scipys_products_and_row_gather(data, m, n, index_dtype, read_only):
+    # matvec and rmatvec against scipy's A @ x and A.T @ x, and gather_rows
+    # against C[idx], bit for bit: on either index type, on read-only arrays,
+    # on rows without entries, on the 0 x 0 matrix and on no row or every row
+    entry = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+    dense = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    A = scipy.sparse.csr_array(np.array(dense, dtype=float).reshape(m, n))
+    A.indptr, A.indices = A.indptr.astype(index_dtype), A.indices.astype(index_dtype)
+    x = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)), dtype=float)
+    y = np.array(data.draw(st.lists(entry, min_size=m, max_size=m)), dtype=float)
+    rows = st.lists(st.integers(0, m - 1), max_size=2 * m) if m else st.just([])
+    idx = np.array(data.draw(st.one_of(st.just(list(range(m))), rows)), dtype=np.intp)
+    if read_only:
+        for part in (A.indptr, A.indices, A.data, x, y, idx):
+            part.setflags(write=False)
+    assert matvec(A, x).tobytes() == (A @ x).tobytes()
+    assert rmatvec(A, y).tobytes() == (A.T @ y).tobytes()
+    R, want = gather_rows(A, idx), A[idx]
+    assert R.shape == want.shape
+    for got, expected in zip(R[:3], (want.indptr, want.indices, want.data)):
+        np.testing.assert_array_equal(got, expected)
+    assert R.indices.dtype == A.indices.dtype == R.indptr.dtype   # no conversion per product
+    assert matvec(R, x).tobytes() == (want @ x).tobytes()
+    assert rmatvec(R, y[idx]).tobytes() == (want.T @ y[idx]).tobytes()
+
+
+def test_seam_rejects_a_vector_of_the_wrong_shape(sys_a):
+    # the kernels read the vector without a bounds check, so the seam checks
+    A = scipy.sparse.csr_array(np.ones((2, 3)))
+    for bad in (np.ones(2), np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matvec(A, bad)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        rmatvec(A, np.ones(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cn.apply_clearing_map(sys_a, cn.ClearingParams(r=0.5), np.ones(2))
