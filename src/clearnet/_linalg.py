@@ -1,8 +1,9 @@
-"""The one solver of ``(I - diag(r) C) x = b``, ``C >= 0``, on the square
-``C`` or, in place, on the rows of ``C`` that belong to the unknowns, plus
-the dense LU it falls back on, which keeps an explicit pivot check.
-``scipy.linalg`` is imported by that fallback only, so a run that never
-takes it never loads it.
+"""The one solver of ``(I - diag(r) C) x = b``, ``C >= 0``: one sweep loop
+on the rows of ``C`` that belong to the unknowns, in place, with every
+other entry held, and one dense LU it falls back on, which keeps an
+explicit pivot check. A square solve is that solve over every row, with no
+entry held. ``scipy.linalg`` is imported by the fallback only, so a run
+that never takes it never loads it.
 
 Every product of the clear and of the power iteration goes through the
 seam :func:`matvec` and :func:`rmatvec`, the one import site of scipy's
@@ -116,38 +117,9 @@ def column_weights(C, r: NDArray) -> NDArray:
 def solve_attenuated(
     C: scipy.sparse.csr_array, r, b: NDArray, context: str, sums: NDArray | None = None
 ) -> NDArray:
-    """Solve ``(I - diag(r) C) x = b`` for a sparse square ``C >= 0``.
-
-    With ``q = ||diag(r) C||_1``, the largest :func:`column_weights`, below one, the
-    Neumann sweep ``x <- b + r * (C @ x)`` from ``x = b`` is a contraction,
-    and ``k = ceil(log(eps (1 - q) / (1 + q)) / log q)`` sweeps of it bound
-    its relative 1-norm error by machine epsilon. The sweep runs when,
-    besides, ``k * nnz(C) < n**3 / 3``, the flop count of a dense LU.
-
-    It returns the first sweep's output ``y`` whose step from its input
-    ``x`` is at the rounding floor: ``||y - x||_1 <= eps S``, with
-    ``S = ||b||_1 + c . |x|`` and ``c`` the :func:`column_weights`. One
-    sweep rounds by at most ``gamma_{K+2} S`` in the 1-norm, ``K`` the most
-    stored entries in a row (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 3.1), so ``y`` is within ``(q eps + gamma_{K+2}) S / (1 - q)``
-    of the solution: under twice the bound of an exact fixed point of the
-    sweep. Only a squared step of at most ``(2 eps ||b||_1 / (1 - q))^2``
-    is tested, which any step at the floor is, since ``S`` is then below
-    ``2 ||b||_1 / (1 - q)``. On the seed-3 300-bank test network this takes
-    15 sweeps at ``r = 0.5`` and 23 at ``r = 0.9``.
-
-    Each sweep keeps its step ``d = y - x`` and the ratio
-    ``lam = (d . d_prev) / (d_prev . d_prev)`` to the step before. When two
-    successive ratios agree within ``RATIO_SETTLE`` relative and
-    ``0 < lam <= q``, the error is close to one geometric mode of ratio
-    ``lam``, and Aitken's step ``y + d lam / (1 - lam)`` jumps to its limit;
-    the ratios then start afresh.
-
-    Otherwise (``q >= 1``, a non-finite ``||b||_1``, a small or dense ``C``,
-    or ``k`` sweeps that do not reach the floor, as in a floating-point
-    cycle above it) the dense ``I - diag(r) C`` is solved through
-    :func:`lu_factor_checked`, which raises ``SingularSystem`` on a pivot
-    below ``1e-14``.
+    """Solve ``(I - diag(r) C) x = b`` for a sparse square ``C >= 0``: the
+    solve of :func:`solve_rows` over every row of ``C``, from ``x = b``, with
+    no entry held. Returns ``x``, a new array.
 
     ``sums``, if given, are the column sums of ``C`` (a system's
     ``claims_column_sums``). When every entry of ``r`` is the same
@@ -156,16 +128,15 @@ def solve_attenuated(
     otherwise the solver makes its own pass, whose weights at ``r = 0`` are
     0 even where a sum of ``C`` overflows.
     """
-    n = C.shape[0]
     b = np.asarray(b, dtype=float)
-    r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
-    if n == 0:
-        return np.zeros_like(b)
-    if sums is not None and r.min() == r.max() != 0.0:
+    r = np.broadcast_to(np.asarray(r, dtype=float), C.shape[:1])
+    if sums is not None and r.size and r.min() == r.max() != 0.0:
         c = abs(float(r[0])) * sums
     else:
         c = column_weights(C, r)
-    return _sweep_or_lu(C, r, b, b.copy(), None, c, 0.0, C.nnz, context)
+    x = b.copy()
+    _sweep_rows(C, slice(None), r, b, x, c, context)
+    return x
 
 
 def solve_rows(R: Rows, free: NDArray, r: NDArray, b: NDArray, p: NDArray, context: str):
@@ -173,69 +144,85 @@ def solve_rows(R: Rows, free: NDArray, r: NDArray, b: NDArray, p: NDArray, conte
     in place, with the other entries of ``p`` held: ``R`` is the rows
     ``free`` of an n x n ``C >= 0`` (:func:`gather_rows`), so this is
     ``(I - diag(r) C_FF) x = b + r * (C_FH p_H)``, ``H`` the held entries.
+    The solve starts from ``p[free]`` as given."""
+    _sweep_rows(R, free, r, b, p, column_weights(R, r), context)
 
-    The sweep is :func:`solve_attenuated`'s, on the rows: each sweep is the
-    one :func:`matvec` ``R p``, which forms the held entries' term with the
-    rest, and writes its output into ``p[free]``; it starts from ``p[free]`` as
-    given, with one sweep more than the cap from ``b``, since ``b`` is itself
-    one sweep from zero. Its certificate is restated for the rows. ``q`` is
-    the largest :func:`column_weights` of ``diag(r) R`` over the free
-    columns; the floor is ``S = ||b||_1 + c . |p|``, with ``c`` the weights
-    of every column, so that ``c_H . |p_H|`` bounds the held term; and
-    ``K`` counts the stored entries of a row of ``R``, held columns
-    included. The output is then within ``(q eps + gamma_{K+2}) S / (1 - q)``
-    of the solution in the 1-norm. The flop rule counts the stored entries
-    of the square block ``C_FF``, as for a square solve: the held term adds
-    the same work to every sweep, but on the small blocks where that would
-    tip the rule, the fixed cost per product and per call outweighs it,
-    and the dense LU would load ``scipy.linalg`` for nothing. The dense
-    fallback builds ``I - diag(r) C_FF`` from ``R``'s free columns, the one
-    gather of columns, and its right-hand side from one product with the
-    free entries at zero.
+
+def _sweep_rows(A, free, r, b, p, c, context) -> None:
+    """Write into ``p[free]`` the solution ``x`` of ``x = b + r * (A p)``,
+    ``A`` the rows ``free`` of an n x n ``C >= 0`` (all of ``C`` when
+    ``free`` is every index), ``c`` the :func:`column_weights` of
+    ``diag(r) A`` and ``m = len(b)`` the number of unknowns.
+
+    With ``q``, the largest weight of a free column, below one, the Neumann
+    sweep ``x <- b + r * (A p)``, ``p[free] = x``, is a contraction, and
+    ``k = ceil(log(eps (1 - q) / (1 + q)) / log q)`` sweeps of it from
+    ``x = b`` bound its relative 1-norm error by machine epsilon; it starts
+    from ``p[free]`` as given, with one sweep more, since ``b`` is itself
+    one sweep from zero. It runs when, besides, ``(k + 1) nnz(C_FF) <
+    m**3 / 3``, the flop count of a dense LU: the held columns add the same
+    work to every sweep, but on the small blocks where that would tip the
+    rule, the fixed cost per product and per call outweighs it, and the
+    dense LU would load ``scipy.linalg`` for nothing. The stored entries of
+    ``A`` are counted first, and those of ``C_FF``, of which there are no
+    more, only when that count fails the rule.
+
+    It stops at, and writes into ``p[free]``, the first sweep's output ``y``
+    whose step from its input ``x`` is at the rounding floor: ``||y - x||_1 <= eps S``, with
+    ``S = ||b||_1 + c . |p|`` at ``p[free] = x``, so that the held columns'
+    ``c_H . |p_H|`` bounds the held term. One sweep rounds by at most
+    ``gamma_{K+2} S`` in the 1-norm, ``K`` the most stored entries in a row
+    of ``A``, held columns included (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 3.1), so ``y`` is within
+    ``(q eps + gamma_{K+2}) S / (1 - q)`` of the solution: under twice the
+    bound of an exact fixed point of the sweep. Only a squared step of at
+    most ``(2 eps ||b||_1 / (1 - q))^2`` is tested, the held term counted in
+    ``||b||_1``, which any step at the floor is, since ``S`` is then below
+    ``2 ||b||_1 / (1 - q)``. On the seed-3 300-bank test network a square
+    solve takes 15 sweeps at ``r = 0.5`` and 23 at ``r = 0.9``.
+
+    Each sweep keeps its step ``d = y - x`` and the ratio
+    ``lam = (d . d_prev) / (d_prev . d_prev)`` to the step before. When two
+    successive ratios agree within ``RATIO_SETTLE`` relative and
+    ``0 < lam <= q``, the error is close to one geometric mode of ratio
+    ``lam``, and Aitken's step ``y + d lam / (1 - lam)`` jumps to its limit;
+    the ratios then start afresh.
+
+    Otherwise (``q >= 1``, a non-finite ``S``, a small or dense block, or
+    ``k + 1`` sweeps that do not reach the floor, as in a floating-point
+    cycle above it) the dense ``I - diag(r) C_FF`` is built from ``A``'s
+    free columns, the one gather of columns, with its right-hand side from
+    one product with the free entries at zero, and solved through
+    :func:`lu_factor_checked`, which raises ``SingularSystem`` on a pivot
+    below ``1e-14``.
     """
-    if len(free) == 0:
-        return
-    c = column_weights(R, r)
-    c_free = c[free]
-    c[free] = 0.0
-    with np.errstate(over="ignore"):
-        held = float(c.dot(np.abs(p)))
-    in_block = np.zeros(len(p), dtype=bool)
-    in_block[free] = True
-    block_nnz = np.count_nonzero(in_block[R.indices])
-    p[free] = _sweep_or_lu(R, r, b, p, free, c_free, held, block_nnz, context)
-
-
-def _sweep_or_lu(A, r, b, p, free, c, held, block_nnz, context) -> NDArray:
-    """The sweep of ``x = b + r * (A @ p)`` for ``x = p[free]``, where ``p``
-    is the iterate itself when ``free`` is None (a square ``A``, from
-    :func:`solve_attenuated`), else the vector whose entries ``free`` the
-    sweep writes (from :func:`solve_rows`); ``c`` holds the weights of the
-    free columns, ``held`` the held columns' share ``c_H . |p_H|`` of the
-    floor and ``block_nnz`` the stored entries in the free columns, which
-    the flop rule counts. Returns ``x``, by the sweep or by the dense LU."""
     m = len(b)
+    if m == 0:
+        return
+    c_held = c.copy()
+    c_held[free] = 0.0
+    c = c[free]
     q = float(c.max())
-    with np.errstate(over="ignore"):
-        b_norm = float(np.abs(b).sum()) + held
+    with np.errstate(over="ignore", invalid="ignore"):   # 0 * inf in p gives nan
+        b_norm = float(np.abs(b).sum()) + float(c_held.dot(np.abs(p)))
     if q < 1.0 and math.isfinite(b_norm):   # an infinite S would pass any step
         bound = EPS * (1.0 - q) / (1.0 + q)
         sweeps = 1 if q == 0.0 else math.ceil(math.log(bound) / math.log(q))
-        if free is not None:   # from p[free], not from b
-            sweeps += 1
-        if sweeps * block_nnz < m**3 / 3:
+        sweeps += 1   # from p[free], not from b
+        in_block = np.zeros(len(p), dtype=bool)
+        in_block[free] = True
+        lu_flops = m**3 / 3
+        if (sweeps * len(A.indices) < lu_flops
+                or sweeps * np.count_nonzero(in_block[A.indices]) < lu_flops):
             screen = (2.0 * EPS * b_norm / (1.0 - q)) ** 2
-            x = p if free is None else p[free]
+            x = p[free]
             prev = lam = None  # the last step and the ratio it gave
             # a step whose square overflows gives a ratio of inf or nan, which
             # never jumps; a solution beyond the float range comes back
             # non-finite without a warning, as from the dense LU
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(sweeps):
-                    if free is None:
-                        p = x
-                    else:
-                        p[free] = x
+                    p[free] = x
                     y = matvec(A, p)
                     y *= r
                     y += b
@@ -243,7 +230,8 @@ def _sweep_or_lu(A, r, b, p, free, c, held, block_nnz, context) -> NDArray:
                     d_sq = d.dot(d)
                     if not d_sq > screen and (np.abs(d).sum()
                                               <= EPS * (b_norm + c.dot(np.abs(x)))):
-                        return y
+                        p[free] = y
+                        return
                     x = y
                     lam_prev, lam = lam, None
                     if prev is not None and prev_sq > 0.0:   # the square may underflow
@@ -254,15 +242,13 @@ def _sweep_or_lu(A, r, b, p, free, c, held, block_nnz, context) -> NDArray:
                             prev = lam = None
                             continue
                     prev, prev_sq = d, d_sq
-    M = scipy.sparse.csr_array((A.data, A.indices, A.indptr), shape=A.shape)
-    if free is not None:
-        M = M[:, free]
-        p = p.copy()
-        p[free] = 0.0
-        b = matvec(A, p) * r + b
+    M = scipy.sparse.csr_array((A.data, A.indices, A.indptr), shape=A.shape)[:, free]
     M = M.toarray()
     M *= -r[:, None]
     M[np.diag_indices(m)] += 1.0
+    p_held = p.copy()
+    p_held[free] = 0.0
     from scipy.linalg import lu_solve
 
-    return lu_solve(lu_factor_checked(M, context), b, check_finite=False)
+    p[free] = lu_solve(lu_factor_checked(M, context), matvec(A, p_held) * r + b,
+                       check_finite=False)

@@ -53,8 +53,12 @@ class ClearingSolution:
     ``payments`` includes a sink entry computed by the same formula as the
     banks'; it carries no economic meaning and is excluded from every norm
     and loss measure. ``residual`` is the max-norm of ``f(p) - p`` over
-    bank entries. ``uniqueness_ok`` records whether every node had strictly
-    positive external assets (the sufficient condition for uniqueness).
+    bank entries. ``uniqueness_ok`` records whether Eisenberg and Noe's
+    sufficient condition for a unique clearing vector holds: full recovery,
+    ``r = 1`` on every node and ``r_a = 1``, and strictly positive external
+    assets on every node. False does not mean two clearing vectors, only no
+    proof of one: below full recovery a network whose assets are all
+    positive can have two, and ``payments`` is then the greatest.
     """
 
     payments: NDArray
@@ -115,14 +119,9 @@ def solve_given_defaults(
     nodes' term ``r C_DS l_S`` comes out of the same product as the rest;
     it starts from ``start`` on ``D`` (default ``l``). Every term is
     nonnegative, so nothing cancels even when payments are tiny next to
-    liabilities. The certificate is restated for ``R``: ``q`` is the
-    largest column weight of ``diag(r_D) R`` over ``D``'s columns, the
-    floor is ``S = ||r_a a_D||_1 + c . |p|``, and the output is within
-    ``(q eps + gamma_{K+2}) S / (1 - q)`` of the solution in the 1-norm,
-    ``K`` the most stored entries in a row of ``R``. Where the sweep does
-    not contract or costs more than a dense LU (the flop rule counts the
-    entries of ``C_DD``), the square block ``I - diag(r_D) C_DD`` is built
-    from ``R`` and factored. The sink, defaulted by convention, stays out of
+    liabilities. The sweep's certificate and its dense fallback, on the
+    square block ``I - diag(r_D) C_DD``, are those of the one solver in
+    :mod:`clearnet._linalg`. The sink, defaulted by convention, stays out of
     ``R``: it owes nothing, so its column of ``C`` is empty and no other
     payment reads it, while its row holds an entry for every bank that owes
     it. Its payment is formed once, by the same formula, from the solved
@@ -142,7 +141,7 @@ def solve_given_defaults(
     """
     C = system.claims
     r = params.recovery_vector(system.node_count)
-    flags = defaults.flags
+    flags = defaults.flags_at(system.node_count)
     b = params.r_a * system.external_assets + 0.0   # a -0.0 asset recovers +0.0
     context = f"reduced system on {np.count_nonzero(flags)} defaulted node(s)"
     if np.all(flags):   # no solvent node pays in
@@ -173,7 +172,8 @@ def fictitious_default_sequence(
     """
     N = system.node_count
     l = system.total_liabilities
-    uniqueness_ok = bool(np.all(system.external_assets > 0))
+    uniqueness_ok = bool(params.r_a == 1.0 and np.all(params.recovery_vector(N) == 1.0)
+                         and np.all(system.external_assets > 0))
 
     current = fundamental_defaults(system)
     history = [current]

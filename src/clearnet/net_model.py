@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse
 from numpy.typing import NDArray
 
-from ._linalg import as_csr, column_weights
+from ._linalg import as_csr, column_weights, matvec
 from .errors import (
     DimensionMismatch,
     InvalidInterpolation,
@@ -176,6 +176,15 @@ class DefaultIndicator:
         # over the flags as booleans: flags that compare equal hash alike
         flags = np.asarray(self.flags, dtype=bool)
         return hash((flags.shape, flags.tobytes()))
+
+    def flags_at(self, node_count: int) -> NDArray:
+        """The flags as booleans, checked to hold one flag per node."""
+        flags = np.asarray(self.flags, dtype=bool)
+        if flags.shape != (node_count,):
+            raise DimensionMismatch(
+                f"default flags have shape {flags.shape}, expected ({node_count},)"
+            )
+        return flags
 
     def issubset(self, other: "DefaultIndicator") -> bool:
         return bool(np.all(other.flags[self.flags]))
@@ -341,7 +350,7 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
     C = C.T.tocsr()
     for part in (L.data, L.indices, L.indptr, C.data, C.indices, C.indptr):
         part.setflags(write=False)
-    cl = C @ l
+    cl = matvec(C, l)
     sums = column_weights(C, np.ones(N))
     for vector in (cl, sums):
         vector.setflags(write=False)
@@ -366,7 +375,7 @@ def relative_claims(system: FinancialSystem) -> RelativeClaims:
 def equity(system: FinancialSystem, payments: NDArray) -> NDArray:
     """Balance-sheet equity ``a + C p - l`` under a payment vector ``p``."""
     p = np.asarray(payments, dtype=float)
-    return system.external_assets + system.claims @ p - system.total_liabilities
+    return system.external_assets + matvec(system.claims, p) - system.total_liabilities
 
 
 def _defaults_from_claims(system: FinancialSystem, cp: NDArray) -> DefaultIndicator:
@@ -382,7 +391,7 @@ def _defaults_from_claims(system: FinancialSystem, cp: NDArray) -> DefaultIndica
 
 def default_indicator(system: FinancialSystem, payments: NDArray) -> DefaultIndicator:
     """Default flags under a payment vector (see :func:`_defaults_from_claims`)."""
-    return _defaults_from_claims(system, system.claims @ np.asarray(payments, dtype=float))
+    return _defaults_from_claims(system, matvec(system.claims, np.asarray(payments, dtype=float)))
 
 
 def fundamental_defaults(system: FinancialSystem) -> DefaultIndicator:

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import solve_attenuated
+from ._linalg import matvec, solve_attenuated
 from .centrality import printed_relaxed_closed_form
 from .clearing import ClearingSolution, fictitious_default_sequence
 from .errors import (
@@ -70,8 +70,9 @@ class ShockScenario:
 
     @property
     def assets_positive(self) -> bool:
-        """Whether every node kept strictly positive assets (the sufficient
-        condition for a unique clearing vector)."""
+        """Whether every node kept strictly positive assets: under full
+        recovery (``r = 1``, ``r_a = 1``) that suffices for a unique clearing
+        vector, below it not (see :class:`clearnet.clearing.ClearingSolution`)."""
         return bool(np.all(self.post_shock_assets > 0))
 
 
@@ -256,7 +257,7 @@ def relaxed_interpolated_shock(
 
     a = system.pre_shock_assets.copy()
     b = system.banks
-    a[b] = m_vec[b] * (l[b] - (C @ q)[b])
+    a[b] = m_vec[b] * (l[b] - matvec(C, q)[b])
     if np.any(a[b] <= 0):
         raise PreconditionViolated(
             "candidate assets are not positive for banks "

@@ -211,7 +211,7 @@ def corollary_radius_bound(C: NDArray, defaults: DefaultIndicator) -> bool:
     1e-10 slack for estimator noise), masking a CSR copy's stored entries.
     """
     C = _check_nonnegative(C)
-    mask = defaults.flags.astype(float)
+    mask = defaults.flags_at(C.shape[0]).astype(float)
     masked = C.copy()
     masked.data *= np.repeat(mask, np.diff(C.indptr)) * mask[C.indices]
     return _perron(masked)[0] <= _perron(C)[0] + 1e-10

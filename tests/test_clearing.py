@@ -141,6 +141,14 @@ class TestSolveGivenDefaults:
         p = cn.solve_given_defaults(system, params, cn.DefaultIndicator(flags=partial))
         assert p[0] == 0.0 and not np.signbit(p).any()
 
+    @pytest.mark.parametrize("flags", [[True, True], [True, False], [True] * 4])
+    def test_flags_of_the_wrong_length_raise(self, sys_a, flags):
+        # one flag per node: two or four flags on this 3-node system were
+        # solved as if they fitted, and [True, False] raised an IndexError
+        defaults = cn.DefaultIndicator(flags=np.array(flags))
+        with pytest.raises(cn.DimensionMismatch):
+            cn.solve_given_defaults(sys_a, cn.ClearingParams(r=0.5), defaults)
+
     def test_singular_reduced_system(self):
         # two banks owing only each other, full recovery: I - C is singular
         system = cn.build_system([[0, 5, 0], [5, 0, 0], [0, 0, 0]], [1.0, 1.0, 1.0])
@@ -419,6 +427,37 @@ class TestFictitiousDefaultSequence:
             sys_0.with_external_assets(a), cn.ClearingParams(r=0.5)
         )
         assert not solution.uniqueness_ok
+
+    @pytest.mark.parametrize("r, r_a", [(0.5, 1.0), (1.0, 0.5)])
+    def test_two_clearing_vectors_below_full_recovery(self, r, r_a):
+        # two banks owing each other 1 and the sink 0.01, each holding 0.01:
+        # full payment clears, and so does the default of both at
+        # p = r_a a / (1 - r / 1.01), though every asset is positive
+        system = cn.build_system([[0, 1, 0.01], [1, 0, 0.01], [0, 0, 0]], [0.01, 0.01, 1])
+        params = cn.ClearingParams(r=r, r_a=r_a)
+        l = system.total_liabilities
+        low = np.full(3, r_a * 0.01 / (1 - r / 1.01))
+        b = system.banks
+        np.testing.assert_array_equal(cn.apply_clearing_map(system, params, l)[b], l[b])
+        np.testing.assert_allclose(cn.apply_clearing_map(system, params, low)[b], low[b],
+                                   rtol=1e-14)
+        assert np.all(low[b] < 0.6 * l[b])
+        solution = cn.fictitious_default_sequence(system, params)
+        np.testing.assert_array_equal(solution.payments[b], l[b])   # the greatest
+        assert not solution.uniqueness_ok
+
+    @pytest.mark.parametrize("r, r_a, unique", [
+        (1.0, 1.0, True),
+        ([1.0, 1.0, 1.0], 1.0, True),
+        ([1.0, 0.9, 1.0], 1.0, False),
+        (0.8, 1.0, False),
+        (1.0, 0.5, False),
+    ])
+    def test_uniqueness_only_under_full_recovery(self, sys_a, r, r_a, unique):
+        # Eisenberg and Noe's hypotheses: r = 1 on every node, r_a = 1 and
+        # positive assets
+        solution = cn.fictitious_default_sequence(sys_a, cn.ClearingParams(r=r, r_a=r_a))
+        assert solution.uniqueness_ok is unique
 
     def test_vector_recovery_rates(self, ensemble):
         rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 """The solver of ``(I - diag(r) C) x = b`` against dense LU and exact
 arithmetic, and each side of its choice between a Neumann sweep and LU."""
+import collections
 import math
 import os
 import subprocess
@@ -31,7 +32,7 @@ from clearnet._linalg import (
     solve_attenuated,
     solve_rows,
 )
-from conftest import exact_frozen_payments, fraction_solve
+from conftest import exact_frozen_payments, fraction_solve, partial_default_variant
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -174,19 +175,58 @@ class TestSelection:
         np.testing.assert_array_equal(x, want)
 
     def test_small_system_takes_dense_lu(self, sys_a, lu_sizes):
-        # q = 0.8 < 1, but 54 sweeps over 4 nonzeros cost more than a 3x3 LU
+        # q = 0.8 < 1, but 55 sweeps over 4 nonzeros cost more than a 3x3 LU
         x = solve_attenuated(sys_a.claims, 0.8, np.ones(3), "sys_a")
         assert lu_sizes == [3]
         np.testing.assert_allclose(x - 0.8 * (sys_a.claims @ x), 1.0, rtol=1e-14)
 
     @pytest.mark.parametrize("n, lu_expected", [(12, True), (13, False)])
     def test_flop_rule_boundary(self, n, lu_expected, lu_sizes):
-        # a cycle has one nonzero per column, so q = r = 0.5 and k = 54:
-        # 54 * 12 = 648 > 12**3 / 3 = 576, but 54 * 13 = 702 < 732.3
+        # a cycle has one nonzero per column, so q = r = 0.5 and k = 54, one
+        # sweep more from b: 55 * 12 = 660 > 12**3 / 3 = 576, but
+        # 55 * 13 = 715 < 732.3
         cycle = scipy.sparse.csr_array(np.roll(np.eye(n), 1, axis=0))
         x = solve_attenuated(cycle, 0.5, np.ones(n), "cycle")
         assert lu_sizes == ([n] if lu_expected else [])
         np.testing.assert_allclose(x, 2.0, rtol=1e-15)
+
+    def test_flop_rule_counts_the_block_only_when_the_rows_fail_it(
+        self, ensemble, monkeypatch, seam, lu_sizes
+    ):
+        # over the partial rounds of the acceptance ensemble, the rule as the
+        # solver applies it, on the stored entries of the rows R and on those
+        # of C_FF only when R's fail it, picks the dense LU exactly when the
+        # rule on C_FF's count alone does; LU by the rule is one product (its
+        # right-hand side) and no sweep
+        calls = []
+        real = clearnet.clearing.solve_rows
+
+        def recorded(R, free, r, b, p, context):
+            entry, products, lus = p.copy(), len(seam.products), len(lu_sizes)
+            real(R, free, r, b, p, context)
+            took_lu = len(seam.products) - products == 1 and len(lu_sizes) > lus
+            calls.append((R, free, r, b, entry, took_lu))
+
+        monkeypatch.setattr(clearnet.clearing, "solve_rows", recorded)
+        for i, system in enumerate(ensemble):
+            shocked = partial_default_variant(system, seed=i)
+            for r in (0.5, 0.9):
+                cn.fictitious_default_sequence(shocked, cn.ClearingParams(r=r))
+        sides = collections.Counter()
+        for R, free, r, b, p, took_lu in calls:
+            A = scipy.sparse.csr_array((R.data, R.indices, R.indptr), shape=R.shape)
+            c = abs(A).T @ np.abs(r)
+            q, m = float(c[free].max()), len(free)
+            p[free] = 0.0
+            finite = math.isfinite(np.abs(b).sum() + c @ np.abs(p))
+            sweeps = 1 + (1 if q == 0.0 else
+                          math.ceil(math.log(EPS * (1.0 - q) / (1.0 + q)) / math.log(q)))
+            by_rows = sweeps * A.nnz < m**3 / 3
+            by_block = q < 1.0 and finite and sweeps * A[:, free].nnz < m**3 / 3
+            assert took_lu is not by_block
+            sides[by_rows, by_block] += 1
+        # R's count decides, C_FF's count decides for the sweep, or for LU
+        assert sides[True, True] and sides[False, True] and sides[False, False]
 
     def test_zero_attenuation_returns_the_right_hand_side(self, sys_a, monkeypatch):
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
@@ -199,7 +239,9 @@ class TestSelection:
 def reference_solve(C, r, b, jump=False) -> np.ndarray:
     """The solver written out plainly: ``q`` and the column weights ``c``
     from scipy's product ``abs(C).T @ |r|``; the sweep
-    ``x <- b + r * (C @ x)`` with its count, its exit at the rounding floor
+    ``x <- b + r * (C @ x)`` with its count (the ``k`` sweeps from ``b``
+    and one more, as in a round that starts from given payments), its
+    exit at the rounding floor
     ``||y - x||_1 <= eps (||b||_1 + c . |x|)`` and, with ``jump``, its
     Aitken step once two ratios of successive steps agree; and otherwise
     the dense LU of ``I - diag(r) C``. Without ``jump`` it is the plain
@@ -210,7 +252,7 @@ def reference_solve(C, r, b, jump=False) -> np.ndarray:
     q = float(c.max())
     if q < 1.0:
         bound = EPS * (1.0 - q) / (1.0 + q)
-        sweeps = 1 if q == 0.0 else math.ceil(math.log(bound) / math.log(q))
+        sweeps = 1 + (1 if q == 0.0 else math.ceil(math.log(bound) / math.log(q)))
         if sweeps * C.nnz < n**3 / 3:
             x, prev, lam = b.copy(), None, None
             for _ in range(sweeps):
@@ -260,6 +302,18 @@ class TestBitPins:
         for C, r, b in pinned_cases():
             got = solve_attenuated(C, r, b, "pinned")
             np.testing.assert_array_equal(got, reference_solve(C, r, b, jump=True))
+
+    def test_row_solve_over_every_row_is_the_square_solve(self, lu_sizes):
+        # the square solve is the row solve with no entry held, started from
+        # b, bit for bit, on the sweep and on the LU
+        for C, r, b in pinned_cases():
+            n = C.shape[0]
+            r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
+            every = np.arange(n)
+            p = b.copy()
+            solve_rows(gather_rows(C, every), every, r, b, p, "rows")
+            assert p.tobytes() == solve_attenuated(C, r, b, "square").tobytes()
+        assert lu_sizes == [7] * 20   # the 7-node cases, each solved twice
 
 
 class CountingCsr(scipy.sparse.csr_array):
@@ -438,7 +492,7 @@ class TestAcceleratedSweep:
         np.testing.assert_array_equal(x, reference_solve(C, r, b))
         iterates = [b]
         while len(iterates) < 3 or not np.array_equal(iterates[-1], iterates[-3]):
-            assert len(iterates) < 1000   # the cap is 368 at r = 0.9
+            assert len(iterates) < 1000   # the cap is 369 at r = 0.9
             iterates.append(b + r * (C @ iterates[-1]))
         assert sweeps < len(iterates) - 1   # the sweep that first repeats
         want = scipy.linalg.solve(np.eye(n) - r * C.toarray(), b)
@@ -452,7 +506,7 @@ class TestAcceleratedSweep:
         want = scipy.linalg.solve(np.eye(n) - 0.9 * C.toarray(), b)
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
         x = solve_attenuated(C, 0.9, b, "2-cycles")
-        assert len(seam.products) == 150   # under half the cap of 368 at r = 0.9
+        assert len(seam.products) == 150   # under half the cap of 369 at r = 0.9
         assert np.abs(x - want).sum() <= 1e-14 * np.abs(want).sum()
 
     @pytest.mark.parametrize(
@@ -489,13 +543,18 @@ class TestAcceleratedSweep:
         J = jitter * EPS * (np.abs(b).sum() + c @ np.abs(want))
 
         def jittered(y, k):
-            y[0] += J * pattern[(k - 1) % len(pattern)]
+            if seam.products[-1][1].any():   # a sweep, not the LU's right-hand side
+                y[0] += J * pattern[(k - 1) % len(pattern)]
 
         seam.clear()
         seam.jitter = jittered
         x = solve_attenuated(C, 0.5, b, "jittered")
         if lu_expected:
-            assert cap == len(seam.products) == 54
+            # the cap and one sweep more, since the sweep starts from x = b
+            # and not from zero, then the LU's right-hand side: one product
+            # with every unknown at zero
+            assert cap + 2 == len(seam.products) == 56
+            assert not seam.products[-1][1].any()
             assert lu_sizes == [n]
             np.testing.assert_array_equal(x, want)
         else:

@@ -287,6 +287,12 @@ class TestCorollaryBound:
         sink_only = cn.DefaultIndicator(flags=np.array([False, False, True]))
         assert cn.corollary_radius_bound(C, sink_only)
 
+    @pytest.mark.parametrize("n_flags", [2, 4])
+    def test_mask_of_the_wrong_length_raises(self, sys_a, n_flags):
+        defaults = cn.DefaultIndicator(flags=np.ones(n_flags, dtype=bool))
+        with pytest.raises(cn.DimensionMismatch):
+            cn.corollary_radius_bound(sys_a.claims, defaults)
+
     def test_seeded_random_masks(self, ensemble):
         rng = np.random.default_rng(2)
         for system in ensemble[:10]:
