@@ -5,11 +5,20 @@ explicit pivot check. A square solve is that solve over every row, with no
 entry held. ``scipy.linalg`` is imported by the fallback only, so a run
 that never takes it never loads it.
 
-Every product of the clear and of the power iteration goes through the
-seam :func:`matvec` and :func:`rmatvec`, the one import site of scipy's
-private ``csr_matvec`` and ``csc_matvec``: called as ``A @ x`` calls them
-(``_compressed._matmul_vector``), they give the same product bit for bit,
-without a sparse object or the operator's dispatch per product.
+Every matrix inside the package is a :class:`Csr`: the row pointers,
+column indices and values of the compressed-sparse-row format, and the
+shape. Every product of the clear and of the power iteration goes through
+the seam :func:`matvec` and :func:`rmatvec`, which call scipy's compiled
+``csr_matvec`` and ``csc_matvec`` as ``A @ x`` calls them
+(``_compressed._matmul_vector``): the same product bit for bit, without a
+sparse object or the operator's dispatch per product. Those kernels and
+``csr_tocsc``, the transpose of :func:`clearnet.net_model.build_system`,
+are bound once, below, from scipy's ``sparse/_sparsetools`` extension,
+loaded from its file: importing ``scipy.sparse`` for them would first run
+the ``scipy`` and ``scipy.sparse`` package inits, which take most of the
+package's import time and load hundreds of modules the package never
+uses. ``scipy.sparse`` is imported only for the public ``csr_array``
+accessors (:attr:`Csr.scipy_array`).
 
 The solver's Neumann sweep takes one Aitken step along the dominant mode
 whenever the ratio of successive sweep steps has settled: on claims
@@ -19,14 +28,17 @@ step removes it at the cost of one subtraction and two dot products per
 sweep."""
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 from numpy.typing import NDArray
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .errors import SingularSystem
 
@@ -38,43 +50,98 @@ EPS = float(np.finfo(float).eps)
 RATIO_SETTLE = 0.03
 
 
-def as_csr(C) -> scipy.sparse.csr_array:
-    """``C`` as a float CSR array; a float CSR array is returned as it is.
+def _load_sparsetools():
+    """scipy's compiled ``sparse/_sparsetools`` extension, loaded from its
+    file in the directory of the installed ``scipy`` package. Finding that
+    package's spec does not run ``scipy/__init__``, and the extension is
+    not entered in ``sys.modules``, so no ``scipy`` module is imported for
+    it; a later ``import scipy.sparse`` loads its own copy."""
+    scipy, spec = importlib.util.find_spec("scipy"), None
+    if scipy is not None:
+        path = [os.path.join(d, "sparse") for d in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec("_sparsetools", path)
+    if spec is None:
+        raise ImportError("clearnet needs scipy's compiled sparse kernels, "
+                          "scipy/sparse/_sparsetools, and found none")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
+csr_matvec = _sparsetools.csr_matvec
+csc_matvec = _sparsetools.csc_matvec
+csr_tocsc = _sparsetools.csr_tocsc
+
+
+class Csr(namedtuple("Csr", "indptr indices data shape")):
+    """A matrix in compressed sparse rows: row ``i`` holds the values
+    ``data[indptr[i]:indptr[i + 1]]`` in the columns ``indices[...]`` of the
+    same range, as in scipy's CSR format, and ``shape`` is ``(rows,
+    columns)``. Every routine of the package takes its matrices so and
+    reads the arrays in place."""
+
+    def toarray(self) -> NDArray:
+        """A dense copy, duplicate entries summed, as scipy's ``toarray``."""
+        out = np.zeros(self.shape)
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        np.add.at(out, (rows, self.indices), self.data)
+        return out
+
+    @cached_property
+    def scipy_array(self):
+        """The matrix as a read-only ``scipy.sparse.csr_array`` on the same
+        arrays, not copied where scipy keeps their index type; built on
+        first access, which imports ``scipy.sparse``."""
+        import scipy.sparse
+
+        A = scipy.sparse.csr_array((self.data, self.indices, self.indptr), shape=self.shape)
+        for part in (A.data, A.indices, A.indptr):
+            part.setflags(write=False)
+        return A
+
+
+def as_csr(C) -> Csr:
+    """``C`` as a float :class:`Csr`; a :class:`Csr` is returned as it is.
+
+    A ``scipy.sparse`` matrix or array is read in place when it is a float
+    ``csr_array``, and converted by ``scipy.sparse.csr_array(C, dtype=float)``
+    otherwise. ``scipy.sparse`` is looked up in ``sys.modules``, not
+    imported: a caller holding one of its matrices has imported it.
 
     A dense 2-D input is converted with one scan for its nonzeros in row-
-    major order, which gives the CSR column indices and, by a search for
-    each row's start, the row pointers. This skips the COO detour of
-    ``scipy.sparse.csr_array(C)`` for the N x N liability matrix that
-    :func:`clearnet.net_model.build_system` converts and for dense
-    matrices passed to the public functions.
+    major order, which gives the column indices and, by a search for each
+    row's start, the row pointers: no COO detour, for the N x N liability
+    matrix that :func:`clearnet.net_model.build_system` converts and for
+    dense matrices passed to the public functions.
     """
-    if isinstance(C, scipy.sparse.csr_array) and C.dtype == float:
+    if isinstance(C, Csr):
         return C
-    if scipy.sparse.issparse(C):
-        return scipy.sparse.csr_array(C, dtype=float)
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(C):
+        if not (isinstance(C, sparse.csr_array) and C.dtype == float):
+            C = sparse.csr_array(C, dtype=float)
+        return Csr(C.indptr, C.indices, C.data, C.shape)
     C = np.asarray(C, dtype=float)
     if C.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {C.shape}")
     n_rows, n_cols = C.shape
     flat = np.flatnonzero(C != 0)
     starts = np.searchsorted(flat, np.arange(n_rows + 1) * n_cols)
-    return scipy.sparse.csr_array((C.ravel()[flat], flat % n_cols, starts), shape=C.shape)
+    return Csr(starts, flat % n_cols, C.ravel()[flat], C.shape)
 
 
-Rows = namedtuple("Rows", "indptr indices data shape")
-
-
-def gather_rows(C: scipy.sparse.csr_array, idx: NDArray) -> Rows:
-    """The rows ``idx`` of ``C`` as :class:`Rows`, ``C[idx]`` entry for entry."""
+def gather_rows(C: Csr, idx: NDArray) -> Csr:
+    """The rows ``idx`` of ``C``, ``C[idx]`` entry for entry."""
     starts, counts = C.indptr[idx], np.diff(C.indptr)[idx]
     indptr = np.cumsum(np.append(0, counts), dtype=C.indptr.dtype)
     at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
-    return Rows(indptr, C.indices[at], C.data[at], (len(idx), C.shape[1]))
+    return Csr(indptr, C.indices[at], C.data[at], (len(idx), C.shape[1]))
 
 
 def matvec(A, x: NDArray) -> NDArray:
-    """``A @ x`` for a float ``csr_array`` or :class:`Rows` ``A``; the shape
-    of ``x`` is checked here, since the kernel reads ``x`` unchecked."""
+    """``A @ x`` for a float :class:`Csr` ``A``; the shape of ``x`` is
+    checked here, since the kernel reads ``x`` unchecked."""
     if x.shape != A.shape[1:]:
         raise ValueError(f"dimension mismatch: {A.shape} matrix and {x.shape} vector")
     y = np.zeros(A.shape[0])
@@ -115,7 +182,7 @@ def column_weights(C, r: NDArray) -> NDArray:
 
 
 def solve_attenuated(
-    C: scipy.sparse.csr_array, r, b: NDArray, context: str, sums: NDArray | None = None
+    C: Csr, r, b: NDArray, context: str, sums: NDArray | None = None
 ) -> NDArray:
     """Solve ``(I - diag(r) C) x = b`` for a sparse square ``C >= 0``: the
     solve of :func:`solve_rows` over every row of ``C``, from ``x = b``, with
@@ -139,7 +206,7 @@ def solve_attenuated(
     return x
 
 
-def solve_rows(R: Rows, free: NDArray, r: NDArray, b: NDArray, p: NDArray, context: str):
+def solve_rows(R: Csr, free: NDArray, r: NDArray, b: NDArray, p: NDArray, context: str):
     """Solve ``x = b + r * (R p)`` for the entries ``x = p[free]`` of ``p``,
     in place, with the other entries of ``p`` held: ``R`` is the rows
     ``free`` of an n x n ``C >= 0`` (:func:`gather_rows`), so this is
@@ -242,8 +309,13 @@ def _sweep_rows(A, free, r, b, p, c, context) -> None:
                             prev = lam = None
                             continue
                     prev, prev_sq = d, d_sq
-    M = scipy.sparse.csr_array((A.data, A.indices, A.indptr), shape=A.shape)[:, free]
-    M = M.toarray()
+    # C_FF: A's entries in free columns, numbered among the unknowns, so
+    # that no array of A's full width is formed
+    place = np.full(A.shape[1], -1)
+    place[free] = np.arange(m)
+    cols = place[A.indices]
+    kept = cols >= 0
+    M = Csr(np.append(0, np.cumsum(kept))[A.indptr], cols[kept], A.data[kept], (m, m)).toarray()
     M *= -r[:, None]
     M[np.diag_indices(m)] += 1.0
     p_held = p.copy()

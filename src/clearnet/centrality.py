@@ -129,7 +129,7 @@ def closed_form_full_shock(system: FinancialSystem, params: ClearingParams, m) -
     r_vec = params.recovery_vector(n)
     m_vec = validate_interpolation(m, n)
     rhs = params.r_a * (m_vec * (system.total_liabilities - system.total_claims))
-    return solve_attenuated(system.claims, r_vec, rhs, "full-shock form",
+    return solve_attenuated(system.claims_csr, r_vec, rhs, "full-shock form",
                             sums=system.claims_column_sums)
 
 
@@ -145,5 +145,5 @@ def printed_relaxed_closed_form(system: FinancialSystem, r, m) -> NDArray:
     r_vec = broadcast_rate(r, n, "r")
     m_vec = validate_interpolation(m, n)
     rhs = m_vec * (system.total_liabilities + r_vec * system.total_claims)
-    return solve_attenuated(system.claims, r_vec - m_vec, rhs, "relaxed closed form",
+    return solve_attenuated(system.claims_csr, r_vec - m_vec, rhs, "relaxed closed form",
                             sums=system.claims_column_sums)

@@ -30,6 +30,7 @@ from .net_model import (
     FinancialSystem,
     _defaults_from_claims,
     fundamental_defaults,
+    payment_vector,
 )
 
 ORACLE_STEP_TOL = 1e-12
@@ -79,8 +80,8 @@ def apply_clearing_map(
     their claims on others -- valued at ``p`` for defaulted counterparties
     and at ``l`` for solvent ones -- plus recovered external assets.
     """
-    p = np.asarray(p, dtype=float)
-    return _clearing_map(system, params, p, matvec(system.claims, p))
+    p = payment_vector(system, p)
+    return _clearing_map(system, params, p, matvec(system.claims_csr, p))
 
 
 def _clearing_map(
@@ -100,7 +101,7 @@ def _clearing_map(
     if flags is None:
         flags = _defaults_from_claims(system, cp).flags
     mixed = np.where(flags, p, l)
-    c_mixed = cp if np.array_equal(mixed, p) else matvec(system.claims, mixed)
+    c_mixed = cp if np.array_equal(mixed, p) else matvec(system.claims_csr, mixed)
     paid = r * c_mixed + params.r_a * system.external_assets
     return np.where(flags, paid, l)
 
@@ -139,7 +140,7 @@ def solve_given_defaults(
         sink node present (or ``r < 1``) this signals a convention
         violation.
     """
-    C = system.claims
+    C = system.claims_csr
     r = params.recovery_vector(system.node_count)
     flags = defaults.flags_at(system.node_count)
     b = params.r_a * system.external_assets + 0.0   # a -0.0 asset recovers +0.0
@@ -180,7 +181,7 @@ def fictitious_default_sequence(
     p = None   # round 1 starts from l
     for iteration in range(1, N + 2):
         p = solve_given_defaults(system, params, current, start=p)
-        cp = matvec(system.claims, p)
+        cp = matvec(system.claims_csr, p)
         nxt = _defaults_from_claims(system, cp)
         history.append(nxt)
         if nxt == current:
@@ -192,7 +193,7 @@ def fictitious_default_sequence(
             p.setflags(write=False)
             flags = nxt.flags
             if moved:   # a zero's sign alone leaves C p as it is
-                cp = matvec(system.claims, p)
+                cp = matvec(system.claims_csr, p)
                 flags = None
             gap = np.abs(_clearing_map(system, params, p, cp, flags) - p)[system.banks]
             return ClearingSolution(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from ._linalg import Csr
 from .centrality import beta_vector, generalized_katz, standard_katz
 from .clearing import fictitious_default_sequence, systemic_loss
 from .errors import NotSingleCreditor, ValidationError
@@ -84,7 +85,7 @@ def verify_full_shock_equivalence(
 
     sigma_clearing = systemic_loss(solution, system.total_liabilities)
     beta = beta_vector(system, params.r, m)
-    sigma_katz = generalized_katz(system.claims, params.r, beta, m=m).sigma
+    sigma_katz = generalized_katz(system.claims_csr, params.r, beta, m=m).sigma
 
     details = np.abs(sigma_clearing - sigma_katz)[system.banks]
     max_gap = float(details.max(initial=0.0))
@@ -117,7 +118,7 @@ def verify_katz_reduction(system: FinancialSystem, r: float) -> bool:
     """
     banks = system.banks
     # L stores no zeros, so each stored entry of a row names one creditor
-    creditor_counts = np.diff(system.sparse_liabilities.indptr)[banks]
+    creditor_counts = np.diff(system.liabilities_csr.indptr)[banks]
     bad = np.flatnonzero(creditor_counts != 1)
     if bad.size:
         raise NotSingleCreditor(
@@ -125,12 +126,16 @@ def verify_katz_reduction(system: FinancialSystem, r: float) -> bool:
         )
 
     l = system.total_liabilities
-    adjacency = system.claims[banks, banks]
+    # the sink's column of C is empty, so the bank rows hold the bank block
+    C = system.claims_csr
+    end = C.indptr[system.sink]
+    adjacency = Csr(C.indptr[:system.sink + 1], C.indices[:end], C.data[:end],
+                    (system.n_banks, system.n_banks))
 
     beta = beta_vector(system, r, r)
     normalized = np.zeros_like(beta)
     normalized[banks] = beta[banks] / ((1.0 - r) * l[banks])
-    sigma = generalized_katz(system.claims, r, normalized, m=r).sigma
+    sigma = generalized_katz(C, r, normalized, m=r).sigma
 
     katz = standard_katz(adjacency, r)
     return bool(np.abs(sigma[banks] - katz).max(initial=0.0) <= KATZ_REDUCTION_TOL)

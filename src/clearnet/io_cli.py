@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse
 from numpy.typing import NDArray
 
+from ._linalg import Csr
 from .clearing import (
     fictitious_default_sequence,
     picard_clearing_oracle,
@@ -404,13 +404,11 @@ def generate_random_system(
     # each bank row ends with its (positive) liability to the sink, so bank
     # row i starts i entries later than in the bank block; the sink row is empty
     bank_ptr = np.searchsorted(positions, np.arange(n + 1) * n)
-    L = scipy.sparse.csr_array(
-        (
-            np.insert(weights, bank_ptr[1:], claims + u * (1.0 + interbank)),
-            np.insert(cols, bank_ptr[1:], N - 1),
-            np.append(bank_ptr + np.arange(N), n + weights.size),
-        ),
-        shape=(N, N),
+    L = Csr(
+        np.append(bank_ptr + np.arange(N), n + weights.size),
+        np.insert(cols, bank_ptr[1:], N - 1),
+        np.insert(weights, bank_ptr[1:], claims + u * (1.0 + interbank)),
+        (N, N),
     )
     # the assets are drawn from l, so the system is built first and its l,
     # the one row-sum pass, reused
@@ -447,7 +445,7 @@ def _clearing_sections(system: FinancialSystem, params: ClearingParams) -> dict:
 
 
 def _spectral_dict(system: FinancialSystem, r: float | None) -> dict:
-    ok, report = check_invertibility(system.claims, 1.0 if r is None else r)
+    ok, report = check_invertibility(system.claims_csr, 1.0 if r is None else r)
     return {
         "radius_estimate": report.radius_estimate,
         "collatz_wielandt_lower": report.collatz_wielandt_lower,
@@ -491,7 +489,7 @@ def _shock_sections(args, system: FinancialSystem) -> dict:
 
 def _katz_sections(args, system: FinancialSystem) -> dict:
     beta = beta_vector(system, args.r, args.m)
-    result = generalized_katz(system.claims, args.r, beta, m=args.m)
+    result = generalized_katz(system.claims_csr, args.r, beta, m=args.m)
     return {
         "parameters": {"r": args.r, "m": args.m},
         "beta": beta,

@@ -8,21 +8,27 @@ algebra well posed for any recovery rate.
 
 Everything in this module is immutable after construction and every
 operation is a pure function of its inputs. The liability matrix ``L`` is
-stored once, in compressed sparse rows; the total liabilities ``l``, the
-claims matrix ``C``, its column sums ``1^T C`` and the total claims ``C l``
-are derived from it once, when the system is built, and every copy with
-new external assets shares them. No N x N array is formed on the way,
-except on request by the dense :attr:`FinancialSystem.liabilities`.
+stored once, as the package's read-only compressed-sparse-row arrays
+(:class:`clearnet._linalg.Csr`); the total liabilities ``l``, the claims
+matrix ``C``, its column sums ``1^T C`` and the total claims ``C l`` are
+derived from it once, when the system is built, and every copy with new
+external assets shares them. ``C`` is transposed by scipy's compiled
+``csr_tocsc``, the kernel that ``scipy.sparse`` runs for ``C.T.tocsr()``,
+and nothing here imports ``scipy.sparse``: only the public accessors
+:attr:`FinancialSystem.sparse_liabilities`, :attr:`FinancialSystem.claims`
+and :attr:`RelativeClaims.matrix` do, on first access, when they build
+their ``csr_array`` on the stored arrays. No N x N array is formed on the
+way, except on request by the dense :attr:`FinancialSystem.liabilities`.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse
 from numpy.typing import NDArray
 
-from ._linalg import as_csr, column_weights, matvec
+from ._linalg import Csr, as_csr, column_weights, csr_tocsc, matvec
 from .errors import (
     DimensionMismatch,
     InvalidInterpolation,
@@ -85,23 +91,26 @@ class FinancialSystem:
     ----------
     node_count : int
         Number of nodes ``N`` (banks plus the sink, which is index ``N-1``).
-    sparse_liabilities : (N, N) scipy.sparse.csr_array
-        ``L[i, j]``, what node ``i`` owes node ``j``, in compressed sparse
-        rows with sorted indices, read-only; zeros are not stored. The sink
-        row and the diagonal are empty. :attr:`liabilities` is a dense copy.
+    liabilities_csr : (N, N) clearnet._linalg.Csr
+        ``L[i, j]``, what node ``i`` owes node ``j``, as read-only compressed
+        sparse rows with sorted int64 indices; zeros are not stored. The
+        sink row and the diagonal are empty. :attr:`sparse_liabilities` is
+        the same matrix as a ``scipy.sparse.csr_array``, :attr:`liabilities`
+        a dense copy.
     external_assets : (N,) ndarray
         Current external assets ``a`` (post-shock when a shock was applied).
     pre_shock_assets : (N,) ndarray
         Asset values ``o`` before any shock.
     total_liabilities : (N,) ndarray
         Row sums ``l`` of ``L``, bit for bit those of the dense matrix.
-    claims : (N, N) scipy.sparse.csr_array
+    claims_csr : (N, N) clearnet._linalg.Csr
         Column-normalized claims matrix ``C[i, j] = L[j, i] / l_j``, the
         share of node ``j``'s total liabilities owed to node ``i``; columns
         of nodes without liabilities (the sink's included) are zero. Stored
-        in compressed sparse rows, read-only; every matrix-vector product
-        and linear solve inside the package runs on it.
-        ``claims.toarray()`` gives a dense copy.
+        as read-only compressed sparse rows with sorted int64 indices;
+        every matrix-vector product and linear solve inside the package
+        runs on it. :attr:`claims` is the same matrix as a
+        ``scipy.sparse.csr_array``.
     total_claims : (N,) ndarray
         ``C l``, what each node is owed when every debtor pays in full;
         read-only.
@@ -115,20 +124,35 @@ class FinancialSystem:
     """
 
     node_count: int
-    sparse_liabilities: scipy.sparse.csr_array
+    liabilities_csr: Csr = field(repr=False)
     external_assets: NDArray
     pre_shock_assets: NDArray
     total_liabilities: NDArray = field(repr=False)
-    claims: scipy.sparse.csr_array = field(repr=False)
+    claims_csr: Csr = field(repr=False)
     total_claims: NDArray = field(repr=False)
     claims_column_sums: NDArray = field(repr=False)
+
+    @property
+    def sparse_liabilities(self):
+        """``L`` as a read-only ``scipy.sparse.csr_array`` on the arrays of
+        :attr:`liabilities_csr`, built on first access, which imports
+        ``scipy.sparse``, and shared by every copy with new assets."""
+        return self.liabilities_csr.scipy_array
+
+    @property
+    def claims(self):
+        """``C`` as a read-only ``scipy.sparse.csr_array`` on the arrays of
+        :attr:`claims_csr`, built on first access, which imports
+        ``scipy.sparse``, and shared by every copy with new assets.
+        ``claims.toarray()`` gives a dense copy."""
+        return self.claims_csr.scipy_array
 
     @property
     def liabilities(self) -> NDArray:
         """A fresh, read-only dense copy of ``L``: N x N floats, built on
         each access. Inside the package only ``SystemDocument.from_system``
         (the ``gen`` command) reads it."""
-        L = self.sparse_liabilities.toarray()
+        L = self.liabilities_csr.toarray()
         L.setflags(write=False)
         return L
 
@@ -157,7 +181,12 @@ class FinancialSystem:
 class RelativeClaims:
     """The claims matrix ``C`` of a system; ``matrix`` is ``system.claims``."""
 
-    matrix: scipy.sparse.csr_array
+    claims_csr: Csr
+
+    @property
+    def matrix(self):
+        """``system.claims``, the ``scipy.sparse.csr_array`` of ``C``."""
+        return self.claims_csr.scipy_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +216,10 @@ class DefaultIndicator:
         return flags
 
     def issubset(self, other: "DefaultIndicator") -> bool:
-        return bool(np.all(other.flags[self.flags]))
+        """Whether every node flagged here is flagged in ``other``, which
+        must hold as many flags (else ``DimensionMismatch``)."""
+        flags = self.flags_at(np.size(self.flags))
+        return bool(np.all(other.flags_at(flags.size)[flags]))
 
     @property
     def count(self) -> int:
@@ -256,7 +288,7 @@ class ClearingParams:
         return self.r
 
 
-def row_sums(L: scipy.sparse.csr_array) -> NDArray:
+def row_sums(L: Csr) -> NDArray:
     """Row sums of a canonical CSR matrix, bit for bit numpy's
     ``sum(axis=1)`` of the dense matrix. numpy sums a row pairwise, so the
     zeros between the stored entries decide how the terms pair up; the rows
@@ -279,12 +311,21 @@ def row_sums(L: scipy.sparse.csr_array) -> NDArray:
     return out
 
 
-def _liability_csr(liabilities) -> scipy.sparse.csr_array:
+def _liability_csr(liabilities) -> Csr:
     """A private float CSR copy of a dense or ``scipy.sparse`` matrix, with
     sorted int64 indices, duplicates summed and zeros of either sign
-    dropped, so that dense and sparse input give the same arrays."""
-    if scipy.sparse.issparse(liabilities):
-        L = scipy.sparse.csr_array(liabilities, dtype=float, copy=True)
+    dropped, so that dense and sparse input give the same arrays. A
+    :class:`Csr`, which only the package passes, has sorted indices and no
+    duplicates, and arrays of its own: only its zeros are dropped."""
+    sparse = sys.modules.get("scipy.sparse")   # imported by a caller holding its matrix
+    if isinstance(liabilities, Csr):
+        L = liabilities
+        kept = L.data != 0
+        if not kept.all():
+            L = Csr(np.append(0, np.cumsum(kept))[L.indptr], L.indices[kept], L.data[kept],
+                    L.shape)
+    elif sparse is not None and sparse.issparse(liabilities):
+        L = sparse.csr_array(liabilities, dtype=float, copy=True)
         L.sum_duplicates()
         L.eliminate_zeros()
     else:
@@ -293,7 +334,7 @@ def _liability_csr(liabilities) -> scipy.sparse.csr_array:
             raise DimensionMismatch(f"liability matrix must be square, got shape {L.shape}")
         L = as_csr(L)
     indices, indptr = (part.astype(np.int64, copy=False) for part in (L.indices, L.indptr))
-    return scipy.sparse.csr_array((L.data, indices, indptr), shape=L.shape)
+    return Csr(indptr, indices, L.data, L.shape)
 
 
 def build_system(liabilities, pre_shock_assets, external_assets=None) -> FinancialSystem:
@@ -301,7 +342,8 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
 
     ``liabilities`` is a dense matrix or any ``scipy.sparse`` matrix or
     array; it contains the sink as its last row and column. It is converted
-    to CSR once and validated in one pass over its nonzero entries.
+    to CSR once and validated in one pass over its nonzero entries. No
+    ``scipy`` module is imported for a dense matrix.
     ``external_assets`` defaults to ``pre_shock_assets`` (no shock yet).
 
     Raises
@@ -345,9 +387,10 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
         i = int(np.argmax(~np.isfinite(l)))
         raise DimensionMismatch(f"total liabilities of node {i} are not finite")
     l.setflags(write=False)
-    # C = L^T / l, one division per stored entry of L
-    C = scipy.sparse.csr_array((data / l[rows], cols, L.indptr), shape=L.shape)
-    C = C.T.tocsr()
+    # C = L^T / l, one division per stored entry of L; the CSC arrays of L / l
+    # are the CSR arrays of its transpose, as scipy's C.T.tocsr() forms them
+    C = Csr(np.empty(N + 1, dtype=np.int64), np.empty_like(cols), np.empty_like(data), L.shape)
+    csr_tocsc(N, N, L.indptr, cols, data / l[rows], C.indptr, C.indices, C.data)
     for part in (L.data, L.indices, L.indptr, C.data, C.indices, C.indptr):
         part.setflags(write=False)
     cl = matvec(C, l)
@@ -357,11 +400,11 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
 
     return FinancialSystem(
         node_count=N,
-        sparse_liabilities=L,
+        liabilities_csr=L,
         external_assets=a,
         pre_shock_assets=o,
         total_liabilities=l,
-        claims=C,
+        claims_csr=C,
         total_claims=cl,
         claims_column_sums=sums,
     )
@@ -369,13 +412,22 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
 
 def relative_claims(system: FinancialSystem) -> RelativeClaims:
     """``system.claims`` (see :class:`FinancialSystem`) wrapped."""
-    return RelativeClaims(matrix=system.claims)
+    return RelativeClaims(claims_csr=system.claims_csr)
+
+
+def payment_vector(system: FinancialSystem, payments) -> NDArray:
+    """``payments`` as floats, checked to hold one entry per node."""
+    p = np.asarray(payments, dtype=float)
+    if p.shape != (system.node_count,):
+        raise DimensionMismatch(f"dimension mismatch: payments have shape {p.shape}, "
+                                f"expected ({system.node_count},)")
+    return p
 
 
 def equity(system: FinancialSystem, payments: NDArray) -> NDArray:
     """Balance-sheet equity ``a + C p - l`` under a payment vector ``p``."""
-    p = np.asarray(payments, dtype=float)
-    return system.external_assets + matvec(system.claims, p) - system.total_liabilities
+    p = payment_vector(system, payments)
+    return system.external_assets + matvec(system.claims_csr, p) - system.total_liabilities
 
 
 def _defaults_from_claims(system: FinancialSystem, cp: NDArray) -> DefaultIndicator:
@@ -391,7 +443,8 @@ def _defaults_from_claims(system: FinancialSystem, cp: NDArray) -> DefaultIndica
 
 def default_indicator(system: FinancialSystem, payments: NDArray) -> DefaultIndicator:
     """Default flags under a payment vector (see :func:`_defaults_from_claims`)."""
-    return _defaults_from_claims(system, matvec(system.claims, np.asarray(payments, dtype=float)))
+    p = payment_vector(system, payments)
+    return _defaults_from_claims(system, matvec(system.claims_csr, p))
 
 
 def fundamental_defaults(system: FinancialSystem) -> DefaultIndicator:

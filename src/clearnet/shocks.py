@@ -250,7 +250,7 @@ def relaxed_interpolated_shock(
     m_vec = validate_interpolation(m, n)
     r_vec = params.recovery_vector(n)
     l = system.total_liabilities
-    C = system.claims
+    C = system.claims_csr
 
     q = m_vec * solve_attenuated(C, r_vec - m_vec, l, "relaxed-shock candidate",
                                  sums=system.claims_column_sums)

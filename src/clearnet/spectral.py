@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 from numpy.typing import NDArray
 
-from ._linalg import as_csr, column_weights, rmatvec
+from ._linalg import Csr, as_csr, column_weights, rmatvec
 from .errors import ZeroVector
 from .net_model import DefaultIndicator, broadcast_rate
 
@@ -46,11 +45,12 @@ class SpectralReport:
     invertible_for_r: str
 
 
-def _check_nonnegative(C) -> scipy.sparse.csr_array:
-    """``C`` as a float CSR array, after checking that it is square and
-    elementwise nonnegative. Dense and sparse input take this one
-    conversion, so both give bit-identical results downstream. Each public
-    entry runs it once; the private helpers take its result unchecked."""
+def _check_nonnegative(C) -> Csr:
+    """``C`` as a float :class:`clearnet._linalg.Csr`, after checking that
+    it is square and elementwise nonnegative. Dense and sparse input take
+    this one conversion, so both give bit-identical results downstream.
+    Each public entry runs it once; the private helpers take its result
+    unchecked."""
     C = as_csr(C)
     if C.shape[0] != C.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {C.shape}")
@@ -76,14 +76,14 @@ def collatz_wielandt_value(C: NDArray, x: NDArray) -> float:
     return _quotient(C, x)
 
 
-def _quotient(C: scipy.sparse.csr_array, x: NDArray) -> float:
+def _quotient(C: Csr, x: NDArray) -> float:
     """:func:`collatz_wielandt_value` of a checked ``C`` and ``x``."""
     support = x > 0
     xC = rmatvec(C, x)
     return float(np.min(xC[support] / x[support]))
 
 
-def _lasting_support(C: scipy.sparse.csr_array) -> NDArray:
+def _lasting_support(C: Csr) -> NDArray:
     """0/1 indicator of the nodes ``j`` with ``(1^T C^k)_j > 0`` for every
     ``k``, of a nonnegative ``C``: those that a path of nonzero entries
     reaches from a cycle.
@@ -101,7 +101,7 @@ def _lasting_support(C: scipy.sparse.csr_array) -> NDArray:
         support = nxt
 
 
-def _perron(C: scipy.sparse.csr_array) -> tuple[float, float]:
+def _perron(C: Csr) -> tuple[float, float]:
     """Radius estimate and certified Collatz-Wielandt lower bound of a
     checked ``C``, from one left power iteration.
 
@@ -157,9 +157,7 @@ def _below_one(r_max: float, norm: float, estimate: float) -> bool:
     return r_max * min(norm, estimate) < 1.0 - INVERTIBILITY_MARGIN
 
 
-def safely_invertible(
-    C: scipy.sparse.csr_array, r, sums: NDArray
-) -> tuple[bool, float | None]:
+def safely_invertible(C: Csr, r, sums: NDArray) -> tuple[bool, float | None]:
     """The one rule: is ``I - diag(r) C`` safely invertible?
 
     Yes iff ``max|r| * min(||C||_1, estimate) < 1 - 1e-12``: the largest
@@ -208,10 +206,10 @@ def corollary_radius_bound(C: NDArray, defaults: DefaultIndicator) -> bool:
 
     Masking rows and columns of a nonnegative matrix can only shrink the
     radius; this computes both sides and returns the comparison (with a
-    1e-10 slack for estimator noise), masking a CSR copy's stored entries.
+    1e-10 slack for estimator noise), masking the stored entries of ``C``
+    into a copy of its values.
     """
     C = _check_nonnegative(C)
     mask = defaults.flags_at(C.shape[0]).astype(float)
-    masked = C.copy()
-    masked.data *= np.repeat(mask, np.diff(C.indptr)) * mask[C.indices]
+    masked = C._replace(data=C.data * (np.repeat(mask, np.diff(C.indptr)) * mask[C.indices]))
     return _perron(masked)[0] <= _perron(C)[0] + 1e-10

@@ -578,7 +578,7 @@ class TestColumnSums:
 
     def test_column_passes_and_products_per_full_shock_op(self, monkeypatch, seam):
         system = cn.generate_random_system(seed=3, n_banks=300, density=0.03)
-        C = system.claims
+        C = system.claims_csr
         in_solves = []
 
         def counted(A, *args, **kwargs):
@@ -598,7 +598,9 @@ class TestColumnSums:
             assert in_solves == [want_sweeps]   # one solve, by sweeps
             assert len(seam.column_products) == want_passes
             assert len(seam.products) - in_solves[0] == want_products
-            assert all(A is C for A, _ in seam.column_products + seam.products)
+            # every product reads the stored values of C in place
+            assert all(np.shares_memory(A.data, C.data)
+                       for A, _ in seam.column_products + seam.products)
 
     def test_full_shock_op_copies_nothing_of_the_size_of_c(self, monkeypatch):
         # 9.4k stored entries: a copy of C.data alone is 75 kB, while the
@@ -801,6 +803,104 @@ def test_sweep_path_loads_no_sparse_linear_algebra():
     assert out == ["True", "True", "True", "False", "False"]
 
 
+def _run_script(script: str, *args: str) -> list:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_clear_katz_spectral_and_reports_import_no_scipy_module(tmp_path):
+    # the kernels are loaded from scipy's extension file, not through
+    # scipy/__init__ and scipy/sparse/__init__, which load hundreds of
+    # modules the package never uses; only the public csr_array accessors
+    # import scipy.sparse. In a fresh process, since the test process has
+    # imported scipy.sparse itself
+    script = (
+        "import contextlib, io, sys\n"
+        "def step(name):\n"
+        "    loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "    print(name, 'scipy-free' if not loaded else loaded)\n"
+        "import clearnet as cn\n"
+        "step('import')\n"
+        "system = cn.generate_random_system(3, 300, 0.03)\n"
+        "step('generate')\n"
+        "scenario = cn.full_default_shock(system, 0.5)\n"
+        "full = cn.fictitious_default_sequence(cn.shocked_system(system, scenario),\n"
+        "                                      cn.ClearingParams(r=0.8))\n"
+        "cn.generalized_katz(system.claims_csr, 0.8, cn.beta_vector(system, 0.8, 0.5), m=0.5)\n"
+        "step(f'full-default-{full.iterations}-round-and-katz')\n"
+        "a = system.external_assets.copy()\n"
+        "a[:10] = 0.0\n"
+        "partial = cn.fictitious_default_sequence(system.with_external_assets(a),\n"
+        "                                         cn.ClearingParams(r=0.9))\n"
+        "cn.check_invertibility(system.claims_csr, 0.9)\n"
+        "step(f'partial-{partial.iterations}-rounds-and-invertibility')\n"
+        "chain = [[0.0] * 41 for _ in range(41)]\n"   # 40 banks, each owing the next
+        "for i in range(40):\n"
+        "    chain[i][i + 1] = 1.0\n"
+        "chain = cn.build_system(chain, [1.0] * 41)\n"
+        "step(f'katz-reduction-{cn.verify_katz_reduction(chain, 0.5)}')\n"
+        "doc = sys.argv[1]\n"
+        "commands = [['gen', '--seed', '1', '--n', '400', '--density', '0.02', '--out', doc],\n"
+        "            ['clear', '--r', '0.8'],\n"
+        "            ['shock', '--kind', 'full', '--m', '0.5', '--r', '0.8'],\n"
+        "            ['shock', '--kind', 'relaxed', '--r', '0.8'],\n"
+        "            ['verify', '--r', '0.8', '--m', '0.5'],\n"
+        "            ['katz', '--r', '0.8', '--m', '0.5'], ['spectral', '--r', '1.0']]\n"
+        "for argv in commands:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+        "        code = cn.cli_main(argv if argv[0] == 'gen' else argv + ['--input', doc])\n"
+        "    name = argv[0] if argv[0] != 'shock' else 'shock-' + argv[2]\n"
+        "    step(f'{name}-{code}')\n"
+        "system.claims\n"
+        "print('claims', 'scipy.sparse' in sys.modules)\n"
+    )
+    out = _run_script(script, str(tmp_path / "gen.json"))
+    assert out == [
+        "import", "scipy-free", "generate", "scipy-free",
+        "full-default-1-round-and-katz", "scipy-free",
+        "partial-3-rounds-and-invertibility", "scipy-free",
+        "katz-reduction-True", "scipy-free",
+        "gen-0", "scipy-free", "clear-0", "scipy-free", "shock-full-0", "scipy-free",
+        "shock-relaxed-0", "scipy-free", "verify-0", "scipy-free", "katz-0", "scipy-free",
+        "spectral-0", "scipy-free", "claims", "True",
+    ]
+
+
+def test_kernels_loaded_by_path_match_scipys_products_beside_its_own_copy():
+    # importing scipy.sparse after clearnet loads the extension a second
+    # time; the products of the package's copy equal C @ x and C.T @ x both
+    # before and after that import, bit for bit, and so does the transpose
+    # that built C
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import clearnet as cn\n"
+        "from clearnet import _linalg\n"
+        "system = cn.generate_random_system(4, 500, 0.02)\n"
+        "x = np.random.default_rng(4).uniform(-1.0, 1.0, system.node_count)\n"
+        "C = system.claims_csr\n"
+        "before = [_linalg.matvec(C, x), _linalg.rmatvec(C, x)]\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "import scipy.sparse\n"
+        "from scipy.sparse import _sparsetools\n"
+        "print(_sparsetools.csr_matvec is _linalg.csr_matvec)\n"
+        "after = [_linalg.matvec(C, x), _linalg.rmatvec(C, x)]\n"
+        "want = [system.claims @ x, system.claims.T @ x]\n"
+        "print(all(a.tobytes() == w.tobytes() for a, w in zip(before + after, want + want)))\n"
+        "L = system.sparse_liabilities\n"
+        "rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))\n"
+        "l = system.total_liabilities\n"
+        "T = scipy.sparse.csr_array((L.data / l[rows], L.indices, L.indptr), shape=L.shape)\n"
+        "T = T.T.tocsr()\n"
+        "print(all(getattr(T, p).tobytes() == getattr(C, p).tobytes()\n"
+        "          for p in ('indptr', 'indices', 'data')))\n"
+    )
+    assert _run_script(script) == ["False", "False", "True", "True"]
+
+
 class TestAsCsr:
     def test_dense_round_trip(self, ensemble):
         for system in ensemble[:20]:
@@ -809,7 +909,7 @@ class TestAsCsr:
 
     def test_empty_and_zero_matrices(self):
         assert as_csr(np.zeros((0, 0))).shape == (0, 0)
-        assert as_csr(np.zeros((3, 3))).nnz == 0
+        assert len(as_csr(np.zeros((3, 3))).data) == 0
 
     def test_non_contiguous_input(self):
         M = np.arange(36.0).reshape(6, 6)

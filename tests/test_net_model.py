@@ -346,6 +346,42 @@ class TestDefaultIndicator:
         np.testing.assert_array_equal(d1.flags, [False, False, True])
         assert d1.count == 1
 
+    @pytest.mark.parametrize("flags", [[False, True], [False, False, False, True]])
+    def test_subset_of_an_indicator_of_another_length_raises(self, sys_a, flags):
+        # numpy raised an IndexError for either order of the two indicators
+        short = cn.DefaultIndicator(flags=np.array(flags))
+        full = cn.default_indicator(sys_a, sys_a.total_liabilities)
+        for one, other in ((short, full), (full, short)):
+            with pytest.raises(cn.DimensionMismatch):
+                one.issubset(other)
+
+    def test_subset_reads_integer_flags_as_flags(self):
+        # 0/1 flags were used as indices: no flag set was not a subset
+        none, some = (cn.DefaultIndicator(flags=np.array(f)) for f in ([0, 0, 0], [0, 1, 1]))
+        assert none.issubset(some) and some.issubset(some) and not some.issubset(none)
+
+
+class TestWrongLengthPayments:
+    """A payment vector with one entry too few or too many is a model error,
+    as wrong-length default flags are, not the product's bare ValueError."""
+
+    ENTRIES = [np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0, 4.0]), np.array(5.0)]
+
+    @pytest.mark.parametrize("p", ENTRIES, ids=["short", "long", "scalar"])
+    def test_equity(self, sys_a, p):
+        with pytest.raises(cn.DimensionMismatch, match="payments"):
+            cn.equity(sys_a, p)
+
+    @pytest.mark.parametrize("p", ENTRIES, ids=["short", "long", "scalar"])
+    def test_default_indicator(self, sys_a, p):
+        with pytest.raises(cn.DimensionMismatch, match="payments"):
+            cn.default_indicator(sys_a, p)
+
+    @pytest.mark.parametrize("p", ENTRIES, ids=["short", "long", "scalar"])
+    def test_clearing_map(self, sys_a, p):
+        with pytest.raises(cn.DimensionMismatch, match="payments"):
+            cn.apply_clearing_map(sys_a, cn.ClearingParams(r=0.5), p)
+
 
 class TestFundamentalDefaults:
     def test_sys_a_unshocked(self, sys_a):
@@ -465,7 +501,7 @@ class TestSparseLiabilities:
         want = as_csr(np.divide(L.T, l, out=np.zeros_like(L), where=l > 0))
         for part in ("data", "indices", "indptr"):
             assert_same_bits(getattr(system.claims, part), getattr(want, part))
-        assert_same_bits(system.total_claims, want @ l)
+        assert_same_bits(system.total_claims, want.scipy_array @ l)
 
     def test_generator_sums_the_rows_once(self, monkeypatch):
         calls = []
@@ -528,6 +564,32 @@ class TestSparseLiabilities:
             with pytest.raises(ValueError):
                 part[0] = 0
         assert system.with_external_assets([1, 1, 1]).sparse_liabilities is stored
+
+    def test_public_matrices_are_scipys_csr_arrays_of_the_stored_arrays(self, ensemble):
+        # sparse_liabilities, claims and relative_claims(s).matrix: read-only
+        # csr_arrays, byte for byte the arrays scipy forms for L, as a
+        # canonical CSR copy with int64 indices, and for C = (L / l)^T by
+        # .T.tocsr(); the stored arrays have int64 indices
+        generated = [cn.generate_random_system(seed, n, density)
+                     for seed, n, density in ((7, 300, 0.03), (1, 1, 0.5), (13, 2000, 8 / 2000))]
+        for system in ensemble[:30] + generated:
+            dense = system.liabilities
+            L = scipy.sparse.csr_array(dense)
+            L = scipy.sparse.csr_array(
+                (L.data, L.indices.astype(np.int64), L.indptr.astype(np.int64)), shape=L.shape)
+            rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
+            l = dense.sum(axis=1)
+            C = scipy.sparse.csr_array((L.data / l[rows], L.indices, L.indptr), shape=L.shape)
+            C = C.T.tocsr()
+            public = (system.sparse_liabilities, system.claims, cn.relative_claims(system).matrix)
+            assert public[2] is public[1]
+            for got, want in zip(public, (L, C, C)):
+                assert isinstance(got, scipy.sparse.csr_array) and got.shape == want.shape
+                for part in ("data", "indices", "indptr"):
+                    assert_same_bits(getattr(got, part), getattr(want, part))
+                    assert not getattr(got, part).flags.writeable
+            for stored in (system.liabilities_csr, system.claims_csr):
+                assert stored.indices.dtype == stored.indptr.dtype == np.int64
 
     def test_dense_accessor_is_fresh_and_read_only(self, sys_a):
         first, second = sys_a.liabilities, sys_a.liabilities
