@@ -15,11 +15,11 @@ L = [[0, 2, 8],   # bank 1 owes 2 to bank 2 and 8 outside
 system = cn.build_system(L, pre_shock_assets=[8.0, 9.0, 1.0])
 
 l = system.total_liabilities
-C = system.claims
+C = system.claims_csr
 print("total liabilities:", l)
 print("claims matrix C (who holds what share of each debtor):")
 print(C.toarray())
-print("interbank claims (C l):", C @ l)
+print("interbank claims (C l):", system.total_claims)
 
 # Solvent world: everyone pays in full, only the sink is flagged (by
 # convention it is always 'in default' so the algebra stays well posed).

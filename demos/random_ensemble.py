@@ -19,7 +19,7 @@ for seed in range(40):
     density = 0.2 + 0.6 * ((seed * 0.31) % 1.0)
     system = cn.generate_random_system(seed=seed, n_banks=n_banks, density=density)
 
-    rho = cn.spectral_radius(system.claims)
+    rho = cn.spectral_radius(system.claims_csr)
     assert rho < 1.0, "sink node keeps the radius below one"
 
     for r in R_GRID:
@@ -41,7 +41,7 @@ params = cn.ClearingParams(r=0.7)
 base = cn.fictitious_default_sequence(shocked, params).payments
 for c in (1e-3, 1e3):
     scaled_system = cn.build_system(
-        c * shocked.sparse_liabilities,
+        c * shocked.liabilities,
         c * shocked.pre_shock_assets,
         c * shocked.external_assets,
     )

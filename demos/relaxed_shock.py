@@ -52,6 +52,6 @@ print("its gap to the certified solution:", cert.printed_gap)
 # p = m l + (r - m) C p:
 p = cert.clearing.payments
 l = system.total_liabilities
-C = system.claims
+C = system.claims_csr.toarray()
 identity_gap = np.abs(p - (0.5 * l + 0.0 * (C @ p)))[:2].max()
 print("\nself-consistency residual (r = m):", identity_gap)

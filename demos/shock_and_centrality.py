@@ -25,7 +25,7 @@ print("all nodes defaulted:", bool(solution.defaults.flags.all()))
 
 # Route two: one linear solve on the unshocked system.
 beta = cn.beta_vector(system, r, m)
-katz = cn.generalized_katz(system.claims, r, beta)
+katz = cn.generalized_katz(system.claims_csr, r, beta)
 print("centrality residual:", katz.residual)
 
 banks = system.banks

@@ -19,7 +19,7 @@ print("invertible at r = 1?", ok, "-- admissible interval:", report.invertible_f
 
 # With a sink: same two banks, but each also owes the outside world.
 system = cn.build_system([[0, 2, 8], [3, 0, 7], [0, 0, 0]], [8.0, 9.0, 1.0])
-C = system.claims
+C = system.claims_csr
 print("\nclaims matrix with sink column:")
 print(C.toarray())
 print("radius with sink:", cn.spectral_radius(C))
@@ -40,7 +40,7 @@ print("certified lower bound (with sink):", report.collatz_wielandt_lower,
 rng = np.random.default_rng(0)
 for trial in range(3):
     big = cn.generate_random_system(seed=trial, n_banks=20, density=0.4)
-    Cb = big.claims
+    Cb = big.claims_csr.toarray()
     flags = rng.random(big.node_count) < 0.5
     flags[big.sink] = True
     masked = Cb * np.outer(flags, flags)

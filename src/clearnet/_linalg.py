@@ -17,8 +17,11 @@ are bound once, below, from scipy's ``sparse/_sparsetools`` extension,
 loaded from its file: importing ``scipy.sparse`` for them would first run
 the ``scipy`` and ``scipy.sparse`` package inits, which take most of the
 package's import time and load hundreds of modules the package never
-uses. ``scipy.sparse`` is imported only for the public ``csr_array``
-accessors (:attr:`Csr.scipy_array`).
+uses. No path of the package imports ``scipy.sparse`` or builds one of its
+matrices; a caller's matrix is read through :func:`as_csr`, and a caller who
+wants one of the package's matrices as a ``csr_array`` builds it from the
+arrays, ``scipy.sparse.csr_array((C.data, C.indices, C.indptr),
+shape=C.shape)``.
 
 The solver's Neumann sweep takes one Aitken step along the dominant mode
 whenever the ratio of successive sweep steps has settled: on claims
@@ -35,7 +38,6 @@ import os
 import sys
 import warnings
 from collections import namedtuple
-from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -87,18 +89,6 @@ class Csr(namedtuple("Csr", "indptr indices data shape")):
         rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
         np.add.at(out, (rows, self.indices), self.data)
         return out
-
-    @cached_property
-    def scipy_array(self):
-        """The matrix as a read-only ``scipy.sparse.csr_array`` on the same
-        arrays, not copied where scipy keeps their index type; built on
-        first access, which imports ``scipy.sparse``."""
-        import scipy.sparse
-
-        A = scipy.sparse.csr_array((self.data, self.indices, self.indptr), shape=self.shape)
-        for part in (A.data, A.indices, A.indptr):
-            part.setflags(write=False)
-        return A
 
 
 def as_csr(C) -> Csr:

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._linalg import column_weights, matvec, solve_attenuated
-from .errors import SingularSystem
+from .errors import DimensionMismatch, SingularSystem
 from .net_model import (
     ClearingParams,
     FinancialSystem,
@@ -84,6 +84,8 @@ def generalized_katz(C, r, beta: NDArray, m=None) -> CentralityResult:
     n = C.shape[0]
     r_vec = broadcast_rate(r, n, "r")
     beta = np.asarray(beta, dtype=float)
+    if beta.shape != (n,):
+        raise DimensionMismatch(f"beta has shape {beta.shape}, expected ({n},)")
 
     sums = column_weights(C, np.ones(n))
     ok, rho = safely_invertible(C, r_vec, sums)

@@ -131,7 +131,8 @@ def solve_given_defaults(
     When every node is flagged the solve is the square one of
     :func:`clearnet._linalg.solve_attenuated` on ``C`` itself, from
     ``r_a a`` and with the system's stored ``claims_column_sums`` as its
-    column weights: no copy of ``C`` is made and ``start`` is not read.
+    column weights: no copy of ``C`` is made and ``start``, checked to hold
+    one entry per node like the payments, is not read.
 
     Raises
     ------
@@ -143,6 +144,8 @@ def solve_given_defaults(
     C = system.claims_csr
     r = params.recovery_vector(system.node_count)
     flags = defaults.flags_at(system.node_count)
+    if start is not None:
+        start = payment_vector(system, start)
     b = params.r_a * system.external_assets + 0.0   # a -0.0 asset recovers +0.0
     context = f"reduced system on {np.count_nonzero(flags)} defaulted node(s)"
     if np.all(flags):   # no solvent node pays in

@@ -14,11 +14,11 @@ matrix ``C``, its column sums ``1^T C`` and the total claims ``C l`` are
 derived from it once, when the system is built, and every copy with new
 external assets shares them. ``C`` is transposed by scipy's compiled
 ``csr_tocsc``, the kernel that ``scipy.sparse`` runs for ``C.T.tocsr()``,
-and nothing here imports ``scipy.sparse``: only the public accessors
-:attr:`FinancialSystem.sparse_liabilities`, :attr:`FinancialSystem.claims`
-and :attr:`RelativeClaims.matrix` do, on first access, when they build
-their ``csr_array`` on the stored arrays. No N x N array is formed on the
-way, except on request by the dense :attr:`FinancialSystem.liabilities`.
+and nothing here imports ``scipy.sparse``: each matrix is public once, as
+the stored :class:`~clearnet._linalg.Csr` itself,
+:attr:`FinancialSystem.liabilities_csr` and
+:attr:`FinancialSystem.claims_csr`. No N x N array is formed on the way,
+except on request by the dense :attr:`FinancialSystem.liabilities`.
 """
 from __future__ import annotations
 
@@ -94,9 +94,8 @@ class FinancialSystem:
     liabilities_csr : (N, N) clearnet._linalg.Csr
         ``L[i, j]``, what node ``i`` owes node ``j``, as read-only compressed
         sparse rows with sorted int64 indices; zeros are not stored. The
-        sink row and the diagonal are empty. :attr:`sparse_liabilities` is
-        the same matrix as a ``scipy.sparse.csr_array``, :attr:`liabilities`
-        a dense copy.
+        sink row and the diagonal are empty. :attr:`liabilities` is a dense
+        copy.
     external_assets : (N,) ndarray
         Current external assets ``a`` (post-shock when a shock was applied).
     pre_shock_assets : (N,) ndarray
@@ -109,8 +108,7 @@ class FinancialSystem:
         of nodes without liabilities (the sink's included) are zero. Stored
         as read-only compressed sparse rows with sorted int64 indices;
         every matrix-vector product and linear solve inside the package
-        runs on it. :attr:`claims` is the same matrix as a
-        ``scipy.sparse.csr_array``.
+        runs on it; ``claims_csr.toarray()`` gives a dense copy.
     total_claims : (N,) ndarray
         ``C l``, what each node is owed when every debtor pays in full;
         read-only.
@@ -131,21 +129,6 @@ class FinancialSystem:
     claims_csr: Csr = field(repr=False)
     total_claims: NDArray = field(repr=False)
     claims_column_sums: NDArray = field(repr=False)
-
-    @property
-    def sparse_liabilities(self):
-        """``L`` as a read-only ``scipy.sparse.csr_array`` on the arrays of
-        :attr:`liabilities_csr`, built on first access, which imports
-        ``scipy.sparse``, and shared by every copy with new assets."""
-        return self.liabilities_csr.scipy_array
-
-    @property
-    def claims(self):
-        """``C`` as a read-only ``scipy.sparse.csr_array`` on the arrays of
-        :attr:`claims_csr`, built on first access, which imports
-        ``scipy.sparse``, and shared by every copy with new assets.
-        ``claims.toarray()`` gives a dense copy."""
-        return self.claims_csr.scipy_array
 
     @property
     def liabilities(self) -> NDArray:
@@ -179,14 +162,9 @@ class FinancialSystem:
 
 @dataclass(frozen=True, eq=False)
 class RelativeClaims:
-    """The claims matrix ``C`` of a system; ``matrix`` is ``system.claims``."""
+    """The claims matrix ``C`` of a system; ``matrix`` is ``system.claims_csr``."""
 
-    claims_csr: Csr
-
-    @property
-    def matrix(self):
-        """``system.claims``, the ``scipy.sparse.csr_array`` of ``C``."""
-        return self.claims_csr.scipy_array
+    matrix: Csr
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,8 +389,8 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
 
 
 def relative_claims(system: FinancialSystem) -> RelativeClaims:
-    """``system.claims`` (see :class:`FinancialSystem`) wrapped."""
-    return RelativeClaims(claims_csr=system.claims_csr)
+    """``system.claims_csr`` (see :class:`FinancialSystem`) wrapped."""
+    return RelativeClaims(matrix=system.claims_csr)
 
 
 def payment_vector(system: FinancialSystem, payments) -> NDArray:

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._linalg import Csr, as_csr, column_weights, rmatvec
-from .errors import ZeroVector
+from .errors import DimensionMismatch, ZeroVector
 from .net_model import DefaultIndicator, broadcast_rate
 
 RADIUS_TOL = 1e-10
@@ -47,14 +47,17 @@ class SpectralReport:
 
 def _check_nonnegative(C) -> Csr:
     """``C`` as a float :class:`clearnet._linalg.Csr`, after checking that
-    it is square and elementwise nonnegative. Dense and sparse input take
-    this one conversion, so both give bit-identical results downstream.
-    Each public entry runs it once; the private helpers take its result
-    unchecked."""
+    it is square and elementwise finite and nonnegative. Dense and sparse
+    input take this one conversion, so both give bit-identical results
+    downstream. Each public entry runs it once; the private helpers take
+    its result unchecked."""
     C = as_csr(C)
     if C.shape[0] != C.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {C.shape}")
-    if C.data.min(initial=0.0) < 0:
+    low, high = C.data.min(initial=0.0), C.data.max(initial=0.0)   # NaN in, NaN out
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise ValueError("matrix entries must be finite")
+    if low < 0:
         raise ValueError("matrix must be elementwise nonnegative")
     return C
 
@@ -69,6 +72,8 @@ def collatz_wielandt_value(C: NDArray, x: NDArray) -> float:
     """
     C = _check_nonnegative(C)
     x = np.asarray(x, dtype=float)
+    if x.shape != C.shape[:1]:
+        raise DimensionMismatch(f"test vector has shape {x.shape}, expected ({C.shape[0]},)")
     if np.any(x < 0):
         raise ValueError("test vector must be nonnegative")
     if not np.any(x > 0):

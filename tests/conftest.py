@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import clearnet as cn
 import clearnet._linalg
@@ -12,6 +13,13 @@ import clearnet._linalg
 R_VALUES = (0.1, 0.3, 0.5, 0.7, 0.9)
 M_VALUES = (0.1, 0.3, 0.5, 0.7, 0.9)
 ENSEMBLE_SIZE = 200
+
+
+def csr_array(A) -> scipy.sparse.csr_array:
+    """One of the package's matrices (``system.claims_csr``,
+    ``system.liabilities_csr``) as a ``scipy.sparse.csr_array`` on its
+    arrays, for the tests that compare against scipy's own products."""
+    return scipy.sparse.csr_array((A.data, A.indices, A.indptr), shape=A.shape)
 
 
 def ensemble_system(i: int) -> cn.FinancialSystem:
@@ -44,7 +52,7 @@ def search_step_system(system: cn.FinancialSystem, k: int, max_steps: int):
     taken with the sparse ``C`` the search uses, so the assets agree bit
     for bit."""
     l = system.total_liabilities
-    cl = system.claims @ l
+    cl = csr_array(system.claims_csr) @ l
     a = system.pre_shock_assets.copy()
     b = system.banks
     a[b] = np.maximum((1.0 - k / max_steps) * (l[b] - cl[b]), 0.0)

@@ -11,6 +11,7 @@ from conftest import (
     M_VALUES,
     R_VALUES,
     contagion_only_system,
+    csr_array,
     ensemble_system,
     linear_scan_step,
     partial_default_variant,
@@ -25,7 +26,7 @@ def _announce(number: int, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def radii(ensemble):
-    return [cn.spectral_radius(s.claims) for s in ensemble]
+    return [cn.spectral_radius(s.claims_csr) for s in ensemble]
 
 
 def test_criterion_01_full_shock_equivalence(ensemble, radii):
@@ -115,7 +116,7 @@ def test_criterion_05_invertibility_theorem(ensemble, radii):
         1.0, abs=1e-8
     )
     ok, _ = cn.check_invertibility(
-        SYS_A.claims, r=1.0
+        SYS_A.claims_csr, r=1.0
     )
     assert ok
     M = rng.uniform(0.05, 1.0, size=(5, 5))
@@ -132,7 +133,7 @@ def test_criterion_06_masked_radius_bound(ensemble):
     rng = np.random.default_rng(31)
     for i in range(100):
         system = ensemble[i % len(ensemble)]
-        C = system.claims
+        C = system.claims_csr
         flags = rng.random(system.node_count) < rng.uniform(0.2, 0.9)
         flags[system.sink] = True
         assert cn.corollary_radius_bound(C, cn.DefaultIndicator(flags=flags))
@@ -165,7 +166,7 @@ def test_criterion_07_neumann_series(ensemble, radii):
     checked = 0
     strongest = 0.0
     for system, rho in cases:
-        C = system.claims
+        C = csr_array(system.claims_csr)
         if rho is None:
             rho = cn.spectral_radius(C)
         n = system.node_count

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import clearnet as cn
-from conftest import fraction_solve
+from conftest import csr_array, fraction_solve
 
 
 def single_creditor_chain(weights=(4.0, 6.0, 5.0)):
@@ -92,14 +92,14 @@ class TestBetaWithoutCancellation:
 
 class TestGeneralizedKatz:
     def test_sys_a_matches_hand_solve(self, sys_a):
-        C = sys_a.claims
+        C = sys_a.claims_csr
         result = cn.generalized_katz(C, 0.8, np.array([4.1, 4.4, 0.0]))
         np.testing.assert_allclose(result.sigma[:2], (5.36190, 5.25790), atol=1e-4)
         assert result.sigma[2] == 0.0
         assert result.residual <= 1e-10
 
     def test_zero_beta(self, sys_a):
-        C = sys_a.claims
+        C = sys_a.claims_csr
         result = cn.generalized_katz(C, 0.8, np.zeros(3))
         np.testing.assert_array_equal(result.sigma, np.zeros(3))
 
@@ -114,13 +114,19 @@ class TestGeneralizedKatz:
         assert result.sigma.shape == (0,)
         assert result.residual == 0.0
 
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
+    def test_beta_of_the_wrong_shape_raises(self, sys_a, shape):
+        # numpy's "shapes not aligned" ValueError, or a TypeError for (3, 1)
+        with pytest.raises(cn.DimensionMismatch):
+            cn.generalized_katz(sys_a.claims_csr, 0.8, np.ones(shape))
+
     def test_radius_precondition(self):
         stochastic = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(cn.SingularSystem):
             cn.generalized_katz(stochastic, 1.0, np.ones(2))
 
     def test_linearity(self, sys_a):
-        C = sys_a.claims
+        C = sys_a.claims_csr
         rng = np.random.default_rng(8)
         b1 = rng.uniform(0, 5, 3)
         b2 = rng.uniform(0, 5, 3)
@@ -149,7 +155,7 @@ class TestRecoveryRatesValidated:
     @pytest.mark.parametrize("r", BAD)
     def test_generalized_katz(self, system, r):
         with pytest.raises(cn.ValidationError, match="recovery rate r must lie in"):
-            cn.generalized_katz(system.claims, r, np.array([1.0, 1.0, 0.0]))
+            cn.generalized_katz(system.claims_csr, r, np.array([1.0, 1.0, 0.0]))
 
     @pytest.mark.parametrize("r", BAD)
     def test_printed_relaxed_closed_form(self, system, r):
@@ -211,7 +217,7 @@ class TestClosedFormFullShock:
             r, m = 0.7, 0.4
             p = cn.closed_form_full_shock(system, cn.ClearingParams(r=r), m)
             l = system.total_liabilities
-            C = system.claims
+            C = csr_array(system.claims_csr)
             a = m * (l - C @ l)
             direct = np.linalg.solve(np.eye(system.node_count) - r * C, a)
             b = system.banks
@@ -269,7 +275,7 @@ class TestPrintedRelaxedClosedForm:
     def test_equal_rates_reduce_to_quadratic(self, sys_a):
         p = cn.printed_relaxed_closed_form(sys_a, 0.5, 0.5)
         l = sys_a.total_liabilities
-        C = sys_a.claims
+        C = csr_array(sys_a.claims_csr)
         np.testing.assert_allclose(p, 0.5 * l + 0.25 * (C @ l), atol=1e-12)
         np.testing.assert_allclose(p[:2], [5.75, 5.5], atol=1e-12)
 
@@ -282,7 +288,7 @@ class TestPrintedRelaxedClosedForm:
 class TestNeumannEquivalence:
     def test_series_matches_solve_at_moderate_attenuation(self, ensemble):
         for system in ensemble[:8]:
-            C = system.claims
+            C = csr_array(system.claims_csr)
             r = 0.8
             if r * cn.spectral_radius(C) > 0.85:
                 continue
@@ -301,7 +307,7 @@ class TestKatzReduction:
     def test_chain_matches_standard_katz(self):
         system = single_creditor_chain()
         r = 0.5
-        C = system.claims.toarray()
+        C = system.claims_csr.toarray()
         adjacency = C[system.banks, system.banks]
         assert set(np.unique(adjacency)) <= {0.0, 1.0}
         beta = cn.beta_vector(system, r, r)

@@ -13,7 +13,7 @@ import clearnet._linalg
 import clearnet.clearing
 import clearnet.net_model
 from clearnet._linalg import EPS, solve_attenuated
-from conftest import exact_frozen_payments, partial_default_variant
+from conftest import csr_array, exact_frozen_payments, partial_default_variant
 
 # independently frozen via the fixed-point oracle (see picard tests below)
 SYS_A_FULL_DEFAULT_P = (4.63810316, 4.74209651)
@@ -27,7 +27,7 @@ TINY_PAYMENTS_L = [[0, 1e14, 1e14], [1e14, 0, 1e14], [0, 0, 0]]
 def frozen_map(system, params, defaults, f):
     """Clearing map with the default set frozen (for consistency checks)."""
     l = system.total_liabilities
-    C = system.claims
+    C = csr_array(system.claims_csr)
     d = defaults.flags
     r = params.recovery_vector(system.node_count)
     mixed = np.where(d, f, l)
@@ -105,7 +105,7 @@ class TestSolveGivenDefaults:
                 params = cn.ClearingParams(r=r, r_a=0.7)
                 r_vec = params.recovery_vector(n)
                 idx = np.arange(n)
-                C = system.claims
+                C = csr_array(system.claims_csr)
                 b = r_vec * (C @ np.zeros(n)) + 0.7 * shocked.external_assets
                 want = solve_attenuated(C[idx][:, idx], r_vec[idx], b[idx], "block")
                 got = cn.solve_given_defaults(shocked, params, everyone)
@@ -127,8 +127,8 @@ class TestSolveGivenDefaults:
         params = cn.ClearingParams(r=r, r_a=0.7)
         everyone = cn.DefaultIndicator(flags=np.ones(n_banks + 1, dtype=bool))
         r_vec = params.recovery_vector(n_banks + 1)
-        b = r_vec * (system.claims @ np.zeros(n_banks + 1)) + 0.7 * a
-        want = solve_attenuated(system.claims, r_vec, b, "block")
+        b = r_vec * (csr_array(system.claims_csr) @ np.zeros(n_banks + 1)) + 0.7 * a
+        want = solve_attenuated(system.claims_csr, r_vec, b, "block")
         got = cn.solve_given_defaults(system, params, everyone)
         assert got.tobytes() == want.tobytes()
         solution = cn.fictitious_default_sequence(system, params)
@@ -148,6 +148,16 @@ class TestSolveGivenDefaults:
         defaults = cn.DefaultIndicator(flags=np.array(flags))
         with pytest.raises(cn.DimensionMismatch):
             cn.solve_given_defaults(sys_a, cn.ClearingParams(r=0.5), defaults)
+
+    @pytest.mark.parametrize("length", [2, 4])
+    @pytest.mark.parametrize("flags", [[True, False, True], [True, True, True]])
+    def test_start_of_the_wrong_length_raises(self, sys_a, length, flags):
+        # one start entry per node, read or not: a partial set raised numpy's
+        # broadcast error, and the full set ignored the start unchecked
+        defaults = cn.DefaultIndicator(flags=np.array(flags))
+        with pytest.raises(cn.DimensionMismatch):
+            cn.solve_given_defaults(sys_a, cn.ClearingParams(r=0.5), defaults,
+                                    start=np.ones(length))
 
     def test_singular_reduced_system(self):
         # two banks owing only each other, full recovery: I - C is singular
@@ -204,7 +214,8 @@ class TestDefaultedRows:
             assert not np.array_equal(before[free], after[free])
             np.testing.assert_array_equal(after[~flags], l[~flags])
         r = params.recovery_vector(shocked.node_count)[free]
-        y = r * (shocked.claims[free] @ arguments[-1]) + 0.7 * shocked.external_assets[free]
+        C = csr_array(shocked.claims_csr)
+        y = r * (C[free] @ arguments[-1]) + 0.7 * shocked.external_assets[free]
         assert y.tobytes() == p[free].tobytes()
 
     def test_matches_the_square_block_solve(self):
@@ -212,7 +223,7 @@ class TestDefaultedRows:
         # the solvent nodes' term on the right, within rounding
         shocked, params, defaults = self.half_defaulted()
         flags = defaults.flags
-        C, l = shocked.claims, shocked.total_liabilities
+        C, l = csr_array(shocked.claims_csr), shocked.total_liabilities
         r = params.recovery_vector(shocked.node_count)
         idx = np.flatnonzero(flags)
         b = (r * (C @ np.where(flags, 0.0, l)) + 0.7 * shocked.external_assets)[idx]
@@ -295,7 +306,7 @@ class TestCascadeOnTheSeam:
 
         monkeypatch.setattr(base, "__init__", counted)
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _took_lu)
-        system.claims[np.arange(3)]   # the count sees scipy's own row gather
+        csr_array(system.claims_csr)[np.arange(3)]   # the count sees scipy's own row gather
         assert built
         built.clear()
         solution = cn.fictitious_default_sequence(shocked, cn.ClearingParams(r=0.9))
@@ -356,7 +367,7 @@ def test_multi_round_clear_is_within_its_bound_of_exact_arithmetic(
     if solution.iterations < 2 or len(rounds) < solution.iterations:
         reject()   # one round, or a last round on every node
     R, free = rounds[-1]
-    R = scipy.sparse.csr_array((R.data, R.indices, R.indptr), shape=R.shape)
+    R = csr_array(R)
     p = solution.payments
     exact = exact_frozen_payments(shocked, r_vec, r_a, solution.defaults.flags)
     gap = sum(abs(Fraction(p[i]) - exact[i]) for i in free.tolist())
@@ -553,7 +564,8 @@ def plain_clearing_map(system, params, p):
     """The clearing map written out plainly, with its two products."""
     l = system.total_liabilities
     flags = cn.default_indicator(system, p).flags
-    paid = (params.recovery_vector(system.node_count) * (system.claims @ np.where(flags, p, l))
+    C = csr_array(system.claims_csr)
+    paid = (params.recovery_vector(system.node_count) * (C @ np.where(flags, p, l))
             + params.r_a * system.external_assets)
     return np.where(flags, paid, l)
 

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clearnet as cn
-from conftest import partial_default_variant
+from conftest import csr_array, partial_default_variant
 from test_centrality import single_creditor_chain
 
 
@@ -13,9 +13,8 @@ def scaled(system: cn.FinancialSystem, e: int) -> cn.FinancialSystem:
     """``system`` with its liabilities and both asset vectors times ``2**e``,
     which every float operation of the model carries exactly."""
     f = 2.0**e
-    return cn.build_system(
-        system.sparse_liabilities * f, system.pre_shock_assets * f, system.external_assets * f
-    )
+    L = csr_array(system.liabilities_csr)
+    return cn.build_system(L * f, system.pre_shock_assets * f, system.external_assets * f)
 
 
 def ring(s: float) -> cn.FinancialSystem:
@@ -89,7 +88,7 @@ class TestFullShockEquivalence:
             sigma_clearing = cn.systemic_loss(solution, l)[system.banks]
             beta = cn.beta_vector(system, 0.7, 0.5)
             sigma_katz = cn.generalized_katz(
-                system.claims, 0.7, beta
+                system.claims_csr, 0.7, beta
             ).sigma[system.banks]
             np.testing.assert_array_equal(
                 np.argsort(-sigma_clearing, kind="stable"),

@@ -17,6 +17,7 @@ from clearnet.io_cli import (
     parse_document,
     serialize_document,
 )
+from conftest import csr_array
 
 # one invocation of every report command, without --input
 REPORT_COMMANDS = [
@@ -220,7 +221,7 @@ class TestGenerator:
         for seed in range(30):
             system = cn.generate_random_system(seed, 2 + seed % 20, 0.4)
             l = system.total_liabilities
-            cl = system.claims @ l
+            cl = csr_array(system.claims_csr) @ l
             b = system.banks
             assert np.all(cl[b] < l[b])
             # every bank starts solvent
@@ -407,7 +408,7 @@ class TestCli:
         cli_main(["gen", "--seed", "2", "--n", "9", "--density", "0.7", "--out", str(out)])
         system = cn.load_document(out).to_system()
         l = system.total_liabilities
-        cl = system.claims @ l
+        cl = csr_array(system.claims_csr) @ l
         assert np.all(cl[system.banks] < l[system.banks])
 
     def test_spectral_report(self, sys_a_path, capsys):

@@ -32,7 +32,7 @@ from clearnet._linalg import (
     solve_attenuated,
     solve_rows,
 )
-from conftest import exact_frozen_payments, fraction_solve, partial_default_variant
+from conftest import csr_array, exact_frozen_payments, fraction_solve, partial_default_variant
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -82,8 +82,8 @@ def test_solver_matches_dense_lu(
     if not b.any():
         b[0] = scale
 
-    x = solve_attenuated(system.claims[idx][:, idx], r_vec[idx], b, "block")
-    block = system.claims.toarray()[np.ix_(idx, idx)]
+    x = solve_attenuated(csr_array(system.claims_csr)[idx][:, idx], r_vec[idx], b, "block")
+    block = system.claims_csr.toarray()[np.ix_(idx, idx)]
     A = np.eye(idx.size) - r_vec[idx, None] * block
     want = scipy.linalg.solve(A, b)
     assert np.abs(x - want).sum() <= 1e-13 * np.abs(want).sum()
@@ -126,7 +126,7 @@ class TestSelection:
     def test_full_default_clear_and_katz_sweep_without_lu(self, monkeypatch):
         system = cn.generate_random_system(seed=3, n_banks=300, density=0.03)
         l = system.total_liabilities
-        C = system.claims
+        C = csr_array(system.claims_csr)
         beta = cn.beta_vector(system, 0.8, 0.5)
         want = np.linalg.solve(np.eye(system.node_count) - 0.8 * C, beta)
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
@@ -149,9 +149,9 @@ class TestSelection:
         # dense path runs even at 300 banks; the sink keeps it invertible
         system = cn.generate_random_system(seed=3, n_banks=300, density=0.03)
         n = system.node_count
-        x = solve_attenuated(system.claims, np.ones(n), np.ones(n), "r = 1")
+        x = solve_attenuated(system.claims_csr, np.ones(n), np.ones(n), "r = 1")
         assert lu_sizes == [n]
-        np.testing.assert_allclose(x - system.claims @ x, 1.0, rtol=1e-10)
+        np.testing.assert_allclose(x - csr_array(system.claims_csr) @ x, 1.0, rtol=1e-10)
 
     def test_closed_cycle_at_full_recovery_raises_through_lu(self, lu_sizes):
         system = cn.build_system([[0, 5, 0], [5, 0, 0], [0, 0, 0]], [1.0, 1.0, 1.0])
@@ -167,18 +167,18 @@ class TestSelection:
         n = system.node_count
         b = np.full(n, 1e308)
         b[-1] = entry
-        x = solve_attenuated(system.claims, 0.5, b, "huge")   # warns of nothing
+        x = solve_attenuated(system.claims_csr, 0.5, b, "huge")   # warns of nothing
         with np.errstate(over="ignore", invalid="ignore"):
-            A = np.eye(n) - 0.5 * system.claims.toarray()
+            A = np.eye(n) - 0.5 * system.claims_csr.toarray()
             want = scipy.linalg.solve(A, b, check_finite=False)
         assert lu_sizes == [n]
         np.testing.assert_array_equal(x, want)
 
     def test_small_system_takes_dense_lu(self, sys_a, lu_sizes):
         # q = 0.8 < 1, but 55 sweeps over 4 nonzeros cost more than a 3x3 LU
-        x = solve_attenuated(sys_a.claims, 0.8, np.ones(3), "sys_a")
+        x = solve_attenuated(sys_a.claims_csr, 0.8, np.ones(3), "sys_a")
         assert lu_sizes == [3]
-        np.testing.assert_allclose(x - 0.8 * (sys_a.claims @ x), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(x - 0.8 * (csr_array(sys_a.claims_csr) @ x), 1.0, rtol=1e-14)
 
     @pytest.mark.parametrize("n, lu_expected", [(12, True), (13, False)])
     def test_flop_rule_boundary(self, n, lu_expected, lu_sizes):
@@ -214,7 +214,7 @@ class TestSelection:
                 cn.fictitious_default_sequence(shocked, cn.ClearingParams(r=r))
         sides = collections.Counter()
         for R, free, r, b, p, took_lu in calls:
-            A = scipy.sparse.csr_array((R.data, R.indices, R.indptr), shape=R.shape)
+            A = csr_array(R)
             c = abs(A).T @ np.abs(r)
             q, m = float(c[free].max()), len(free)
             p[free] = 0.0
@@ -231,7 +231,7 @@ class TestSelection:
     def test_zero_attenuation_returns_the_right_hand_side(self, sys_a, monkeypatch):
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
         b = np.array([1.0, -2.0, 3.0])
-        x = solve_attenuated(sys_a.claims, 0.0, b, "r = 0")
+        x = solve_attenuated(sys_a.claims_csr, 0.0, b, "r = 0")
         np.testing.assert_array_equal(x, b)
         assert x is not b
 
@@ -279,7 +279,7 @@ def pinned_cases():
     cases = []
     for seed, n_banks, density in ((1, 300, 0.03), (2, 300, 8 / 300), (3, 6, 0.5)):
         system = cn.generate_random_system(seed, n_banks, density)
-        C, n = system.claims, system.node_count
+        C, n = csr_array(system.claims_csr), system.node_count
         l = system.total_liabilities
         rates = (0.5, 0.9, rng.uniform(0.0, 0.95, n), 0.3 - 0.7,
                  rng.uniform(0.0, 0.9, n) - rng.uniform(0.0, 0.9, n))
@@ -347,7 +347,7 @@ def payment_chain(n_banks: int) -> scipy.sparse.csr_array:
     """Bank i owes only bank i + 1, the last bank the sink: a nilpotent C."""
     L = np.zeros((n_banks + 1, n_banks + 1))
     L[np.arange(n_banks), np.arange(1, n_banks + 1)] = np.arange(1.0, n_banks + 1)
-    return cn.build_system(L, np.ones(n_banks + 1)).claims
+    return csr_array(cn.build_system(L, np.ones(n_banks + 1)).claims_csr)
 
 
 def rates(kind: str, n: int) -> np.ndarray:
@@ -402,7 +402,7 @@ class TestAcceleratedSweep:
     def test_jumping_sweep_matches_exact_arithmetic(self, seam):
         # a 41-node network is small enough for an exact solve and large
         # enough to sweep; its Perron mode dominates, so the sweep jumps
-        C = CountingCsr(cn.generate_random_system(4, 40, 0.1).claims)
+        C = CountingCsr(csr_array(cn.generate_random_system(4, 40, 0.1).claims_csr))
         n = C.shape[0]
         r, b = np.full(n, 0.5), right_hand_side("mixed", n)
         seam.clear()
@@ -416,7 +416,7 @@ class TestAcceleratedSweep:
     @pytest.mark.parametrize("signs", ["nonnegative", "mixed"])
     @pytest.mark.parametrize("kind", ["scalar", "per-node", "r - m", "per-node r - m"])
     def test_network_matches_dense_lu(self, kind, signs, monkeypatch):
-        C = cn.generate_random_system(3, 300, 0.03).claims
+        C = cn.generate_random_system(3, 300, 0.03).claims_csr
         n = C.shape[0]
         r, b = rates(kind, n), right_hand_side(signs, n)
         want = scipy.linalg.solve(np.eye(n) - r[:, None] * C.toarray(), b)
@@ -429,7 +429,7 @@ class TestAcceleratedSweep:
         # every sweep, step, ratio and jump scales exactly, so the solution
         # does too, bit for bit
         system = cn.generate_random_system(3, 300, 0.03)
-        C, n = system.claims, system.node_count
+        C, n = system.claims_csr, system.node_count
         for kind in ("scalar", "per-node r - m"):
             r, b = rates(kind, n), right_hand_side("mixed", n)
             x = solve_attenuated(C, r, b, "unscaled")
@@ -441,7 +441,7 @@ class TestAcceleratedSweep:
         # squared steps overflow or underflow here: the ratios fail, the
         # sweep goes on without jumps, and no floating-point warning escapes
         system = cn.generate_random_system(3, 300, 0.03)
-        C, n = system.claims, system.node_count
+        C, n = system.claims_csr, system.node_count
         r, b = rates("per-node", n), right_hand_side("mixed", n)
         want = scipy.linalg.solve(np.eye(n) - r[:, None] * C.toarray(), b)
         x = solve_attenuated(C, r, np.ldexp(b, exponent), "scaled")
@@ -449,7 +449,7 @@ class TestAcceleratedSweep:
 
     def test_fewer_sweeps_than_the_plain_loop(self, seam):
         system = cn.generate_random_system(3, 300, 0.03)
-        C = CountingCsr(system.claims)
+        C = CountingCsr(csr_array(system.claims_csr))
         b = cn.beta_vector(system, 0.9, 0.3)
         want = scipy.linalg.solve(np.eye(C.shape[0]) - 0.9 * C.toarray(), b)
         seam.clear()
@@ -466,7 +466,7 @@ class TestAcceleratedSweep:
     def test_sweeps_to_the_floor_on_a_network(self, r, sweeps, monkeypatch, seam):
         # waiting for a bit-for-bit repeat instead takes 19 and 28 sweeps
         system = cn.generate_random_system(3, 300, 0.03)
-        C = system.claims
+        C = system.claims_csr
         b = cn.beta_vector(system, r, 0.3)
         want = scipy.linalg.solve(np.eye(C.shape[0]) - r * C.toarray(), b)
         monkeypatch.setattr(clearnet._linalg, "lu_factor_checked", _no_lu)
@@ -533,7 +533,7 @@ class TestAcceleratedSweep:
         # step is at least about as large as J; an alternating sign alone
         # leads the iterates into a period-2 cycle, a pattern of period 4 not
         system = cn.generate_random_system(3, 300, 0.03)
-        C, n = system.claims, system.node_count
+        C, n = csr_array(system.claims_csr), system.node_count
         b = system.total_liabilities
         want = scipy.linalg.solve(np.eye(n) - 0.5 * C.toarray(), b)
         c = abs(C).T @ np.full(n, 0.5)
@@ -574,7 +574,7 @@ class TestColumnSums:
         shocked = cn.shocked_system(system, cn.full_default_shock(system, m))
         beta = cn.beta_vector(system, r, m)
         return (lambda: cn.fictitious_default_sequence(shocked, cn.ClearingParams(r=r)),
-                lambda: cn.generalized_katz(system.claims, r, beta, m=m))
+                lambda: cn.generalized_katz(system.claims_csr, r, beta, m=m))
 
     def test_column_passes_and_products_per_full_shock_op(self, monkeypatch, seam):
         system = cn.generate_random_system(seed=3, n_banks=300, density=0.03)
@@ -611,7 +611,7 @@ class TestColumnSums:
         n = system.node_count
         r = np.random.default_rng(3).uniform(0.5, 0.9, n)
         beta = cn.beta_vector(system, r, 0.5)
-        per_node = lambda: cn.generalized_katz(system.claims, r, beta, m=0.5)
+        per_node = lambda: cn.generalized_katz(system.claims_csr, r, beta, m=0.5)
         for step in (*self.full_shock_op(system), per_node):
             step()   # warm every import and cache up first
             tracemalloc.start()
@@ -621,7 +621,7 @@ class TestColumnSums:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * system.claims.nnz
+            assert peak < 8 * len(system.claims_csr.data)
 
         # a partial-default clear: each round's solve on its rows R of C
         # allocates less than one copy of R's stored entries
@@ -647,14 +647,14 @@ class TestColumnSums:
             tracemalloc.stop()
         assert len(rounds) > 1
         for peak, size in rounds:
-            assert 0 < size < system.claims.data.nbytes   # a strict part of C
+            assert 0 < size < system.claims_csr.data.nbytes   # a strict part of C
             assert peak < size
 
     def test_uniform_weights_from_the_sums_agree_with_a_pass(self, ensemble):
         # both round the exact column weights by at most (K + 1) eps relative,
         # K the column's stored entries (Higham 3.1)
         for system in ensemble:
-            C, n = system.claims, system.node_count
+            C, n = system.claims_csr, system.node_count
             K = np.bincount(C.indices, minlength=n)
             for r in (0.1, 0.5, 0.9, 1.0, 0.3 - 0.7):
                 from_sums = abs(r) * system.claims_column_sums
@@ -675,7 +675,7 @@ class TestColumnSums:
         # whole-C solve tried, and without a column pass
         monkeypatch.setattr(clearnet._linalg, "column_weights", None)
         for system in ensemble[::10] + [cn.generate_random_system(3, 300, 0.03)]:
-            C, n = system.claims, system.node_count
+            C, n = csr_array(system.claims_csr), system.node_count
             b = np.random.default_rng(n).uniform(0.0, 1.0, n)
             for r in (0.5, 0.9, 0.3 - 0.7):
                 got = solve_attenuated(C, r, b, "sums", sums=system.claims_column_sums)
@@ -710,7 +710,8 @@ def test_sweep_is_within_its_rounding_bound_of_exact_arithmetic(
     C = {"2-cycles": lambda: two_cycles(size),
          "cycle": lambda: cycle(size),
          "payment chain": lambda: payment_chain(size),
-         "network": lambda: cn.generate_random_system(seed, size, density).claims}[matrix]()
+         "network": lambda: csr_array(
+             cn.generate_random_system(seed, size, density).claims_csr)}[matrix]()
     n = C.shape[0]
     rng = np.random.default_rng(seed)
     r = {"scalar": np.full(n, r_max),
@@ -774,7 +775,7 @@ def test_sweep_path_loads_no_sparse_linear_algebra():
         "scenario = cn.full_default_shock(system, 0.5)\n"
         "cn.fictitious_default_sequence(cn.shocked_system(system, scenario),\n"
         "                               cn.ClearingParams(r=0.8))\n"
-        "cn.generalized_katz(system.claims, 0.8, cn.beta_vector(system, 0.8, 0.5))\n"
+        "cn.generalized_katz(system.claims_csr, 0.8, cn.beta_vector(system, 0.8, 0.5))\n"
         "a = system.external_assets.copy()\n"
         "a[:150] = 0.0\n"
         "partial = cn.fictitious_default_sequence(system.with_external_assets(a),\n"
@@ -813,9 +814,9 @@ def _run_script(script: str, *args: str) -> list:
 def test_clear_katz_spectral_and_reports_import_no_scipy_module(tmp_path):
     # the kernels are loaded from scipy's extension file, not through
     # scipy/__init__ and scipy/sparse/__init__, which load hundreds of
-    # modules the package never uses; only the public csr_array accessors
-    # import scipy.sparse. In a fresh process, since the test process has
-    # imported scipy.sparse itself
+    # modules the package never uses, and the public matrices are the
+    # stored Csr, so reading them imports nothing either. In a fresh
+    # process, since the test process has imported scipy.sparse itself
     script = (
         "import contextlib, io, sys\n"
         "def step(name):\n"
@@ -854,8 +855,9 @@ def test_clear_katz_spectral_and_reports_import_no_scipy_module(tmp_path):
         "        code = cn.cli_main(argv if argv[0] == 'gen' else argv + ['--input', doc])\n"
         "    name = argv[0] if argv[0] != 'shock' else 'shock-' + argv[2]\n"
         "    step(f'{name}-{code}')\n"
-        "system.claims\n"
-        "print('claims', 'scipy.sparse' in sys.modules)\n"
+        "matrix = cn.relative_claims(system).matrix\n"
+        "system.claims_csr, system.liabilities_csr\n"
+        "step(f'matrices-{matrix is system.claims_csr}')\n"
     )
     out = _run_script(script, str(tmp_path / "gen.json"))
     assert out == [
@@ -865,7 +867,7 @@ def test_clear_katz_spectral_and_reports_import_no_scipy_module(tmp_path):
         "katz-reduction-True", "scipy-free",
         "gen-0", "scipy-free", "clear-0", "scipy-free", "shock-full-0", "scipy-free",
         "shock-relaxed-0", "scipy-free", "verify-0", "scipy-free", "katz-0", "scipy-free",
-        "spectral-0", "scipy-free", "claims", "True",
+        "spectral-0", "scipy-free", "matrices-True", "scipy-free",
     ]
 
 
@@ -888,9 +890,10 @@ def test_kernels_loaded_by_path_match_scipys_products_beside_its_own_copy():
         "from scipy.sparse import _sparsetools\n"
         "print(_sparsetools.csr_matvec is _linalg.csr_matvec)\n"
         "after = [_linalg.matvec(C, x), _linalg.rmatvec(C, x)]\n"
-        "want = [system.claims @ x, system.claims.T @ x]\n"
+        "S = scipy.sparse.csr_array((C.data, C.indices, C.indptr), shape=C.shape)\n"
+        "want = [S @ x, S.T @ x]\n"
         "print(all(a.tobytes() == w.tobytes() for a, w in zip(before + after, want + want)))\n"
-        "L = system.sparse_liabilities\n"
+        "L = system.liabilities_csr\n"
         "rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))\n"
         "l = system.total_liabilities\n"
         "T = scipy.sparse.csr_array((L.data / l[rows], L.indices, L.indptr), shape=L.shape)\n"
@@ -904,7 +907,7 @@ def test_kernels_loaded_by_path_match_scipys_products_beside_its_own_copy():
 class TestAsCsr:
     def test_dense_round_trip(self, ensemble):
         for system in ensemble[:20]:
-            C = system.claims.toarray()
+            C = system.claims_csr.toarray()
             np.testing.assert_array_equal(as_csr(C).toarray(), C)
 
     def test_empty_and_zero_matrices(self):

@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import clearnet as cn
 import clearnet.io_cli
 import clearnet.net_model
 from clearnet._linalg import as_csr, column_weights
-from conftest import partial_default_variant
+from conftest import csr_array, partial_default_variant
 
 
 class TestBuildSystem:
@@ -77,16 +76,13 @@ class TestBuildSystem:
     def test_shocked_copies_share_liabilities_and_claims(self, sys_a):
         scenario = cn.full_default_shock(sys_a, 0.5)
         shocked = cn.shocked_system(sys_a, scenario)
-        assert shocked.claims is sys_a.claims
+        assert shocked.liabilities_csr is sys_a.liabilities_csr
         assert shocked.total_liabilities is sys_a.total_liabilities
-        with pytest.raises(ValueError):
-            sys_a.claims[0, 1] = 5.0
-        # an insertion is refused too, once scipy's efficiency warning passes
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.sparse.SparseEfficiencyWarning)
+        L = sys_a.liabilities_csr
+        for part in (L.data, L.indices, L.indptr):
             with pytest.raises(ValueError):
-                sys_a.claims[0, 0] = 5.0
-        assert sys_a.claims.nnz == 4
+                part[0] = 0
+        assert len(sys_a.claims_csr.data) == 4
         with pytest.raises(ValueError):
             sys_a.total_liabilities[0] = 5.0
         assert shocked.total_claims is sys_a.total_claims
@@ -95,9 +91,9 @@ class TestBuildSystem:
 
     def test_shocked_copies_share_the_sparse_claims(self, sys_a):
         shocked = cn.shocked_system(sys_a, cn.full_default_shock(sys_a, 0.5))
-        assert shocked.claims is sys_a.claims
-        assert cn.relative_claims(sys_a).matrix is sys_a.claims
-        C = sys_a.claims
+        assert shocked.claims_csr is sys_a.claims_csr
+        assert cn.relative_claims(sys_a).matrix is sys_a.claims_csr
+        C = sys_a.claims_csr
         for part in (C.data, C.indices, C.indptr):
             with pytest.raises(ValueError):
                 part[0] = 0
@@ -108,7 +104,7 @@ class TestBuildSystem:
         for system in systems:
             sums = system.claims_column_sums
             ones = np.ones(system.node_count)
-            assert sums.tobytes() == column_weights(system.claims, ones).tobytes()
+            assert sums.tobytes() == column_weights(system.claims_csr, ones).tobytes()
             with pytest.raises(ValueError):
                 sums[0] = 5.0
         shocked = cn.shocked_system(sys_a, cn.full_default_shock(sys_a, 0.5))
@@ -191,7 +187,7 @@ class TestRecordsHoldingArrays:
                 cn.relative_claims(system),
                 scenario,
                 cn.fictitious_default_sequence(cn.shocked_system(system, scenario), params),
-                cn.generalized_katz(system.claims, 0.5, cn.beta_vector(system, 0.5, 0.5)),
+                cn.generalized_katz(system.claims_csr, 0.5, cn.beta_vector(system, 0.5, 0.5)),
                 cn.verify_full_shock_equivalence(system, params, 0.5),
                 cn.relaxed_interpolated_shock(system, params, 0.5),
             )
@@ -218,21 +214,21 @@ class TestTotalLiabilities:
 class TestRelativeClaims:
     def test_sys_a(self, sys_a):
         expected = [[0, 0.3, 0], [0.2, 0, 0], [0.8, 0.7, 0]]
-        np.testing.assert_allclose(sys_a.claims.toarray(), expected)
+        np.testing.assert_allclose(sys_a.claims_csr.toarray(), expected)
 
     def test_sys_0_only_sink_has_claims(self, sys_0):
         expected = [[0, 0, 0], [0, 0, 0], [1, 1, 0]]
-        np.testing.assert_array_equal(sys_0.claims.toarray(), expected)
+        np.testing.assert_array_equal(sys_0.claims_csr.toarray(), expected)
 
     def test_zero_matrix(self):
         system = cn.build_system(np.zeros((3, 3)), [1, 1, 1])
         np.testing.assert_array_equal(
-            system.claims.toarray(), np.zeros((3, 3))
+            system.claims_csr.toarray(), np.zeros((3, 3))
         )
 
     def test_column_stochastic_where_liable(self, ensemble):
         for system in ensemble[:25]:
-            C = system.claims.toarray()
+            C = system.claims_csr.toarray()
             l = system.total_liabilities
             assert C.min() >= 0 and C.max() <= 1
             sums = C.sum(axis=0)
@@ -243,7 +239,7 @@ class TestRelativeClaims:
     def test_claims_monotone_in_payments(self, ensemble):
         rng = np.random.default_rng(3)
         for system in ensemble[:10]:
-            C = system.claims
+            C = csr_array(system.claims_csr)
             l = system.total_liabilities
             x = rng.uniform(0, 1, size=system.node_count) * l
             assert np.all(C @ x <= C @ l + 1e-12)
@@ -257,12 +253,12 @@ class TestClaimsBuild:
         L = system.liabilities
         l = system.total_liabilities
         want = as_csr(np.divide(L.T, l, out=np.zeros_like(L), where=l > 0))
-        got = system.claims
+        got = system.claims_csr
         for part, ref in ((got.data, want.data), (got.indices, want.indices),
                           (got.indptr, want.indptr)):
             assert part.dtype == ref.dtype
             np.testing.assert_array_equal(part, ref)
-        np.testing.assert_array_equal(system.total_claims, got @ l)
+        np.testing.assert_array_equal(system.total_claims, csr_array(got) @ l)
 
     def test_bit_identical_to_dense_formula(self, ensemble, sys_0):
         zero_liability_bank = cn.build_system([[0, 0, 0], [3, 0, 7], [0, 0, 0]], [8, 9, 1])
@@ -459,7 +455,7 @@ def assert_same_bits(got, want):
 def assert_same_system(got, want):
     for name in ("total_liabilities", "total_claims", "pre_shock_assets", "external_assets"):
         assert_same_bits(getattr(got, name), getattr(want, name))
-    for name in ("sparse_liabilities", "claims"):
+    for name in ("liabilities_csr", "claims_csr"):
         for part in ("data", "indices", "indptr"):
             assert_same_bits(getattr(getattr(got, name), part),
                              getattr(getattr(want, name), part))
@@ -500,8 +496,8 @@ class TestSparseLiabilities:
         assert_same_bits(system.total_liabilities, l)
         want = as_csr(np.divide(L.T, l, out=np.zeros_like(L), where=l > 0))
         for part in ("data", "indices", "indptr"):
-            assert_same_bits(getattr(system.claims, part), getattr(want, part))
-        assert_same_bits(system.total_claims, want.scipy_array @ l)
+            assert_same_bits(getattr(system.claims_csr, part), getattr(want, part))
+        assert_same_bits(system.total_claims, csr_array(want) @ l)
 
     def test_generator_sums_the_rows_once(self, monkeypatch):
         calls = []
@@ -551,25 +547,23 @@ class TestSparseLiabilities:
         system = cn.build_system(L, [8, 9, 1])
         want = cn.build_system([[0, 0, 8], [3, 0, 7], [0, 0, 0]], [8, 9, 1])
         assert_same_system(system, want)
-        assert system.sparse_liabilities.nnz == 3
+        assert len(system.liabilities_csr.data) == 3
 
     def test_stored_matrix_is_a_private_read_only_copy(self):
         L = scipy.sparse.csr_array(np.array([[0, 2, 8], [3, 0, 7], [0, 0, 0]], float))
         system = cn.build_system(L, [8, 9, 1])
         L.data[:] = 1.0
         np.testing.assert_array_equal(system.liabilities, [[0, 2, 8], [3, 0, 7], [0, 0, 0]])
-        stored = system.sparse_liabilities
-        assert isinstance(stored, scipy.sparse.csr_array)
+        stored = system.liabilities_csr
         for part in (stored.data, stored.indices, stored.indptr):
             with pytest.raises(ValueError):
                 part[0] = 0
-        assert system.with_external_assets([1, 1, 1]).sparse_liabilities is stored
+        assert system.with_external_assets([1, 1, 1]).liabilities_csr is stored
 
-    def test_public_matrices_are_scipys_csr_arrays_of_the_stored_arrays(self, ensemble):
-        # sparse_liabilities, claims and relative_claims(s).matrix: read-only
-        # csr_arrays, byte for byte the arrays scipy forms for L, as a
-        # canonical CSR copy with int64 indices, and for C = (L / l)^T by
-        # .T.tocsr(); the stored arrays have int64 indices
+    def test_stored_matrices_are_the_arrays_scipy_forms(self, ensemble):
+        # liabilities_csr, claims_csr and relative_claims(s).matrix: read-only,
+        # with int64 indices, byte for byte the arrays scipy forms for L, as a
+        # canonical CSR copy, and for C = (L / l)^T by .T.tocsr()
         generated = [cn.generate_random_system(seed, n, density)
                      for seed, n, density in ((7, 300, 0.03), (1, 1, 0.5), (13, 2000, 8 / 2000))]
         for system in ensemble[:30] + generated:
@@ -581,15 +575,13 @@ class TestSparseLiabilities:
             l = dense.sum(axis=1)
             C = scipy.sparse.csr_array((L.data / l[rows], L.indices, L.indptr), shape=L.shape)
             C = C.T.tocsr()
-            public = (system.sparse_liabilities, system.claims, cn.relative_claims(system).matrix)
-            assert public[2] is public[1]
-            for got, want in zip(public, (L, C, C)):
-                assert isinstance(got, scipy.sparse.csr_array) and got.shape == want.shape
+            assert cn.relative_claims(system).matrix is system.claims_csr
+            for got, want in zip((system.liabilities_csr, system.claims_csr), (L, C)):
+                assert got.shape == want.shape
                 for part in ("data", "indices", "indptr"):
                     assert_same_bits(getattr(got, part), getattr(want, part))
                     assert not getattr(got, part).flags.writeable
-            for stored in (system.liabilities_csr, system.claims_csr):
-                assert stored.indices.dtype == stored.indptr.dtype == np.int64
+                assert got.indices.dtype == got.indptr.dtype == np.int64
 
     def test_dense_accessor_is_fresh_and_read_only(self, sys_a):
         first, second = sys_a.liabilities, sys_a.liabilities
@@ -604,7 +596,7 @@ class TestSparseLiabilities:
         inputs = [L] + [scipy.sparse.coo_array(L).asformat(f) for f in ("csr", "csc", "coo")]
         if error is None:   # a -0.0 in the sink row is a zero
             for given in inputs:
-                assert cn.build_system(given, o).sparse_liabilities.nnz == 4
+                assert len(cn.build_system(given, o).liabilities_csr.data) == 4
             return
         for given in inputs:
             with pytest.raises(error, match=message):
@@ -620,7 +612,7 @@ class TestSparseLiabilities:
                 cn.shocked_system(system, scenario), cn.ClearingParams(r=0.9)
             )
             katz = cn.generalized_katz(
-                system.claims, 0.9, cn.beta_vector(system, 0.9, 0.5), m=0.5
+                system.claims_csr, 0.9, cn.beta_vector(system, 0.9, 0.5), m=0.5
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -644,8 +636,8 @@ class TestSparseLiabilities:
         for scenario in (cn.full_default_shock(system, 0.5),
                          cn.relaxed_shock_search(system, params)):
             cn.fictitious_default_sequence(cn.shocked_system(system, scenario), params)
-        cn.generalized_katz(system.claims, 0.8, cn.beta_vector(system, 0.8, 0.5), m=0.5)
-        cn.check_invertibility(system.claims, 0.8)
+        cn.generalized_katz(system.claims_csr, 0.8, cn.beta_vector(system, 0.8, 0.5), m=0.5)
+        cn.check_invertibility(system.claims_csr, 0.8)
         assert cn.verify_full_shock_equivalence(system, params, 0.5).passed
         cn.relaxed_interpolated_shock(system, params, 0.5)
         assert cn.verify_katz_reduction(chain, 0.5)

@@ -5,7 +5,7 @@ import pytest
 
 import clearnet as cn
 import clearnet.shocks
-from conftest import contagion_only_system, linear_scan_step, search_step_system
+from conftest import contagion_only_system, csr_array, linear_scan_step, search_step_system
 
 
 def never_defaultable_system():
@@ -32,7 +32,7 @@ class TestFullDefaultShock:
             m = 0.05 + 0.9 * ((i * 0.29) % 1.0)
             scenario = cn.full_default_shock(system, m)
             l = system.total_liabilities
-            cl = system.claims @ l
+            cl = csr_array(system.claims_csr) @ l
             b = system.banks
             a = scenario.post_shock_assets
             np.testing.assert_allclose(a[b], m * (l[b] - cl[b]), rtol=1e-12)
@@ -68,7 +68,7 @@ class TestFullDefaultShock:
     def test_vector_interpolation(self, sys_a):
         scenario = cn.full_default_shock(sys_a, np.array([0.3, 0.6, 0.5]))
         l = sys_a.total_liabilities
-        cl = sys_a.claims @ l
+        cl = csr_array(sys_a.claims_csr) @ l
         np.testing.assert_allclose(
             scenario.post_shock_assets[:2],
             [0.3 * (l[0] - cl[0]), 0.6 * (l[1] - cl[1])],
@@ -208,7 +208,7 @@ class TestRelaxedInterpolatedShock:
             cert = cn.relaxed_interpolated_shock(system, cn.ClearingParams(r=r), m)
             p = cert.clearing.payments
             l = system.total_liabilities
-            C = system.claims
+            C = csr_array(system.claims_csr)
             b = system.banks
             lhs = p[b]
             rhs = (m * l + (r - m) * (C @ p))[b]

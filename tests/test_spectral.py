@@ -7,8 +7,8 @@ import scipy.sparse
 import clearnet as cn
 import clearnet.centrality
 import clearnet.spectral
-from clearnet._linalg import column_weights
-from conftest import ensemble_system
+from clearnet._linalg import Csr, column_weights
+from conftest import csr_array, ensemble_system
 
 
 def column_stochastic(seed: int, n: int) -> np.ndarray:
@@ -18,16 +18,16 @@ def column_stochastic(seed: int, n: int) -> np.ndarray:
     return M / M.sum(axis=0)
 
 
-def payment_chain(n_banks: int) -> scipy.sparse.csr_array:
+def payment_chain(n_banks: int) -> Csr:
     """Claims matrix of bank i owing bank i + 1, the last bank owing the sink."""
     L = np.zeros((n_banks + 1, n_banks + 1))
     L[np.arange(n_banks), np.arange(1, n_banks + 1)] = 1.0
-    return cn.build_system(L, np.ones(n_banks + 1)).claims
+    return cn.build_system(L, np.ones(n_banks + 1)).claims_csr
 
 
 class TestCollatzWielandt:
     def test_uniform_vector_on_bank_block(self, sys_a):
-        block = sys_a.claims[:2, :2]
+        block = csr_array(sys_a.claims_csr)[:2, :2]
         assert cn.collatz_wielandt_value(block, np.ones(2)) == pytest.approx(0.2)
 
     def test_zero_matrix_gives_zero(self):
@@ -46,10 +46,15 @@ class TestCollatzWielandt:
         with pytest.raises(ValueError):
             cn.collatz_wielandt_value(np.eye(2), [1.0, -1.0])
 
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
+    def test_vector_of_the_wrong_shape_raises(self, sys_a, shape):
+        with pytest.raises(cn.DimensionMismatch):
+            cn.collatz_wielandt_value(sys_a.claims_csr, np.ones(shape))
+
     def test_lower_bound_property_on_many_vectors(self, sys_a, ensemble):
         rng = np.random.default_rng(21)
-        matrices = [sys_a.claims]
-        matrices += [s.claims for s in ensemble[:4]]
+        matrices = [sys_a.claims_csr]
+        matrices += [s.claims_csr for s in ensemble[:4]]
         for C in matrices:
             rho = cn.spectral_radius(C)
             n = C.shape[0]
@@ -63,7 +68,7 @@ class TestCollatzWielandt:
 
 class TestSpectralRadius:
     def test_sys_a_radius_below_one(self, sys_a):
-        rho = cn.spectral_radius(sys_a.claims)
+        rho = cn.spectral_radius(sys_a.claims_csr)
         assert 0 < rho < 1
         assert rho == pytest.approx(np.sqrt(0.06), abs=1e-9)
 
@@ -76,7 +81,7 @@ class TestSpectralRadius:
         assert cn.spectral_radius(np.zeros((4, 4))) == 0.0
 
     def test_nilpotent_claims_matrix_is_exactly_zero(self, sys_0):
-        assert cn.spectral_radius(sys_0.claims) == 0.0
+        assert cn.spectral_radius(sys_0.claims_csr) == 0.0
 
     @pytest.mark.parametrize("n_banks", [300, 600])
     def test_long_payment_chain_is_nilpotent(self, n_banks):
@@ -105,10 +110,10 @@ class TestSpectralRadius:
             cn.spectral_radius(np.array([[0.0, -1.0], [0.0, 0.0]]))
 
 
-def cli_report_claims(seed: int) -> scipy.sparse.csr_array:
+def cli_report_claims(seed: int) -> Csr:
     """Claims matrix of the benchmark's 400-bank CLI document for ``seed``."""
     derived = int(np.random.SeedSequence([seed, 0]).generate_state(1)[0])
-    return cn.generate_random_system(derived, 400, 8 / 400).claims
+    return cn.generate_random_system(derived, 400, 8 / 400).claims_csr
 
 
 class TestStepCap:
@@ -124,7 +129,7 @@ class TestStepCap:
         assert (len(seam.column_products), len(seam.products)) == (203, 0)
 
     def test_converging_matrices_are_unchanged_bit_for_bit(self, ensemble, monkeypatch):
-        matrices = [system.claims for system in ensemble]
+        matrices = [system.claims_csr for system in ensemble]
         matrices += [column_stochastic(seed, 6) for seed in range(10)]
         matrices += [payment_chain(300), payment_chain(600)]
         matrices += [cli_report_claims(seed) for seed in (1, 2, 3)]
@@ -139,12 +144,17 @@ class TestStepCap:
 
 class TestSparseInput:
     def test_matches_dense_on_ensemble(self, ensemble):
+        # one C three ways: dense, as a csr_array, and as the system's Csr
         for system in ensemble[:20]:
-            dense = system.claims.toarray()
-            sparse = system.claims
-            assert cn.spectral_radius(sparse) == cn.spectral_radius(dense)
-            ok, report = cn.check_invertibility(sparse, 1.0)
-            assert (ok, report) == cn.check_invertibility(dense, 1.0)
+            C = system.claims_csr
+            beta = cn.beta_vector(system, 0.8, 0.5)
+            results = []
+            for given in (C.toarray(), csr_array(C), C):
+                ok, report = cn.check_invertibility(given, 1.0)
+                katz = cn.generalized_katz(given, 0.8, beta)
+                results.append((cn.spectral_radius(given), ok, report,
+                                katz.sigma.tobytes(), katz.residual))
+            assert results[0] == results[1] == results[2]
 
     def test_fallback_densifies(self, monkeypatch):
         monkeypatch.setattr(clearnet.spectral, "RADIUS_MAX_ITER", 100)
@@ -156,9 +166,28 @@ class TestSparseInput:
             cn.spectral_radius(scipy.sparse.csr_array(np.array([[0.0, -1.0], [0.0, 0.0]])))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_entry_rejects_non_finite_entries(bad):
+    # a check for negative entries alone lets NaN and inf through:
+    # spectral_radius gave 0 for the NaN, and generalized_katz a
+    # SingularSystem quoting a radius of 0
+    C = np.array([[0.0, bad, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    everyone = cn.DefaultIndicator(flags=np.ones(3, dtype=bool))
+    for given in (C, scipy.sparse.csr_array(C)):
+        for call in (lambda: cn.spectral_radius(given),
+                     lambda: cn.check_invertibility(given, 0.9),
+                     lambda: cn.generalized_katz(given, 0.9, np.ones(3)),
+                     lambda: cn.standard_katz(given, 0.5),
+                     lambda: cn.collatz_wielandt_value(given, np.ones(3)),
+                     lambda: cn.corollary_radius_bound(given, everyone)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+
 def test_column_norm_is_the_largest_column_sum_bit_for_bit(ensemble):
-    matrices = [system.claims for system in ensemble]
-    matrices += [cn.generate_random_system(7, 1500, d).claims for d in (8 / 1500, 0.03)]
+    matrices = [csr_array(system.claims_csr) for system in ensemble]
+    matrices += [csr_array(cn.generate_random_system(7, 1500, d).claims_csr)
+                 for d in (8 / 1500, 0.03)]
     matrices.append(scipy.sparse.csr_array(column_stochastic(2, 40)))
     for C in matrices:
         got = column_weights(C, np.ones(C.shape[0])).max()
@@ -168,7 +197,7 @@ def test_column_norm_is_the_largest_column_sum_bit_for_bit(ensemble):
 class TestCheckInvertibility:
     def test_full_recovery_with_sink(self, sys_a):
         ok, report = cn.check_invertibility(
-            sys_a.claims, r=1.0
+            sys_a.claims_csr, r=1.0
         )
         assert ok
         assert report.invertible_for_r == "[0, 1]"
@@ -193,13 +222,13 @@ class TestCheckInvertibility:
         system = cn.build_system(
             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [1, 1, 1, 1]
         )
-        ok, report = cn.check_invertibility(system.claims.toarray(), r=1.0)
+        ok, report = cn.check_invertibility(system.claims_csr.toarray(), r=1.0)
         assert not ok
         assert report.invertible_for_r == "[0, 1)"
 
     def test_zero_recovery_always_invertible(self, sys_a):
         ok, _ = cn.check_invertibility(
-            sys_a.claims, r=0.0
+            sys_a.claims_csr, r=0.0
         )
         assert ok
 
@@ -218,7 +247,7 @@ class TestCheckInvertibility:
 
 
 def _max_abs_eig(C) -> float:
-    C = C.toarray() if scipy.sparse.issparse(C) else np.asarray(C)
+    C = C.toarray() if hasattr(C, "toarray") else np.asarray(C)
     return float(np.max(np.abs(np.linalg.eigvals(C)), initial=0.0))
 
 
@@ -237,7 +266,7 @@ class TestEstimateAndBound:
 
     @pytest.mark.parametrize("index", [146, 193, 195])
     def test_estimate_not_below_bound_on_small_ensemble_systems(self, index):
-        _, report = cn.check_invertibility(ensemble_system(index).claims, 1.0)
+        _, report = cn.check_invertibility(ensemble_system(index).claims_csr, 1.0)
         assert report.radius_estimate >= report.collatz_wielandt_lower
 
     def test_estimate_not_below_bound_on_a_two_cycle_beside_a_zero(self):
@@ -248,7 +277,7 @@ class TestEstimateAndBound:
 
     def test_ensemble(self, ensemble):
         for system in ensemble:
-            assert_estimate_brackets(system.claims)
+            assert_estimate_brackets(system.claims_csr)
 
     def test_column_stochastic(self):
         for seed in range(10):
@@ -260,7 +289,7 @@ class TestEstimateAndBound:
 
     def test_dense_fallback(self, ensemble, monkeypatch):
         monkeypatch.setattr(clearnet.spectral, "RADIUS_MAX_ITER", 100)
-        for C in [np.array([[0.5, 1.0], [0.0, 0.5]])] + [s.claims for s in ensemble[:20]]:
+        for C in [np.array([[0.5, 1.0], [0.0, 0.5]])] + [s.claims_csr for s in ensemble[:20]]:
             assert_estimate_brackets(C)
 
     def test_check_invertibility_takes_one_support_pass(self, sys_a, monkeypatch):
@@ -272,18 +301,18 @@ class TestEstimateAndBound:
             return real(C)
 
         monkeypatch.setattr(clearnet.spectral, "_lasting_support", counting)
-        cn.check_invertibility(sys_a.claims, 1.0)
+        cn.check_invertibility(sys_a.claims_csr, 1.0)
         assert len(calls) == 1
 
 
 class TestCorollaryBound:
     def test_identity_mask_is_equality(self, sys_a):
-        C = sys_a.claims
+        C = sys_a.claims_csr
         all_default = cn.DefaultIndicator(flags=np.ones(3, dtype=bool))
         assert cn.corollary_radius_bound(C, all_default)
 
     def test_sink_only_mask_zeroes_radius(self, sys_a):
-        C = sys_a.claims
+        C = sys_a.claims_csr
         sink_only = cn.DefaultIndicator(flags=np.array([False, False, True]))
         assert cn.corollary_radius_bound(C, sink_only)
 
@@ -291,12 +320,12 @@ class TestCorollaryBound:
     def test_mask_of_the_wrong_length_raises(self, sys_a, n_flags):
         defaults = cn.DefaultIndicator(flags=np.ones(n_flags, dtype=bool))
         with pytest.raises(cn.DimensionMismatch):
-            cn.corollary_radius_bound(sys_a.claims, defaults)
+            cn.corollary_radius_bound(sys_a.claims_csr, defaults)
 
     def test_seeded_random_masks(self, ensemble):
         rng = np.random.default_rng(2)
         for system in ensemble[:10]:
-            C = system.claims
+            C = system.claims_csr
             flags = rng.random(system.node_count) < 0.5
             flags[system.sink] = True
             assert cn.corollary_radius_bound(C, cn.DefaultIndicator(flags=flags))
@@ -333,7 +362,7 @@ def test_each_public_entry_checks_the_matrix_once(sys_a, monkeypatch):
 
     for module in (clearnet.spectral, clearnet.centrality):
         monkeypatch.setattr(module, "_check_nonnegative", counting)
-    C = sys_a.claims
+    C = sys_a.claims_csr
     everyone = cn.DefaultIndicator(flags=np.ones(sys_a.node_count, dtype=bool))
     beta = cn.beta_vector(sys_a, 0.8, 0.5)
     for call in (
@@ -353,7 +382,7 @@ def test_each_public_entry_checks_the_matrix_once(sys_a, monkeypatch):
 class TestNeumannSeries:
     def test_truncated_series_matches_direct_solve(self, ensemble):
         for i, system in enumerate(ensemble[:10]):
-            C = system.claims
+            C = csr_array(system.claims_csr)
             r = (0.3, 0.5, 0.7, 0.9)[i % 4]
             if r * cn.spectral_radius(C) > 0.85:
                 continue
@@ -396,22 +425,22 @@ class TestOneInvertibilityRule:
     def test_acceptance_ensemble(self, ensemble):
         for system in ensemble[:40]:
             for r in (0.5, 0.9, 1.0 - 2e-12, 1.0):
-                self.assert_agree(system.claims, r)
+                self.assert_agree(system.claims_csr, r)
 
     def test_per_node_rates(self, ensemble):
         rng = np.random.default_rng(12)
         for system in ensemble[:40]:
             r = rng.uniform(0.0, 1.0, system.node_count)
             r[rng.integers(system.node_count)] = rng.choice([0.9, 1.0])
-            self.assert_agree(system.claims, r)
+            self.assert_agree(system.claims_csr, r)
 
     def test_closed_cycle_behind_sink(self):
         system = cn.build_system(
             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [1, 1, 1, 1]
         )
         for r in (0.5, 1.0 - 2e-12, 1.0):
-            self.assert_agree(system.claims, r)
-        assert _katz_rejects(system.claims, 1.0)
+            self.assert_agree(system.claims_csr, r)
+        assert _katz_rejects(system.claims_csr, 1.0)
 
     def test_stochastic_matrices(self):
         for seed in range(10):
@@ -445,8 +474,8 @@ class TestOneInvertibilityRule:
             n = system.node_count
             beta = cn.beta_vector(system, 0.5, 0.5)
             for r in (0.0, 0.5, 0.99, 1.0 - 2e-12, rng.uniform(0, 1.0 - 2e-12, n)):
-                cn.generalized_katz(system.claims, r, beta)
-                cn.generalized_katz(system.claims.toarray(), r, beta)
+                cn.generalized_katz(system.claims_csr, r, beta)
+                cn.generalized_katz(system.claims_csr.toarray(), r, beta)
         assert calls == []
 
     def test_negative_entry_rejected_on_the_norm_path(self):
