@@ -18,9 +18,10 @@ loaded from its file: importing ``scipy.sparse`` for them would first run
 the ``scipy`` and ``scipy.sparse`` package inits, which take most of the
 package's import time and load hundreds of modules the package never
 uses. No path of the package imports ``scipy.sparse`` or builds one of its
-matrices; a caller's matrix is read through :func:`as_csr`, and a caller who
-wants one of the package's matrices as a ``csr_array`` builds it from the
-arrays, ``scipy.sparse.csr_array((C.data, C.indices, C.indptr),
+matrices, save :func:`as_csr`'s copy of a caller's: every caller's matrix,
+dense or sparse, turns into a :class:`Csr` there and only there. A caller
+who wants one of the package's matrices as a ``csr_array`` builds it from
+the arrays, ``scipy.sparse.csr_array((C.data, C.indices, C.indptr),
 shape=C.shape)``.
 
 The solver's Neumann sweep takes one Aitken step along the dominant mode
@@ -31,6 +32,7 @@ step removes it at the cost of one subtraction and two dot products per
 sweep."""
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -42,7 +44,7 @@ from collections import namedtuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import SingularSystem
+from .errors import DimensionMismatch, SingularSystem
 
 PIVOT_TOL = 1e-14
 EPS = float(np.finfo(float).eps)
@@ -83,6 +85,15 @@ class Csr(namedtuple("Csr", "indptr indices data shape")):
     columns)``. Every routine of the package takes its matrices so and
     reads the arrays in place."""
 
+    @functools.cached_property
+    def column_sums(self) -> NDArray:
+        """``1^T A``, read-only: one :func:`rmatvec` on first use, kept on
+        the matrix, bit for bit :func:`column_weights` at unit rates. Two
+        threads that use it first at once get the same bits."""
+        sums = rmatvec(self, np.ones(self.shape[0]))
+        sums.setflags(write=False)
+        return sums
+
     def toarray(self) -> NDArray:
         """A dense copy, duplicate entries summed, as scipy's ``toarray``."""
         out = np.zeros(self.shape)
@@ -92,12 +103,15 @@ class Csr(namedtuple("Csr", "indptr indices data shape")):
 
 
 def as_csr(C) -> Csr:
-    """``C`` as a float :class:`Csr`; a :class:`Csr` is returned as it is.
+    """``C`` as a float :class:`Csr`, the one place where a caller's matrix
+    becomes one. A :class:`Csr` is returned as it is, with no copy and no
+    scan, so that its :attr:`Csr.column_sums` last across calls.
 
-    A ``scipy.sparse`` matrix or array is read in place when it is a float
-    ``csr_array``, and converted by ``scipy.sparse.csr_array(C, dtype=float)``
-    otherwise. ``scipy.sparse`` is looked up in ``sys.modules``, not
-    imported: a caller holding one of its matrices has imported it.
+    A ``scipy.sparse`` matrix or array becomes a private canonical copy:
+    duplicate entries summed, zeros of either sign dropped, sorted int64
+    indices, so that it gives the arrays of its dense form. ``scipy.sparse``
+    is looked up in ``sys.modules``, not imported: a caller holding one of
+    its matrices has imported it.
 
     A dense 2-D input is converted with one scan for its nonzeros in row-
     major order, which gives the column indices and, by a search for each
@@ -109,12 +123,14 @@ def as_csr(C) -> Csr:
         return C
     sparse = sys.modules.get("scipy.sparse")
     if sparse is not None and sparse.issparse(C):
-        if not (isinstance(C, sparse.csr_array) and C.dtype == float):
-            C = sparse.csr_array(C, dtype=float)
-        return Csr(C.indptr, C.indices, C.data, C.shape)
+        C = sparse.csr_array(C, dtype=float, copy=True)
+        C.sum_duplicates()
+        C.eliminate_zeros()
+        return Csr(*(part.astype(np.int64, copy=False) for part in (C.indptr, C.indices)),
+                   C.data, C.shape)
     C = np.asarray(C, dtype=float)
     if C.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {C.shape}")
+        raise DimensionMismatch(f"expected a matrix, got shape {C.shape}")
     n_rows, n_cols = C.shape
     flat = np.flatnonzero(C != 0)
     starts = np.searchsorted(flat, np.arange(n_rows + 1) * n_cols)
@@ -171,24 +187,22 @@ def column_weights(C, r: NDArray) -> NDArray:
     return rmatvec(C, np.abs(r))
 
 
-def solve_attenuated(
-    C: Csr, r, b: NDArray, context: str, sums: NDArray | None = None
-) -> NDArray:
-    """Solve ``(I - diag(r) C) x = b`` for a sparse square ``C >= 0``: the
-    solve of :func:`solve_rows` over every row of ``C``, from ``x = b``, with
-    no entry held. Returns ``x``, a new array.
+def solve_attenuated(C, r, b: NDArray, context: str) -> NDArray:
+    """Solve ``(I - diag(r) C) x = b`` for a square ``C >= 0``, read by
+    :func:`as_csr`: the solve of :func:`solve_rows` over every row of ``C``,
+    from ``x = b``, with no entry held. Returns ``x``, a new array.
 
-    ``sums``, if given, are the column sums of ``C`` (a system's
-    ``claims_column_sums``). When every entry of ``r`` is the same
-    ``r_0 != 0`` the weights are then ``|r_0| * sums``, which differ from a
-    pass over ``C`` only in rounding, and ``C`` is not read for them;
-    otherwise the solver makes its own pass, whose weights at ``r = 0`` are
-    0 even where a sum of ``C`` overflows.
+    When every entry of ``r`` is the same ``r_0 != 0`` the column weights
+    are ``|r_0|`` times :attr:`Csr.column_sums`, which differ from a pass
+    over ``C`` only in rounding, and a system's ``C`` is read for its sums
+    once; otherwise the solver makes its own pass, whose weights at
+    ``r = 0`` are 0 even where a sum of ``C`` overflows.
     """
+    C = as_csr(C)
     b = np.asarray(b, dtype=float)
     r = np.broadcast_to(np.asarray(r, dtype=float), C.shape[:1])
-    if sums is not None and r.size and r.min() == r.max() != 0.0:
-        c = abs(float(r[0])) * sums
+    if r.size and r.min() == r.max() != 0.0:
+        c = abs(float(r[0])) * C.column_sums
     else:
         c = column_weights(C, r)
     x = b.copy()

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import column_weights, matvec, solve_attenuated
-from .errors import DimensionMismatch, SingularSystem
+from ._linalg import matvec, solve_attenuated
+from .errors import DimensionMismatch, SingularSystem, ValidationError
 from .net_model import (
     ClearingParams,
     FinancialSystem,
@@ -74,11 +74,13 @@ def generalized_katz(C, r, beta: NDArray, m=None) -> CentralityResult:
     """Solve ``(I - r C) sigma = beta``.
 
     ``C`` is a full claims matrix with the sink stored last, dense or
-    sparse; it is converted to CSR and checked once per call, and its
-    column sums are formed once, in one pass, for the
+    sparse; it is converted to CSR and checked once per call. Its column
+    sums, :attr:`clearnet._linalg.Csr.column_sums`, serve the
     :func:`clearnet.spectral.safely_invertible` gate (``||C||_1``) and the
-    solve (:func:`clearnet._linalg.solve_attenuated`, at a uniform rate).
-    The sink entry of the result is zeroed by convention.
+    solve (:func:`clearnet._linalg.solve_attenuated`, at a uniform rate);
+    a system's ``claims_csr`` forms them once and keeps them. ``r`` and the
+    entries of ``beta`` must be finite. The sink entry of the result is
+    zeroed by convention.
     """
     C = _check_nonnegative(C)
     n = C.shape[0]
@@ -86,14 +88,15 @@ def generalized_katz(C, r, beta: NDArray, m=None) -> CentralityResult:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (n,):
         raise DimensionMismatch(f"beta has shape {beta.shape}, expected ({n},)")
+    if not np.all(np.isfinite(beta)):
+        raise ValidationError("beta must be finite")
 
-    sums = column_weights(C, np.ones(n))
-    ok, rho = safely_invertible(C, r_vec, sums)
+    ok, rho = safely_invertible(C, r_vec)
     if not ok:
         raise SingularSystem(
             f"r * rho(C) = {float(np.max(r_vec)) * rho:.6f} is not safely below 1"
         )
-    sigma = solve_attenuated(C, r_vec, beta, "centrality solve", sums=sums)
+    sigma = solve_attenuated(C, r_vec, beta, "centrality solve")
     sigma[-1:] = 0.0   # the sink, if any: an empty C has none
     defect = np.abs(sigma - r_vec * matvec(C, sigma) - beta)[:-1]
     return CentralityResult(
@@ -110,12 +113,15 @@ def standard_katz(adjacency: NDArray, alpha: float) -> NDArray:
 
     ``A[i, j] = 1`` means node ``j`` feeds node ``i`` (the same orientation
     as the claims matrix: debtor in the column, creditor in the row).
+    ``alpha`` must be finite.
     """
     A = _check_nonnegative(adjacency)
-    sums = column_weights(A, np.ones(A.shape[0]))
-    if not safely_invertible(A, float(alpha), sums)[0]:
+    alpha = float(alpha)
+    if not np.isfinite(alpha):
+        raise ValidationError(f"alpha must be finite, got {alpha}")
+    if not safely_invertible(A, alpha)[0]:
         raise SingularSystem(f"alpha = {alpha} is not safely below 1 / rho(adjacency)")
-    return solve_attenuated(A, float(alpha), np.ones(A.shape[0]), "Katz solve", sums=sums)
+    return solve_attenuated(A, alpha, np.ones(A.shape[0]), "Katz solve")
 
 
 def closed_form_full_shock(system: FinancialSystem, params: ClearingParams, m) -> NDArray:
@@ -131,8 +137,7 @@ def closed_form_full_shock(system: FinancialSystem, params: ClearingParams, m) -
     r_vec = params.recovery_vector(n)
     m_vec = validate_interpolation(m, n)
     rhs = params.r_a * (m_vec * (system.total_liabilities - system.total_claims))
-    return solve_attenuated(system.claims_csr, r_vec, rhs, "full-shock form",
-                            sums=system.claims_column_sums)
+    return solve_attenuated(system.claims_csr, r_vec, rhs, "full-shock form")
 
 
 def printed_relaxed_closed_form(system: FinancialSystem, r, m) -> NDArray:
@@ -147,5 +152,4 @@ def printed_relaxed_closed_form(system: FinancialSystem, r, m) -> NDArray:
     r_vec = broadcast_rate(r, n, "r")
     m_vec = validate_interpolation(m, n)
     rhs = m_vec * (system.total_liabilities + r_vec * system.total_claims)
-    return solve_attenuated(system.claims_csr, r_vec - m_vec, rhs, "relaxed closed form",
-                            sums=system.claims_column_sums)
+    return solve_attenuated(system.claims_csr, r_vec - m_vec, rhs, "relaxed closed form")

@@ -130,9 +130,9 @@ def solve_given_defaults(
 
     When every node is flagged the solve is the square one of
     :func:`clearnet._linalg.solve_attenuated` on ``C`` itself, from
-    ``r_a a`` and with the system's stored ``claims_column_sums`` as its
-    column weights: no copy of ``C`` is made and ``start``, checked to hold
-    one entry per node like the payments, is not read.
+    ``r_a a`` and with the column sums ``C`` keeps as its column weights:
+    no copy of ``C`` is made and ``start``, checked to hold one entry per
+    node like the payments, is not read.
 
     Raises
     ------
@@ -149,7 +149,7 @@ def solve_given_defaults(
     b = params.r_a * system.external_assets + 0.0   # a -0.0 asset recovers +0.0
     context = f"reduced system on {np.count_nonzero(flags)} defaulted node(s)"
     if np.all(flags):   # no solvent node pays in
-        return solve_attenuated(C, r, b, context, sums=system.claims_column_sums)
+        return solve_attenuated(C, r, b, context)
     l = system.total_liabilities
     p = l.copy() if start is None else np.where(flags, start, l)
     idx = np.flatnonzero(flags[system.banks])

@@ -319,12 +319,18 @@ def load_document(path, format: str | None = None, assets_path=None) -> SystemDo
     echoes it as read, and ``.to_system()`` builds its system.
 
     ``format`` ("json" or "csv") is inferred from the file suffix when not
-    given. Parse failures raise :class:`ParseError` with the offending
-    location; semantic failures raise :class:`ValidationError`, of which the
-    model-validation errors from :func:`build_system` are subclasses.
+    given. A JSON document holds its own assets, so a sidecar given with one
+    raises :class:`ValidationError`. Parse failures raise
+    :class:`ParseError` with the offending location; semantic failures raise
+    :class:`ValidationError`, of which the model-validation errors from
+    :func:`build_system` are subclasses.
     """
     fmt = format or ("csv" if str(path).lower().endswith(".csv") else "json")
     if fmt == "json":
+        if assets_path is not None:
+            raise ValidationError(
+                "--assets is for CSV input: a JSON document holds its own assets"
+            )
         return parse_document(Path(path).read_text())
     if fmt == "csv":
         matrix = _read_csv(path)

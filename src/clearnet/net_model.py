@@ -10,9 +10,11 @@ Everything in this module is immutable after construction and every
 operation is a pure function of its inputs. The liability matrix ``L`` is
 stored once, as the package's read-only compressed-sparse-row arrays
 (:class:`clearnet._linalg.Csr`); the total liabilities ``l``, the claims
-matrix ``C``, its column sums ``1^T C`` and the total claims ``C l`` are
-derived from it once, when the system is built, and every copy with new
-external assets shares them. ``C`` is transposed by scipy's compiled
+matrix ``C`` and the total claims ``C l`` are derived from it once, when
+the system is built, and every copy with new external assets shares them,
+with the column sums ``1^T C`` that ``C`` keeps from its first use
+(:attr:`clearnet._linalg.Csr.column_sums`). A caller's matrix is read by
+:func:`clearnet._linalg.as_csr`. ``C`` is transposed by scipy's compiled
 ``csr_tocsc``, the kernel that ``scipy.sparse`` runs for ``C.T.tocsr()``,
 and nothing here imports ``scipy.sparse``: each matrix is public once, as
 the stored :class:`~clearnet._linalg.Csr` itself,
@@ -22,13 +24,12 @@ except on request by the dense :attr:`FinancialSystem.liabilities`.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import Csr, as_csr, column_weights, csr_tocsc, matvec
+from ._linalg import Csr, as_csr, csr_tocsc, matvec
 from .errors import (
     DimensionMismatch,
     InvalidInterpolation,
@@ -108,15 +109,14 @@ class FinancialSystem:
         of nodes without liabilities (the sink's included) are zero. Stored
         as read-only compressed sparse rows with sorted int64 indices;
         every matrix-vector product and linear solve inside the package
-        runs on it; ``claims_csr.toarray()`` gives a dense copy.
+        runs on it; ``claims_csr.toarray()`` gives a dense copy, and
+        ``claims_csr.column_sums`` the read-only ``1^T C``, formed on first
+        use and kept. Every solve on the whole of ``C`` at one uniform rate
+        ``r`` takes its column weights as ``|r|`` times these instead of a
+        pass over ``C``.
     total_claims : (N,) ndarray
         ``C l``, what each node is owed when every debtor pays in full;
         read-only.
-    claims_column_sums : (N,) ndarray
-        ``1^T C``, ``_linalg.column_weights(C, ones)`` of the nonnegative
-        ``C``, read in place; read-only. Every solve on the whole of ``C``
-        at one uniform rate ``r`` takes its column weights as ``|r|`` times
-        these instead of a pass over ``C``.
 
     A system compares and hashes by identity.
     """
@@ -128,7 +128,6 @@ class FinancialSystem:
     total_liabilities: NDArray = field(repr=False)
     claims_csr: Csr = field(repr=False)
     total_claims: NDArray = field(repr=False)
-    claims_column_sums: NDArray = field(repr=False)
 
     @property
     def liabilities(self) -> NDArray:
@@ -289,38 +288,13 @@ def row_sums(L: Csr) -> NDArray:
     return out
 
 
-def _liability_csr(liabilities) -> Csr:
-    """A private float CSR copy of a dense or ``scipy.sparse`` matrix, with
-    sorted int64 indices, duplicates summed and zeros of either sign
-    dropped, so that dense and sparse input give the same arrays. A
-    :class:`Csr`, which only the package passes, has sorted indices and no
-    duplicates, and arrays of its own: only its zeros are dropped."""
-    sparse = sys.modules.get("scipy.sparse")   # imported by a caller holding its matrix
-    if isinstance(liabilities, Csr):
-        L = liabilities
-        kept = L.data != 0
-        if not kept.all():
-            L = Csr(np.append(0, np.cumsum(kept))[L.indptr], L.indices[kept], L.data[kept],
-                    L.shape)
-    elif sparse is not None and sparse.issparse(liabilities):
-        L = sparse.csr_array(liabilities, dtype=float, copy=True)
-        L.sum_duplicates()
-        L.eliminate_zeros()
-    else:
-        L = np.asarray(liabilities, dtype=float)
-        if L.ndim != 2:
-            raise DimensionMismatch(f"liability matrix must be square, got shape {L.shape}")
-        L = as_csr(L)
-    indices, indptr = (part.astype(np.int64, copy=False) for part in (L.indices, L.indptr))
-    return Csr(indptr, indices, L.data, L.shape)
-
-
 def build_system(liabilities, pre_shock_assets, external_assets=None) -> FinancialSystem:
     """Validate raw inputs and assemble a :class:`FinancialSystem`.
 
     ``liabilities`` is a dense matrix or any ``scipy.sparse`` matrix or
-    array; it contains the sink as its last row and column. It is converted
-    to CSR once and validated in one pass over its nonzero entries. No
+    array; it contains the sink as its last row and column. It is read by
+    :func:`clearnet._linalg.as_csr`, which makes dense and sparse input give
+    the same arrays, and validated in one pass over its nonzero entries. No
     ``scipy`` module is imported for a dense matrix.
     ``external_assets`` defaults to ``pre_shock_assets`` (no shock yet).
 
@@ -332,7 +306,11 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
         entries are finite but whose sum overflows, or a 0 x 0 matrix (no
         sink) raises ``DimensionMismatch``.
     """
-    L = _liability_csr(liabilities)
+    L = as_csr(liabilities)
+    kept = L.data != 0   # a Csr, which only the package passes, may hold zeros
+    if not kept.all():
+        L = Csr(np.append(0, np.cumsum(kept))[L.indptr], L.indices[kept], L.data[kept], L.shape)
+    L = Csr(*(part.astype(np.int64, copy=False) for part in L[:2]), L.data, L.shape)
     if L.shape[0] != L.shape[1]:
         raise DimensionMismatch(f"liability matrix must be square, got shape {L.shape}")
     N = L.shape[0]
@@ -372,9 +350,7 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
     for part in (L.data, L.indices, L.indptr, C.data, C.indices, C.indptr):
         part.setflags(write=False)
     cl = matvec(C, l)
-    sums = column_weights(C, np.ones(N))
-    for vector in (cl, sums):
-        vector.setflags(write=False)
+    cl.setflags(write=False)
 
     return FinancialSystem(
         node_count=N,
@@ -384,7 +360,6 @@ def build_system(liabilities, pre_shock_assets, external_assets=None) -> Financi
         total_liabilities=l,
         claims_csr=C,
         total_claims=cl,
-        claims_column_sums=sums,
     )
 
 

@@ -252,8 +252,7 @@ def relaxed_interpolated_shock(
     l = system.total_liabilities
     C = system.claims_csr
 
-    q = m_vec * solve_attenuated(C, r_vec - m_vec, l, "relaxed-shock candidate",
-                                 sums=system.claims_column_sums)
+    q = m_vec * solve_attenuated(C, r_vec - m_vec, l, "relaxed-shock candidate")
 
     a = system.pre_shock_assets.copy()
     b = system.banks

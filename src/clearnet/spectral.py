@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import Csr, as_csr, column_weights, rmatvec
+from ._linalg import Csr, as_csr, rmatvec
 from .errors import DimensionMismatch, ZeroVector
 from .net_model import DefaultIndicator, broadcast_rate
 
@@ -65,15 +65,17 @@ def _check_nonnegative(C) -> Csr:
 def collatz_wielandt_value(C: NDArray, x: NDArray) -> float:
     """Quotient ``min_i (xC)_i / x_i`` over the support of ``x``.
 
-    For any nonnegative, nonzero ``x`` this is a certified lower bound on
-    the spectral radius of the nonnegative matrix ``C``; the bound is tight
-    at the left Perron vector. Indices where ``x_i = 0`` are excluded from
-    the minimum.
+    For any finite, nonnegative, nonzero ``x`` this is a certified lower
+    bound on the spectral radius of the nonnegative matrix ``C``; the bound
+    is tight at the left Perron vector. Indices where ``x_i = 0`` are
+    excluded from the minimum.
     """
     C = _check_nonnegative(C)
     x = np.asarray(x, dtype=float)
     if x.shape != C.shape[:1]:
         raise DimensionMismatch(f"test vector has shape {x.shape}, expected ({C.shape[0]},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("test vector must be finite")
     if np.any(x < 0):
         raise ValueError("test vector must be nonnegative")
     if not np.any(x > 0):
@@ -162,7 +164,7 @@ def _below_one(r_max: float, norm: float, estimate: float) -> bool:
     return r_max * min(norm, estimate) < 1.0 - INVERTIBILITY_MARGIN
 
 
-def safely_invertible(C: Csr, r, sums: NDArray) -> tuple[bool, float | None]:
+def safely_invertible(C: Csr, r) -> tuple[bool, float | None]:
     """The one rule: is ``I - diag(r) C`` safely invertible?
 
     Yes iff ``max|r| * min(||C||_1, estimate) < 1 - 1e-12``: the largest
@@ -173,12 +175,11 @@ def safely_invertible(C: Csr, r, sums: NDArray) -> tuple[bool, float | None]:
     ``rho(diag(r) C) <= max|r| * rho(C)`` for a nonnegative ``C``. When the
     norm alone decides, no radius is computed. Returns the verdict and the
     estimate (None when the norm decided). The caller has run
-    :func:`_check_nonnegative` on ``C`` and passes its column sums
-    ``sums``, ``column_weights(C, ones)``, which it also hands to the solve,
-    so that ``C`` is read for them once; ``||C||_1`` is their largest entry.
+    :func:`_check_nonnegative` on ``C``; ``||C||_1`` is the largest of its
+    :attr:`~clearnet._linalg.Csr.column_sums`, which the solve reads too.
     """
     r_max = float(np.abs(r).max(initial=0.0))
-    norm = float(sums.max(initial=0.0))
+    norm = float(C.column_sums.max(initial=0.0))
     if _below_one(r_max, norm, np.inf):
         return True, None
     estimate = _perron(C)[0]
@@ -196,7 +197,7 @@ def check_invertibility(C: NDArray, r: float) -> tuple[bool, SpectralReport]:
     """
     C = _check_nonnegative(C)
     r_max = float(broadcast_rate(r, C.shape[0], "r").max(initial=0.0))
-    norm = float(column_weights(C, np.ones(C.shape[0])).max(initial=0.0))
+    norm = float(C.column_sums.max(initial=0.0))
     estimate, lower = _perron(C)
     report = SpectralReport(
         radius_estimate=estimate,

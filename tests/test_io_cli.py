@@ -209,6 +209,18 @@ class TestCsv:
         with pytest.raises(cn.ValidationError, match="pre_shock_assets required"):
             cn.load_document(path)
 
+    def test_sidecar_with_a_json_document_exits_1(self, sys_a_path, tmp_path, capsys):
+        # a JSON document holds its own assets: a sidecar would be dropped
+        assets = tmp_path / "assets.csv"
+        assets.write_text("1\n1\n1\n")
+        assert cli_main(["clear", "--input", str(sys_a_path), "--assets", str(assets)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --assets is for CSV input: "
+                                "a JSON document holds its own assets\n")
+        with pytest.raises(cn.ValidationError, match="JSON document holds its own"):
+            cn.load_document(sys_a_path, assets_path=assets)
+
 
 class TestGenerator:
     def test_seed_determinism(self):

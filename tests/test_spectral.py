@@ -142,19 +142,44 @@ class TestStepCap:
         assert capped == [clearnet.spectral._perron(C) for C in checked]
 
 
+def untidy(A: Csr) -> scipy.sparse.csr_array:
+    """``A`` as a csr_array that is not in canonical form: every entry
+    stored as two halves, which sum back to it exactly, an explicit +0.0 on
+    the diagonal and a -0.0 beside it in every row, and int32 indices."""
+    n_rows, n_cols = A.shape
+    rows = np.repeat(np.arange(n_rows), np.diff(A.indptr))
+    every = np.arange(n_rows)
+    row = np.concatenate([rows, rows, every, every])
+    col = np.concatenate([A.indices, A.indices, every, (every + 1) % n_cols])
+    val = np.concatenate([A.data / 2, A.data / 2, np.zeros(n_rows), np.full(n_rows, -0.0)])
+    order = np.argsort(row, kind="stable")
+    indptr = np.searchsorted(row[order], np.arange(n_rows + 1))
+    M = scipy.sparse.csr_array((val[order], col[order].astype(np.int32),
+                                indptr.astype(np.int32)), shape=A.shape)
+    assert M.indices.dtype == np.int32 and not M.has_canonical_format
+    return M
+
+
 class TestSparseInput:
     def test_matches_dense_on_ensemble(self, ensemble):
-        # one C three ways: dense, as a csr_array, and as the system's Csr
+        # one C four ways: dense, as a csr_array, as the system's Csr, and as
+        # an untidy csr_array; and L built dense and untidy
         for system in ensemble[:20]:
             C = system.claims_csr
             beta = cn.beta_vector(system, 0.8, 0.5)
             results = []
-            for given in (C.toarray(), csr_array(C), C):
+            for given in (C.toarray(), csr_array(C), C, untidy(C)):
                 ok, report = cn.check_invertibility(given, 1.0)
                 katz = cn.generalized_katz(given, 0.8, beta)
                 results.append((cn.spectral_radius(given), ok, report,
                                 katz.sigma.tobytes(), katz.residual))
-            assert results[0] == results[1] == results[2]
+            assert results[0] == results[1] == results[2] == results[3]
+            L, o = system.liabilities_csr, system.pre_shock_assets
+            built = [cn.build_system(given, o) for given in (L.toarray(), untidy(L))]
+            arrays = [[a.tobytes() for a in (*s.liabilities_csr[:3], *s.claims_csr[:3],
+                                             s.total_liabilities, s.total_claims)]
+                      for s in built]
+            assert arrays[0] == arrays[1]
 
     def test_fallback_densifies(self, monkeypatch):
         monkeypatch.setattr(clearnet.spectral, "RADIUS_MAX_ITER", 100)
@@ -170,8 +195,11 @@ class TestSparseInput:
 def test_every_entry_rejects_non_finite_entries(bad):
     # a check for negative entries alone lets NaN and inf through:
     # spectral_radius gave 0 for the NaN, and generalized_katz a
-    # SingularSystem quoting a radius of 0
+    # SingularSystem quoting a radius of 0; a finite matrix with a
+    # non-finite vector or rate gave a NaN sigma, a NaN or 0 "certified"
+    # bound, and a SingularSystem for a NaN alpha
     C = np.array([[0.0, bad, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    finite = np.nan_to_num(C, nan=1.0, posinf=1.0, neginf=1.0)
     everyone = cn.DefaultIndicator(flags=np.ones(3, dtype=bool))
     for given in (C, scipy.sparse.csr_array(C)):
         for call in (lambda: cn.spectral_radius(given),
@@ -179,7 +207,10 @@ def test_every_entry_rejects_non_finite_entries(bad):
                      lambda: cn.generalized_katz(given, 0.9, np.ones(3)),
                      lambda: cn.standard_katz(given, 0.5),
                      lambda: cn.collatz_wielandt_value(given, np.ones(3)),
-                     lambda: cn.corollary_radius_bound(given, everyone)):
+                     lambda: cn.corollary_radius_bound(given, everyone),
+                     lambda: cn.generalized_katz(finite, 0.5, [bad, 1.0, 0.0]),
+                     lambda: cn.standard_katz(finite, bad),
+                     lambda: cn.collatz_wielandt_value(finite, [bad, 1.0, 1.0])):
             with pytest.raises(ValueError, match="finite"):
                 call()
 
